@@ -7,10 +7,8 @@ failure, 2 usage error.
 """
 
 import argparse
-import csv
 import json
 import math
-import os
 import sys
 from dataclasses import asdict
 
@@ -21,6 +19,7 @@ from .data_io import (
     error_summary,
     gen_synthetic,
     load_csv,
+    save_calibration_csv,
     save_dataset_csv,
     save_fit_json,
     save_loo_csv,
@@ -55,14 +54,6 @@ def _float_list(text):
     return values
 
 
-def _default_workers():
-    raw = os.environ.get("ECREG_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _add_data_flags(p):
     p.add_argument("--data", required=True, help="input CSV (rows = samples)")
     p.add_argument("--target", default="y", help="target column name")
@@ -93,21 +84,26 @@ def _settings_from_flags(args):
     return FitSettings(**overrides) if overrides else None
 
 
-def _prior_from_flags(args):
+def _family_from_flags(args, sigma, sigma_flag):
+    """The prior family; the slab-variance flag must be given exactly when the
+    family has a Gaussian slab."""
     family = _FAMILIES[args.family]
+    if family == BERNOULLI_GAUSS and sigma is None:
+        raise ConfigError(f"{sigma_flag} is required with --family bg")
+    if family == BERNOULLI_UNIFORM and sigma is not None:
+        raise ConfigError(f"{sigma_flag} is not accepted with --family bu")
+    return family
+
+
+def _prior_from_flags(args):
     if args.rho is None:
         raise ConfigError("--rho is required for this command")
-    if family == BERNOULLI_GAUSS and args.sigma_w2 is None:
-        raise ConfigError("--sigma-w2 is required with --family bg")
-    if family == BERNOULLI_UNIFORM and args.sigma_w2 is not None:
-        raise ConfigError("--sigma-w2 is not accepted with --family bu")
-    sigma = args.sigma_w2 if family == BERNOULLI_GAUSS else None
-    return PriorSpec(family=family, rho=args.rho, sigma_w2=sigma)
+    family = _family_from_flags(args, args.sigma_w2, "--sigma-w2")
+    return PriorSpec(family=family, rho=args.rho, sigma_w2=args.sigma_w2)
 
 
 def _load_dataset(args):
-    dataset, record = load_csv(args.data, args.target, center=args.center)
-    return dataset, record
+    return load_csv(args.data, args.target, center=args.center)
 
 
 def _tolerance_lines(settings):
@@ -216,21 +212,19 @@ def _cmd_loocv(args):
           f"flagged={len(report.flagged)} wall={report.wall_time:.3f}s")
     literal = None
     if args.literal:
-        literal = literal_loocv(dataset, prior, args.beta,
-                                workers=args.workers, settings=settings)
+        literal = literal_loocv(dataset, prior, args.beta, settings=settings)
         rel = abs(report.eps_loo - literal.eps_loo) / max(literal.eps_loo, 1e-300)
         print(f"literal: eps_loo={literal.eps_loo!r} "
               f"flagged={len(literal.flagged)} wall={literal.wall_time:.3f}s "
               f"relative_gap={rel:.3e}")
     if args.kfold is not None:
         kreport = kfold_cv(dataset, prior, args.beta, args.kfold,
-                           seed=args.seed, workers=args.workers,
-                           settings=settings)
+                           seed=args.seed, settings=settings)
         print(f"kfold({args.kfold}): eps={kreport.eps_loo!r} "
               f"wall={kreport.wall_time:.3f}s")
     header = ([f"ecreg {__version__} loocv"] + _data_lines(args)
               + _prior_lines(prior, args.beta) + _tolerance_lines(settings)
-              + [f"workers={args.workers} seed={args.seed}",
+              + [f"seed={args.seed}",
                  f"eps_loo_approx={report.eps_loo!r}"])
     if literal is not None:
         header.append(f"eps_loo_literal={literal.eps_loo!r}")
@@ -240,17 +234,12 @@ def _cmd_loocv(args):
 
 
 def _cmd_sweep(args):
-    family = _FAMILIES[args.family]
-    if family == BERNOULLI_GAUSS and args.sigma_w2_grid is None:
-        raise ConfigError("--sigma-w2-grid is required with --family bg")
-    if family == BERNOULLI_UNIFORM and args.sigma_w2_grid is not None:
-        raise ConfigError("--sigma-w2-grid is not accepted with --family bu")
+    family = _family_from_flags(args, args.sigma_w2_grid, "--sigma-w2-grid")
     settings = _settings_from_flags(args)
     dataset, _ = _load_dataset(args)
     grid = SweepGrid(beta_values=args.beta_grid, rho_values=args.rho_grid,
                      sigma_w2_values=args.sigma_w2_grid)
-    result = sweep(dataset, family, grid, workers=args.workers,
-                   settings=settings)
+    result = sweep(dataset, family, grid, settings=settings)
     for p in result.points:
         print(f"point beta={p.beta!r} rho={p.rho!r} sigma_w2={p.sigma_w2!r} "
               f"eps={p.eps!r} eps_loo={p.eps_loo!r} converged={p.converged}"
@@ -262,8 +251,7 @@ def _cmd_sweep(args):
               + [f"family={family} beta_grid={args.beta_grid} "
                  f"rho_grid={args.rho_grid} sigma_w2_grid={args.sigma_w2_grid}"]
               + _tolerance_lines(settings)
-              + [f"workers={args.workers}",
-                 f"best: beta={best.beta!r} rho={best.rho!r} "
+              + [f"best: beta={best.beta!r} rho={best.rho!r} "
                  f"sigma_w2={best.sigma_w2!r} eps_loo={best.eps_loo!r}"])
     save_sweep_csv(args.out, result.points, header_lines=header)
     print(f"wrote {args.out}")
@@ -271,11 +259,7 @@ def _cmd_sweep(args):
 
 
 def _cmd_calibrate(args):
-    family = _FAMILIES[args.family]
-    if family == BERNOULLI_GAUSS and args.sigma_w2 is None:
-        raise ConfigError("--sigma-w2 is required with --family bg")
-    if family == BERNOULLI_UNIFORM and args.sigma_w2 is not None:
-        raise ConfigError("--sigma-w2 is not accepted with --family bu")
+    family = _family_from_flags(args, args.sigma_w2, "--sigma-w2")
     settings = _settings_from_flags(args)
     dataset, _ = _load_dataset(args)
     rows = []
@@ -316,24 +300,7 @@ def _cmd_calibrate(args):
               + [f"family={family} sigma_w2={args.sigma_w2!r} "
                  f"k_targets={args.k_target} beta_grid={args.beta_grid}"]
               + _tolerance_lines(settings))
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            for line in header:
-                fh.write(f"# {line}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["K", "beta", "rho", "achieved_K", "eps",
-                             "eps_loo", "selected"])
-            for r in rows:
-                writer.writerow([
-                    repr(float(r["K"])), repr(float(r["beta"])),
-                    "" if r["rho"] is None else repr(float(r["rho"])),
-                    "" if r["achieved_K"] is None else repr(float(r["achieved_K"])),
-                    "" if r["eps"] is None else repr(float(r["eps"])),
-                    "" if r["eps_loo"] is None else repr(float(r["eps_loo"])),
-                    "true" if r["selected"] else "false",
-                ])
-    except OSError as exc:
-        raise IoError(f"cannot write {args.out}: {exc}") from exc
+    save_calibration_csv(args.out, rows, header_lines=header)
     print(f"wrote {args.out}")
     return 0
 
@@ -400,8 +367,6 @@ def build_parser():
                    help="also run literal refit-per-sample CV for comparison")
     p.add_argument("--kfold", type=int, default=None, metavar="K",
                    help="also run k-fold CV with this many folds")
-    p.add_argument("--workers", type=int, default=_default_workers(),
-                   help="parallel fold workers (env ECREG_WORKERS)")
     p.add_argument("--seed", type=int, default=0, help="k-fold shuffle seed")
     p.add_argument("--out", default="loo.csv")
     p.set_defaults(func=_cmd_loocv)
@@ -416,8 +381,6 @@ def build_parser():
     p.add_argument("--sigma-w2-grid", type=_float_list, default=None,
                    help="comma-separated slab variances (bg family)")
     _add_tolerance_flags(p)
-    p.add_argument("--workers", type=int, default=_default_workers(),
-                   help="parallel grid workers (env ECREG_WORKERS)")
     p.add_argument("--out", default="sweep.csv")
     p.set_defaults(func=_cmd_sweep)
 

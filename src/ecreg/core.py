@@ -71,8 +71,8 @@ def _count_fit_call():
 class Dataset:
     """Design matrix X (N features x M samples) and response vector y.
 
-    Immutable by convention; the gram matrix, X y, and the eigen-decomposition
-    of X X^T are computed lazily once and shared by every fit on the dataset.
+    Immutable by convention; the gram matrix, X y, and the eigenvalues of
+    X X^T are computed lazily once and shared by every fit on the dataset.
     """
 
     def __init__(self, X, y):
@@ -116,7 +116,10 @@ class Dataset:
         if not np.all(np.isfinite(self.X)):
             raise DecompositionFailure("design matrix contains non-finite entries")
         try:
-            lam, vecs = np.linalg.eigh(self.gram)
+            # eigh, not eigvalsh: eigvalsh takes another LAPACK path whose
+            # last-bit differences move fit's fixed points, and warm-started
+            # calibration probes then stall short of grad_tol
+            lam = np.linalg.eigh(self.gram)[0]
         except np.linalg.LinAlgError as exc:
             raise DecompositionFailure(str(exc)) from exc
         lam_max = float(lam[-1]) if lam.size else 0.0
@@ -124,20 +127,18 @@ class Dataset:
             lam = np.zeros_like(lam)
         else:
             lam = np.where(lam < 1e-12 * lam_max, 0.0, lam)
-        return Spectrum(eigenvalues=lam, eigenvectors=vecs, lambda_max=max(lam_max, 0.0))
+        return Spectrum(eigenvalues=lam)
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigen-decomposition of X X^T with small eigenvalues clamped to zero."""
+    """Ascending eigenvalues of X X^T with small ones clamped to zero."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    lambda_max: float
 
 
 def spectrum(dataset):
-    """Cached eigen-decomposition of the dataset's gram matrix."""
+    """Cached eigenvalues of the dataset's gram matrix."""
     return dataset._spectrum
 
 

@@ -126,9 +126,9 @@ def load_csv(path, target_column, center=False):
     """Load a samples-by-columns CSV into a Dataset (features x samples).
 
     The designated target column becomes y; the remaining columns become
-    feature rows.  Missing or non-numeric cells are hard errors with the file
-    row/column location.  With center=True, per-feature means and the target
-    mean are subtracted and recorded for back-transformation.
+    feature rows.  Missing, non-numeric or non-finite cells are hard errors
+    with the file row/column location.  With center=True, per-feature means
+    and the target mean are subtracted and recorded for back-transformation.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -166,6 +166,11 @@ def load_csv(path, target_column, center=False):
             except ValueError:
                 raise NonNumericCell(
                     f"non-numeric cell {cell!r}", row=lineno, column=j + 1) from None
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        i, j = (int(v) for v in bad[0])
+        raise NonNumericCell(
+            f"non-finite cell {body[i][j]!r}", row=body_lines[i], column=j + 1)
 
     y = data[:, target_idx].copy()
     X = np.delete(data, target_idx, axis=1).T.copy()
@@ -193,18 +198,9 @@ def save_dataset_csv(path, dataset, feature_names=None, target_name="y",
         f"x{i + 1:04d}" for i in range(n)]
     if len(names) != n:
         raise DimensionMismatch(f"{len(names)} names for {n} features")
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
-            writer = csv.writer(fh)
-            writer.writerow(names + [target_name])
-            for mu in range(dataset.n_samples):
-                row = [repr(float(v)) for v in dataset.X[:, mu]]
-                row.append(repr(float(dataset.y[mu])))
-                writer.writerow(row)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    rows = ([repr(float(v)) for v in dataset.X[:, mu]] + [repr(float(dataset.y[mu]))]
+            for mu in range(dataset.n_samples))
+    _write_table(path, names + [target_name], rows, header_lines)
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +284,19 @@ def load_fit_json(path):
     return payload
 
 
+def _write_table(path, columns, rows, header_lines):
+    """Write '# ' comment lines, the column names, then the data rows."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            for line in header_lines:
+                fh.write(f"# {line}\n")
+            writer = csv.writer(fh)
+            writer.writerow(columns)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+
+
 def _format_cell(value):
     if value is None:
         return ""
@@ -301,21 +310,23 @@ def _format_cell(value):
 def save_sweep_csv(path, points, header_lines=()):
     """Sweep table: beta,rho,sigma_w2,eps,eps_loo,free_energy,converged."""
     columns = ["beta", "rho", "sigma_w2", "eps", "eps_loo", "free_energy", "converged"]
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
-            writer = csv.writer(fh)
-            writer.writerow(columns)
-            for p in points:
-                writer.writerow([
-                    _format_cell(p.beta), _format_cell(p.rho),
-                    _format_cell(p.sigma_w2), _format_cell(p.eps),
-                    _format_cell(p.eps_loo), _format_cell(p.free_energy),
-                    _format_cell(bool(p.converged)),
-                ])
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    rows = ([_format_cell(p.beta), _format_cell(p.rho), _format_cell(p.sigma_w2),
+             _format_cell(p.eps), _format_cell(p.eps_loo), _format_cell(p.free_energy),
+             _format_cell(bool(p.converged))] for p in points)
+    _write_table(path, columns, rows, header_lines)
+
+
+def save_calibration_csv(path, rows, header_lines=()):
+    """Calibration table: K,beta,rho,achieved_K,eps,eps_loo,selected.
+
+    ``rows`` are mappings with those keys, one per (K, beta) point; a failed
+    calibration carries None in rho, achieved_K, eps and eps_loo, written as
+    empty cells.
+    """
+    numeric = ["K", "beta", "rho", "achieved_K", "eps", "eps_loo"]
+    cells = ([_format_cell(None if r[c] is None else float(r[c])) for c in numeric]
+             + [_format_cell(bool(r["selected"]))] for r in rows)
+    _write_table(path, numeric + ["selected"], cells, header_lines)
 
 
 def save_loo_csv(path, report, literal_report=None, header_lines=()):
@@ -330,20 +341,15 @@ def save_loo_csv(path, report, literal_report=None, header_lines=()):
     flagged = set(report.flagged)
     if literal_report is not None:
         flagged |= set(literal_report.flagged)
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
-            writer = csv.writer(fh)
-            writer.writerow(columns)
-            for s in report.samples:
-                loo = s.residual_loo_approx if s.residual_loo_approx is not None \
-                    else s.residual_loo_literal
-                row = [str(s.index), _format_cell(s.residual_full),
-                       _format_cell(s.leverage), _format_cell(loo),
-                       _format_cell(s.index in flagged)]
-                if literal_report is not None:
-                    row.append(_format_cell(literal_by_index.get(s.index)))
-                writer.writerow(row)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+
+    def row(s):
+        loo = s.residual_loo_approx if s.residual_loo_approx is not None \
+            else s.residual_loo_literal
+        cells = [str(s.index), _format_cell(s.residual_full),
+                 _format_cell(s.leverage), _format_cell(loo),
+                 _format_cell(s.index in flagged)]
+        if literal_report is not None:
+            cells.append(_format_cell(literal_by_index.get(s.index)))
+        return cells
+
+    _write_table(path, columns, (row(s) for s in report.samples), header_lines)

@@ -6,12 +6,12 @@ alternative but never optimized here.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import fit
+from .data_io import error_summary
 from .errors import (
     AllPointsFailed,
     ConfigError,
@@ -98,15 +98,10 @@ def _make_prior(family, rho, sigma_w2):
     return PriorSpec(BERNOULLI_GAUSS, rho, sigma_w2)
 
 
-def _training_eps(dataset, m):
-    r = dataset.y - dataset.X.T @ m
-    return float(r @ r) / (2.0 * dataset.n_samples)
-
-
 def _evaluate_point(dataset, family, beta, rho, sigma_w2, settings):
     try:
         res = fit(dataset, _make_prior(family, rho, sigma_w2), beta, settings=settings)
-        eps = _training_eps(dataset, res.state.m)
+        eps = error_summary(res.state.m, dataset).eps
         if not res.state.converged:
             return SweepPoint(beta, rho, sigma_w2, eps, math.nan,
                               res.state.free_energy, False, "fit did not converge"), None
@@ -128,27 +123,18 @@ def _argmin_point(points):
                                       p.sigma_w2 if p.sigma_w2 is not None else 0.0))
 
 
-def sweep(dataset, family, grid, workers=1, settings=None):
+def sweep(dataset, family, grid, settings=None):
     """Evaluate fit/eps/eps_loo/free-energy on every grid point.
 
     Failed points stay in the table with their failure reason and are excluded
-    from the argmin.  Deterministic: points are enumerated and reduced in grid
-    order regardless of the worker count.
+    from the argmin.  Deterministic: points are evaluated serially in grid
+    order.
     """
     sigmas = grid.sigma_w2_values if grid.sigma_w2_values is not None else (None,)
     if family == BERNOULLI_GAUSS and grid.sigma_w2_values is None:
         raise ConfigError("Gaussian slab sweep needs sigma_w2_values")
-    combos = [(b, r, s) for b in grid.beta_values for r in grid.rho_values for s in sigmas]
-
-    def job(combo):
-        b, r, s = combo
-        return _evaluate_point(dataset, family, b, r, s, settings)[0]
-
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(job, combos))
-    else:
-        points = [job(c) for c in combos]
+    points = [_evaluate_point(dataset, family, b, r, s, settings)[0]
+              for b in grid.beta_values for r in grid.rho_values for s in sigmas]
     return SweepResult(points=points, best=_argmin_point(points))
 
 
@@ -217,24 +203,15 @@ def calibrate_rho(dataset, beta, K, family, sigma_w2=None, settings=None,
     raise NonConvergence(f"calibration did not reach K={K} within {max_probes} probes")
 
 
-def select_beta(dataset, prior, beta_grid, workers=1, settings=None):
+def select_beta(dataset, prior, beta_grid, settings=None):
     """Pick the beta minimizing the approximate LOO error over a grid.
 
-    Returns the winning beta, its LOO report, and the full per-beta table.
-    The argmin uses the sweep tie-break (smallest beta wins ties), so the
+    Returns the winning beta, its LOO report, and the full per-beta table,
+    evaluated serially in grid order.  The argmin uses the sweep tie-break (smallest beta wins ties), so the
     result is invariant under permutation of the grid.
     """
-    betas = _positive_list("beta_grid", beta_grid)
-    prior_sigma = prior.sigma_w2
-
-    def job(b):
-        return _evaluate_point(dataset, prior.family, b, prior.rho, prior_sigma, settings)
-
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            evaluated = list(pool.map(job, betas))
-    else:
-        evaluated = [job(b) for b in betas]
+    evaluated = [_evaluate_point(dataset, prior.family, b, prior.rho, prior.sigma_w2, settings)
+                 for b in _positive_list("beta_grid", beta_grid)]
     points = [point for point, _ in evaluated]
     reports = {point.beta: report for point, report in evaluated if report is not None}
     best = _argmin_point(points)

@@ -8,8 +8,7 @@ to validate that formula.
 """
 
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +34,6 @@ class LooSample:
     leverage: float | None
     residual_loo_approx: float | None
     residual_loo_literal: float | None = None
-    cavity_field: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -116,121 +114,50 @@ def loo_estimator(fit_result, dataset, beta, mu):
     return m - c_delta
 
 
-def _subset_dataset(dataset, keep_mask):
-    return Dataset(dataset.X[:, keep_mask], dataset.y[keep_mask])
-
-
 def _fit_fold(dataset, prior, beta, keep_mask, warm_m, settings):
-    """Fit on a sample subset; returns (m, converged, error message)."""
+    """Fit on a sample subset; returns (m or None on error, converged)."""
     if not np.any(keep_mask):
         # data-free fold: the estimator is the prior mean
-        return np.zeros(dataset.n_features), True, None
-    sub = _subset_dataset(dataset, keep_mask)
+        return np.zeros(dataset.n_features), True
+    sub = Dataset(dataset.X[:, keep_mask], dataset.y[keep_mask])
     try:
         res = fit(sub, prior, beta, init=warm_m, settings=settings)
-    except EcregError as exc:
-        return None, False, str(exc)
-    return res.state.m, res.state.converged, None
+    except EcregError:
+        return None, False
+    return res.state.m, res.state.converged
 
 
-def _run_folds(jobs, workers):
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda j: j(), jobs))
-    return [j() for j in jobs]
+def _cross_validate(dataset, prior, beta, folds, method, settings):
+    """Refit once per fold of held-out sample indices, warm-started from the
+    full fit, and report every sample's held-out residual.
 
-
-def literal_loocv(dataset, prior, beta, workers=1, settings=None):
-    """LOO by M refits, each warm-started from the full fit.
-
-    Folds are independent and may run in parallel; per-sample results are
-    reduced in index order so the report does not depend on the worker count.
-    A fold whose refit fails keeps the full-fit prediction and is flagged;
-    the call raises only when more than 5% of folds fail.
+    Residuals are reduced in index order.  A fold whose refit fails keeps the
+    full-fit prediction and its samples are flagged; the call raises only when
+    more than 5% of folds fail.
     """
     t0 = time.perf_counter()
     M = dataset.n_samples
-    full = fit(dataset, prior, beta, settings=settings)
-    warm = full.state.m
-
-    def make_job(mu):
-        def job():
-            keep = np.ones(M, dtype=bool)
-            keep[mu] = False
-            return _fit_fold(dataset, prior, beta, keep, warm, settings)
-        return job
-
-    results = _run_folds([make_job(mu) for mu in range(M)], workers)
+    warm = fit(dataset, prior, beta, settings=settings).state.m
 
     residuals = np.empty(M)
     flagged = []
     failures = 0
-    for mu, (m_fold, ok, err) in enumerate(results):
-        if m_fold is None:
-            m_fold = warm
-        residuals[mu] = dataset.y[mu] - dataset.X[:, mu] @ m_fold
-        if not ok or err is not None:
-            failures += 1
-            flagged.append(mu)
-    if failures > 0.05 * M:
-        raise NonConvergence(f"{failures}/{M} leave-one-out folds failed")
-
-    samples = [
-        LooSample(index=mu, residual_full=float(dataset.y[mu] - dataset.X[:, mu] @ warm),
-                  leverage=None, residual_loo_approx=None,
-                  residual_loo_literal=float(residuals[mu]))
-        for mu in range(M)
-    ]
-    return LooReport(eps_loo=_loo_eps(residuals, M), samples=samples,
-                     flagged=flagged, method="literal",
-                     wall_time=time.perf_counter() - t0)
-
-
-def kfold_cv(dataset, prior, beta, k, seed=0, workers=1, settings=None):
-    """k-fold CV: seeded permutation, contiguous blocks, remainder spread
-    one per leading fold.  eps is (1/2M) times the total held-out squared
-    residual, so k = M reproduces literal_loocv exactly.
-    """
-    M = dataset.n_samples
-    if not 2 <= k <= M:
-        raise ConfigError(f"k must satisfy 2 <= k <= {M}, got {k}")
-    t0 = time.perf_counter()
-    perm = np.random.default_rng(seed).permutation(M)
-    base, rem = divmod(M, k)
-    folds = []
-    start = 0
-    for i in range(k):
-        size = base + (1 if i < rem else 0)
-        folds.append(perm[start:start + size])
-        start += size
-
-    full = fit(dataset, prior, beta, settings=settings)
-    warm = full.state.m
-
-    def make_job(test_idx):
-        def job():
-            keep = np.ones(M, dtype=bool)
-            keep[test_idx] = False
-            return _fit_fold(dataset, prior, beta, keep, warm, settings)
-        return job
-
-    results = _run_folds([make_job(f) for f in folds], workers)
-
-    residuals = np.empty(M)
-    flagged = []
-    failures = 0
-    for test_idx, (m_fold, ok, err) in zip(folds, results):
+    for test_idx in folds:
+        keep = np.ones(M, dtype=bool)
+        keep[test_idx] = False
+        m_fold, ok = _fit_fold(dataset, prior, beta, keep, warm, settings)
         if m_fold is None:
             m_fold = warm
         for mu in test_idx:
-            # per-sample dot, not a batched product: same accumulation order
-            # as the literal harness, so k = M matches it bit for bit
+            # per-sample dot, not a batched product: the accumulation order
+            # does not depend on the fold layout, so k = M matches the
+            # singleton folds bit for bit
             residuals[mu] = dataset.y[mu] - dataset.X[:, mu] @ m_fold
-        if not ok or err is not None:
+        if not ok:
             failures += 1
             flagged.extend(int(mu) for mu in test_idx)
-    if failures > 0.05 * k:
-        raise NonConvergence(f"{failures}/{k} folds failed")
+    if failures > 0.05 * len(folds):
+        raise NonConvergence(f"{failures}/{len(folds)} folds failed")
     flagged.sort()
 
     samples = [
@@ -240,5 +167,28 @@ def kfold_cv(dataset, prior, beta, k, seed=0, workers=1, settings=None):
         for mu in range(M)
     ]
     return LooReport(eps_loo=_loo_eps(residuals, M), samples=samples,
-                     flagged=flagged, method=f"kfold({k})",
+                     flagged=flagged, method=method,
                      wall_time=time.perf_counter() - t0)
+
+
+def literal_loocv(dataset, prior, beta, settings=None):
+    """LOO by M refits, each warm-started from the full fit.
+
+    Folds run serially in index order.  A fold whose refit fails keeps the
+    full-fit prediction and is flagged; the call raises only when more than
+    5% of folds fail.
+    """
+    folds = [[mu] for mu in range(dataset.n_samples)]
+    return _cross_validate(dataset, prior, beta, folds, "literal", settings)
+
+
+def kfold_cv(dataset, prior, beta, k, seed=0, settings=None):
+    """k-fold CV: seeded permutation, contiguous blocks, remainder spread
+    one per leading fold.  eps is (1/2M) times the total held-out squared
+    residual, so k = M reproduces literal_loocv exactly.
+    """
+    M = dataset.n_samples
+    if not 2 <= k <= M:
+        raise ConfigError(f"k must satisfy 2 <= k <= {M}, got {k}")
+    folds = np.array_split(np.random.default_rng(seed).permutation(M), k)
+    return _cross_validate(dataset, prior, beta, folds, f"kfold({k})", settings)

@@ -80,7 +80,7 @@ def test_criterion_1_semianalytic_matches_literal_loocv():
         result = fit(dataset, prior, beta)
         assert result.state.converged
         approx = approx_looe(result, dataset, beta)
-        literal = literal_loocv(dataset, prior, beta, workers=4)
+        literal = literal_loocv(dataset, prior, beta)
         gaps.append(abs(approx.eps_loo - literal.eps_loo) / literal.eps_loo)
     elapsed = time.perf_counter() - start
     median_gap = float(np.median(gaps))
@@ -336,12 +336,12 @@ def test_criterion_8_approx_speedup_and_single_fit():
     assert fits == 1
 
     start = time.perf_counter()
-    literal_loocv(dataset, prior, beta, workers=1)
+    literal_loocv(dataset, prior, beta)
     t_literal = time.perf_counter() - start
     assert t_approx <= t_literal / 20.0
     print(f"[criterion 8] PASS: approximate LOO used exactly {fits} fit and "
           f"{t_approx:.3f}s vs {t_literal:.3f}s literal "
-          f"({t_literal / t_approx:.0f}x, required >= 20x) at equal workers")
+          f"({t_literal / t_approx:.0f}x, required >= 20x)")
 
 
 def test_criterion_9_synthetic_standin_documented():

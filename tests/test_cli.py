@@ -129,6 +129,15 @@ class TestFit:
                    "--rho", "0.2", "--sigma-w2", "4", "--beta", "4"])
         assert rc == 2
 
+    def test_non_finite_cell_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        path.write_text("a,b,y\n1,2,3\n4,5,nan\n7,8,9\n", encoding="utf-8")
+        rc = main(["fit", "--data", str(path), "--rho", "0.2",
+                   "--sigma-w2", "4", "--beta", "4",
+                   "--out", str(tmp_path / "fit.json")])
+        assert rc == 2
+        assert "(row 3, column 3)" in capsys.readouterr().err
+
     def test_missing_target_column(self, tmp_path):
         paths = _synth(tmp_path)
         rc = main(["fit", "--data", paths["train"], "--target", "zzz",
@@ -186,20 +195,6 @@ class TestLoocv:
                    "--out", str(tmp_path / "loo.csv")])
         assert rc == 2
 
-    def test_worker_count_does_not_change_output(self, tmp_path):
-        paths = _synth(tmp_path)
-        runs = []
-        for workers in ("1", "6"):
-            out_path = tmp_path / f"loo{workers}.csv"
-            rc = main(["loocv", "--data", paths["train"], "--rho", "0.2",
-                       "--sigma-w2", "4", "--beta", "4", "--literal",
-                       "--workers", workers, "--out", str(out_path)])
-            assert rc == 0
-            text = out_path.read_text(encoding="utf-8")
-            eps_lines = [l for l in text.splitlines() if "eps_loo" in l]
-            runs.append((eps_lines, _read_rows(out_path)))
-        assert runs[0] == runs[1]
-
 
 class TestSweep:
     def test_grid_table(self, tmp_path, capsys):
@@ -236,19 +231,6 @@ class TestSweep:
                    "--beta-grid", "1,x", "--rho-grid", "0.3",
                    "--sigma-w2-grid", "3"])
         assert rc == 2
-
-    def test_worker_count_does_not_change_output(self, tmp_path):
-        paths = _synth(tmp_path)
-        tables = []
-        for workers in ("1", "4"):
-            out_path = tmp_path / f"sweep{workers}.csv"
-            rc = main(["sweep", "--data", paths["train"], "--family", "bg",
-                       "--beta-grid", "2,6", "--rho-grid", "0.4",
-                       "--sigma-w2-grid", "3", "--workers", workers,
-                       "--out", str(out_path)])
-            assert rc == 0
-            tables.append(_read_rows(out_path))
-        assert tables[0] == tables[1]
 
 
 class TestCalibrate:

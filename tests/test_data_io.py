@@ -174,11 +174,12 @@ class TestLoadCsv:
         assert info.value.row == 3
 
     def test_non_numeric_cell_reports_location(self, tmp_path):
-        path = self._write(tmp_path / "n.csv", "a,b,y\n1,2,3\n4,oops,6\n")
-        with pytest.raises(NonNumericCell) as info:
-            load_csv(path, "y")
-        assert info.value.row == 3
-        assert info.value.column == 2
+        for cell in ("oops", "nan", "inf", "-inf"):
+            path = self._write(tmp_path / "n.csv", f"a,b,y\n1,2,3\n4,{cell},6\n")
+            with pytest.raises(NonNumericCell) as info:
+                load_csv(path, "y")
+            assert info.value.row == 3
+            assert info.value.column == 2
 
     def test_empty_cell_reports_location(self, tmp_path):
         path = self._write(tmp_path / "e.csv", "a,b,y\n1,,3\n")

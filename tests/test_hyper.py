@@ -153,15 +153,6 @@ class TestSweep:
         assert result.best.sigma_w2 is None
         assert result.best.converged
 
-    def test_worker_count_does_not_change_result(self):
-        ds = _instance(57, 10, 20)
-        grid = SweepGrid(beta_values=[2.0, 6.0], rho_values=[0.4, 1.0],
-                         sigma_w2_values=[3.0])
-        serial = sweep(ds, BERNOULLI_GAUSS, grid, workers=1)
-        threaded = sweep(ds, BERNOULLI_GAUSS, grid, workers=4)
-        assert serial.points == threaded.points
-        assert serial.best == threaded.best
-
 
 class TestCalibrateRho:
     def test_reaches_target_count(self):
