@@ -116,10 +116,9 @@ class Dataset:
         if not np.all(np.isfinite(self.X)):
             raise DecompositionFailure("design matrix contains non-finite entries")
         try:
-            # eigh, not eigvalsh: eigvalsh takes another LAPACK path whose
-            # last-bit differences move fit's fixed points, and warm-started
-            # calibration probes then stall short of grad_tol
-            lam = np.linalg.eigh(self.gram)[0]
+            # eigenvalues only; they differ from eigh's in the last bits,
+            # which fit's stopping tolerates (see _rounding_rise)
+            lam = np.linalg.eigvalsh(self.gram)
         except np.linalg.LinAlgError as exc:
             raise DecompositionFailure(str(exc)) from exc
         lam_max = float(lam[-1]) if lam.size else 0.0
@@ -147,13 +146,32 @@ def spectrum(dataset):
 # ---------------------------------------------------------------------------
 
 
-def solve_lambda(spec, beta, chi):
+def _secular_newton(lam, target, L):
+    """Residual s(L) - target of the secular equation and the Newton iterate.
+
+    The step r/|ds| with ds = -mean(u**2) is factored through the largest
+    entry of u = 1/(lambda + L), so nothing overflows when the root sits
+    near 1e-150.
+    """
+    u = 1.0 / (lam + L)
+    r = float(np.mean(u)) - target
+    u_max = float(u.max())
+    v = u / u_max
+    return r, L + (r / u_max) / (u_max * float(np.mean(v * v)))
+
+
+def solve_lambda(spec, beta, chi, *, _start=None):
     """Solve (1/N) sum_k 1/(lambda_k + Ltil) = beta*chi for Ltil.
 
     The left side is strictly decreasing in Ltil on (-lambda_min, inf) and
     spans (0, inf), so the root exists and is unique; it is positive whenever
     any eigenvalue is zero or beta*chi exceeds (1/N) sum 1/lambda_k, and may
     be negative (but > -lambda_min) otherwise.  Relative residual <= 1e-12.
+
+    ``_start`` is private to solve_tilt: a nearby root from which plain
+    Newton usually converges in a few steps.  The left side is convex, so
+    Newton from below the root climbs monotonically to it; a step that
+    leaves the domain or a stall falls back to the bracketed solve.
     """
     if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
@@ -162,6 +180,16 @@ def solve_lambda(spec, beta, chi):
     lam = spec.eigenvalues
     target = beta * chi
     lam_min = float(lam.min())
+
+    if _start is not None:
+        L = _start
+        for _ in range(30):
+            r, Ln = _secular_newton(lam, target, L)
+            if abs(r) <= 1e-13 * target:
+                return float(L)
+            if not (np.isfinite(Ln) and Ln > -lam_min) or Ln == L:
+                break
+            L = Ln
 
     def s(L):
         return float(np.mean(1.0 / (lam + L)))
@@ -181,20 +209,13 @@ def solve_lambda(spec, beta, chi):
     # safeguarded newton inside [lo, hi]; s is convex decreasing there
     L = 0.5 * (lo + hi)
     for _ in range(200):
-        u = 1.0 / (lam + L)
-        r = float(np.mean(u)) - target
+        r, Ln = _secular_newton(lam, target, L)
         if abs(r) <= 1e-13 * target:
             return float(L)
         if r > 0.0:
             lo = L
         else:
             hi = L
-        # newton step r/|ds| with ds = -mean(u**2), factored through the
-        # largest entry so nothing overflows when the root sits near 1e-150
-        u_max = float(u.max())
-        v = u / u_max
-        msq = float(np.mean(v * v))
-        Ln = L + (r / u_max) / (u_max * msq)
         if not np.isfinite(Ln) or Ln <= lo or Ln >= hi:
             # geometric midpoint when the bracket spans many decades
             # (roots can sit at ~1/(N*beta*chi) for huge chi)
@@ -262,16 +283,17 @@ def solve_tilt(m, prior, beta, spec, E0=None, h0=None, tol=1e-10, max_inner=60):
     q = float(m @ m) / m.size
 
     h_prev = h0
+    ltil_prev = None
 
     def step(E):
-        nonlocal h_prev
+        nonlocal h_prev, ltil_prev
         h = invert_mean(prior, m, E, h0=h_prev)
         h_prev = h
         mom = moments(prior, h, E)
         chi = float(np.mean(mom.variance))
         if not chi > 0.0:
             raise InfeasibleTilt(f"tilted variances vanished at E = {E}")
-        ltil = solve_lambda(spec, beta, chi)
+        ltil = ltil_prev = solve_lambda(spec, beta, chi, _start=ltil_prev)
         e_new = 1.0 / chi - beta * ltil
         return h, mom, chi, ltil, e_new
 
@@ -375,25 +397,30 @@ def hessian(m, Mi, E, dataset, beta, variances=None, variance_floor=1e-12):
     return H
 
 
-def _assemble_free_energy(beta, rss, lam, tilt, h_dot_m, log_z_sum, n):
-    return float(
-        beta * rss
-        + 0.5 * np.sum(np.log(lam + tilt.lambda_tilde))
-        - 0.5 * n * beta * tilt.chi * tilt.lambda_tilde
-        + 0.5 * n * np.log(beta * tilt.chi)
-        + 0.5 * n
-        - 0.5 * n * tilt.E * tilt.Q
-        + h_dot_m
-        - log_z_sum
-    )
+def _free_energy_terms(m, tilt, dataset, beta, prior):
+    """The summands of Phi(m) at a solved tilt, in the module docstring's order."""
+    residual = dataset.y - dataset.X.T @ m
+    rss = 0.5 * float(residual @ residual)
+    lam = spectrum(dataset).eigenvalues
+    n = m.size
+    return [
+        beta * rss,
+        0.5 * np.sum(np.log(lam + tilt.lambda_tilde)),
+        -0.5 * n * beta * tilt.chi * tilt.lambda_tilde,
+        0.5 * n * np.log(beta * tilt.chi),
+        0.5 * n,
+        -0.5 * n * tilt.E * tilt.Q,
+        float(tilt.h @ m),
+        -float(np.sum(moments(prior, tilt.h, tilt.E).log_partition)),
+    ]
 
 
 def _free_energy_at(m, tilt, dataset, beta, prior):
-    residual = dataset.y - dataset.X.T @ m
-    rss = 0.5 * float(residual @ residual)
-    log_z_sum = float(np.sum(moments(prior, tilt.h, tilt.E).log_partition))
-    return _assemble_free_energy(beta, rss, spectrum(dataset).eigenvalues, tilt,
-                                 float(tilt.h @ m), log_z_sum, m.size)
+    phi = 0.0
+    # plain left-to-right sum; sum() compensates on Python >= 3.12
+    for term in _free_energy_terms(m, tilt, dataset, beta, prior):
+        phi += term
+    return float(phi)
 
 
 def objective(dataset, prior, beta, m, E0=None, h0=None):
@@ -498,15 +525,34 @@ def _chol_solve_with_shift(H, rhs, n):
     raise SingularHessian("curvature could not be shifted to positive definite")
 
 
+def _rounding_rise(trial, phi, grad_norm, m, tilt, dataset, beta, prior):
+    """The rounding error 8*eps*sum|summands| of Phi at (m, tilt) when the
+    trial (m, tilt, phi) raises Phi by no more than it and lowers the
+    gradient inf-norm; None otherwise."""
+    m_trial, tilt_trial, phi_trial = trial
+    terms = _free_energy_terms(m, tilt, dataset, beta, prior)
+    floor = float(8.0 * np.finfo(float).eps * sum(abs(t) for t in terms))
+    if phi_trial - phi > floor:
+        return None
+    g = gradient(m_trial, tilt_trial.h, tilt_trial.E, dataset, beta)
+    return floor if float(np.max(np.abs(g))) < grad_norm else None
+
+
 def fit(dataset, prior, beta, init=None, settings=None):
     """Minimize the free energy by damped Newton; deterministic.
 
     Each step re-solves the tilt at the current m, forms the gradient and
     curvature, and backtracks the Newton step (halving from 1) until the free
-    energy strictly decreases.  Terminates when the gradient infinity-norm
-    falls below grad_tol*max(1, ||beta*X y||_inf) or the accepted relative
-    step is below step_tol.  On iteration exhaustion the best state is
-    returned with converged=False.
+    energy strictly decreases.  When no halving decreases it, the full step
+    is still taken if it raises the free energy by no more than the rounding
+    error of its summands and lowers the gradient infinity-norm.
+    Terminates when the gradient infinity-norm falls below
+    grad_tol*max(1, ||beta*X y||_inf) or the accepted relative step is below
+    step_tol.  On iteration exhaustion the best state is returned with
+    converged=False.  The settings echo records, per step, the free energy
+    reached (``free_energies``, which starts at the initial point) and the
+    rise the step was allowed (``allowed_rises``: that rounding error for
+    such a full step, 0.0 for a strict decrease).
     """
     _count_fit_call()
     cfg = settings or FitSettings()
@@ -526,6 +572,7 @@ def fit(dataset, prior, beta, init=None, settings=None):
     phi = _free_energy_at(m, tilt, dataset, beta, prior)
     step_sizes = []
     free_energies = [phi]
+    allowed_rises = []
     converged = False
     iterations = 0
 
@@ -542,6 +589,7 @@ def fit(dataset, prior, beta, init=None, settings=None):
 
         s = 1.0
         accepted = False
+        full = None  # the undamped trial, kept for the stall check below
         while s >= cfg.step_floor:
             m_trial = m + s * direction
             try:
@@ -555,21 +603,33 @@ def fit(dataset, prior, beta, init=None, settings=None):
             if phi_trial < phi:
                 accepted = True
                 break
+            if s == 1.0:
+                full = m_trial, tilt_trial, phi_trial
             s *= 0.5
+        rise = 0.0
         if not accepted:
-            # no decrease at any damping: success if the model's best possible
-            # improvement is below the objective's floating-point noise or the
-            # Newton step is already negligible; otherwise a genuine stall
-            decrement = -0.5 * float(grad @ direction)
-            noise_phi = 8.0 * np.finfo(float).eps * max(1.0, abs(phi))
-            full_step = float(np.max(np.abs(direction)))
-            if (decrement <= noise_phi
-                    or full_step <= cfg.step_tol * max(1.0, float(np.max(np.abs(m))))):
-                converged = True
-            break
+            # Phi sums terms that cancel (|Phi| can be far below its largest
+            # summand), so every trial may read as a rise of rounding size
+            # although the full step still lowers the gradient: take it then
+            rise = None if full is None else _rounding_rise(full, phi, grad_norm, m, tilt,
+                                                            dataset, beta, prior)
+            if rise is not None:
+                (m_trial, tilt_trial, phi_trial), s = full, 1.0
+            else:
+                # success if the model's best possible improvement is below
+                # the objective's floating-point noise or the Newton step is
+                # already negligible; otherwise a genuine stall
+                decrement = -0.5 * float(grad @ direction)
+                noise_phi = 8.0 * np.finfo(float).eps * max(1.0, abs(phi))
+                full_step = float(np.max(np.abs(direction)))
+                if (decrement <= noise_phi
+                        or full_step <= cfg.step_tol * max(1.0, float(np.max(np.abs(m))))):
+                    converged = True
+                break
         m, tilt, phi = m_trial, tilt_trial, phi_trial
         step_sizes.append(s)
         free_energies.append(phi)
+        allowed_rises.append(rise)
         iterations = outer + 1
         if s * float(np.max(np.abs(direction))) <= cfg.step_tol * max(1.0, float(np.max(np.abs(m)))):
             converged = True
@@ -598,5 +658,6 @@ def fit(dataset, prior, beta, init=None, settings=None):
     echo = asdict(cfg)
     echo["step_sizes"] = step_sizes
     echo["free_energies"] = free_energies
+    echo["allowed_rises"] = allowed_rises
     return FitResult(state=state, hessian=H, hessian_inverse=H_inv,
                      inclusion_probs=inclusion, settings=echo)

@@ -40,9 +40,12 @@ class LooSample:
 class LooReport:
     """Per-sample LOO table.  eps_loo = (1/2M) sum residual_loo**2.
 
-    ``flagged`` lists sample ids with clipped leverage denominators (approx
-    method) or ids belonging to folds whose refit did not converge (literal
-    and k-fold methods).
+    ``flagged`` lists, for the approx method, sample ids whose leverage
+    denominator 1 - leverage is below DENOMINATOR_FLOOR: those whose
+    |1 - leverage| is below it, which are clipped to it, and those with
+    leverage above 1, which are kept as they are.  For the literal and
+    k-fold methods it lists ids belonging to folds whose refit did not
+    converge.
     """
 
     eps_loo: float
@@ -61,7 +64,8 @@ def approx_looe(fit_result, dataset, beta):
 
     Requires a converged fit.  Cost is two matrix products against the cached
     Hessian inverse; samples whose |1 - leverage| falls below the floor are
-    clipped to the floor and flagged.
+    clipped to the floor and flagged, and samples with leverage above 1 are
+    flagged unclipped.
     """
     t0 = time.perf_counter()
     if not fit_result.state.converged:
@@ -75,7 +79,10 @@ def approx_looe(fit_result, dataset, beta):
     residual_full = dataset.y - X.T @ fit_result.state.m
     denom = 1.0 - leverage
     small = np.abs(denom) < DENOMINATOR_FLOOR
-    flagged = [int(i) for i in np.flatnonzero(small)]
+    # leverage above 1 means the curvature without sample mu is not positive
+    # definite (matrix determinant lemma); the formula then flips the
+    # residual's sign, so flag the sample but leave eps_loo as it was
+    flagged = [int(i) for i in np.flatnonzero(denom < DENOMINATOR_FLOOR)]
     safe = np.where(small, np.where(denom >= 0.0, DENOMINATOR_FLOOR, -DENOMINATOR_FLOOR), denom)
     residual_loo = residual_full / safe
     samples = [

@@ -96,6 +96,11 @@ def _slab_parts(prior, h, E):
     return ln_zs, h / E, 1.0 / E
 
 
+def _log_prior_odds(rho):
+    # +inf for the pure slab, so expit gives an inclusion probability of 1
+    return np.inf if rho == 1.0 else np.log(rho) - np.log1p(-rho)
+
+
 def moments(prior, h, E):
     """Moments of the prior tilted by exp(-E*w**2/2 + h*w).
 
@@ -115,8 +120,7 @@ def moments(prior, h, E):
         one = np.ones_like(h)
         var = np.full_like(h, v_s)
         return ScalarMoments(ln_zs, mu_s, var + mu_s * mu_s, one, var)
-    ln_odds = np.log(rho) - np.log1p(-rho) + ln_zs
-    pi = expit(ln_odds)
+    pi = expit(_log_prior_odds(rho) + ln_zs)
     log_z = np.logaddexp(np.log1p(-rho), np.log(rho) + ln_zs)
     mean = pi * mu_s
     second = pi * (v_s + mu_s * mu_s)
@@ -124,25 +128,35 @@ def moments(prior, h, E):
     return ScalarMoments(log_z, mean, second, pi, var)
 
 
+def _mean_var(prior, h, E):
+    """Tilted mean and variance only, computed as ``moments`` computes them.
+
+    The kernel of ``invert_mean``: the caller has checked E and rho > 0, so
+    there is no tilt check, no log partition function and no dataclass.
+    """
+    ln_zs, mu_s, v_s = _slab_parts(prior, h, E)
+    pi = expit(_log_prior_odds(prior.rho) + ln_zs)
+    return pi * mu_s, pi * v_s + pi * (1.0 - pi) * mu_s * mu_s
+
+
 # ---------------------------------------------------------------------------
 # mean inversion
 # ---------------------------------------------------------------------------
 
-def _slab_inverse(prior, m_abs, E):
-    # h solving mu_slab(h) = m_abs; lower bound for the mixture inverse since
-    # the spike only shrinks the mean toward zero.
-    if prior.family == BERNOULLI_GAUSS:
-        return m_abs * (E + 1.0 / prior.sigma_w2)
-    return m_abs * E
-
-
 def invert_mean(prior, m_target, E, h0=None, max_iter=200):
     """Solve moments(prior, h, E).mean == m_target for h.
 
-    The tilted mean is odd and strictly increasing in h (its h-derivative is
-    the tilted variance), so the root is unique.  Safeguarded Newton inside a
-    bracket grown by doubling; vectorized over m_target.  ``h0`` optionally
-    warm-starts the iteration.  Residual target 1e-12*max(1, |m_target|).
+    The tilted mean pi(h) * mu_slab(h) is odd and strictly increasing in h
+    (its h-derivative is the tilted variance), so the root is unique.  For a
+    target |m| the slab inverse lo (mu_slab(lo) = |m|) lies below the root,
+    since pi < 1, and lo / pi(lo) lies above it, since pi grows with |h|:
+    one evaluation brackets every coordinate.  Newton runs from the clipped
+    warm start ``h0`` (or from lo) with an rtsafe-style safeguard: a step
+    that leaves the bracket, or is not half the step from two passes
+    earlier, is replaced by the bracket's geometric midpoint.  Vectorized
+    over m_target; converged coordinates stop moving.  Residual target
+    1e-14*max(1, |m_target|); a stalled iterate is accepted within
+    1e-12*max(1, |m_target|).
     """
     _check_tilt(prior, float(E))
     E = float(E)
@@ -156,42 +170,47 @@ def invert_mean(prior, m_target, E, h0=None, max_iter=200):
             raise RangeError("pure spike prior has mean identically 0")
         return float(h[0]) if scalar else h
     if np.any(live):
-        sgn = np.sign(m[live])
         mt = np.abs(m[live])
-        lo = _slab_inverse(prior, mt, E)
-        hi = np.maximum(lo, 1e-3)
-        for _ in range(200):
-            need = moments(prior, hi, E).mean < mt
-            if not np.any(need):
-                break
-            hi = np.where(need, 2.0 * hi, hi)
-        else:
-            raise RangeError("mean target not bracketed by doubling expansion")
+        # slab inverse: mu_slab(lo) = |m| with mu_slab = h * v_slab rounded
+        # as _slab_parts rounds it
+        lo = mt / _slab_parts(prior, 0.0, E)[2]
+        pi_lo = expit(_log_prior_odds(prior.rho) + _slab_parts(prior, lo, E)[0])
+        with np.errstate(divide="ignore", over="ignore"):
+            hi = lo / pi_lo
+        if not np.all(np.isfinite(hi)):
+            raise RangeError("mean target not bracketed: inclusion probability underflows")
         x = lo.copy()
         if h0 is not None:
             warm = np.abs(np.atleast_1d(np.asarray(h0, dtype=float))[live])
-            x = np.clip(warm, lo, hi)
+            x = np.where(np.isnan(warm), lo, np.clip(warm, lo, hi))
         tol = 1e-14 * np.maximum(1.0, mt)
+        step = step_old = hi - lo
         converged = False
         for _ in range(max_iter):
-            mom = moments(prior, x, E)
-            err = mom.mean - mt
-            if np.all(np.abs(err) <= tol):
+            mean, var = _mean_var(prior, x, E)
+            err = mean - mt
+            done = np.abs(err) <= tol
+            if np.all(done):
                 converged = True
                 break
             lo = np.where(err < 0.0, x, lo)
             hi = np.where(err > 0.0, x, hi)
-            xn = x - err / np.maximum(mom.variance, 1e-300)
-            bad = ~np.isfinite(xn) | (xn <= lo) | (xn >= hi)
-            xn = np.where(bad, 0.5 * (lo + hi), xn)
-            if np.array_equal(xn, x):
+            newton = err / np.maximum(var, 1e-300)
+            xn = x - newton
+            # written so that a NaN step fails the bracket test
+            bisect = ~((xn > lo) & (xn < hi)) | (np.abs(newton) > 0.5 * np.abs(step_old))
+            if np.any(bisect):
+                xn = np.where(bisect, np.sqrt(lo) * np.sqrt(hi), xn)
+            xn = np.where(done, x, xn)
+            step_old, step = step, xn - x
+            if not np.any(step):
                 break
             x = xn
         if not converged:
-            err = moments(prior, x, E).mean - mt
+            err = _mean_var(prior, x, E)[0] - mt
             # accept a stalled iterate only within the contractual tolerance
             if not np.all(np.abs(err) <= 1e-12 * np.maximum(1.0, mt)):
                 raise NonConvergence(
                     f"mean inversion stalled, residual {np.abs(err).max():.3e}")
-        h[live] = sgn * x
+        h[live] = np.copysign(x, m[live])
     return float(h[0]) if scalar else h

@@ -440,6 +440,7 @@ class TestFit:
         assert echo["step_tol"] == 1e-10
         assert echo["max_outer"] == 500
         assert len(echo["step_sizes"]) + 1 == len(echo["free_energies"])
+        assert len(echo["allowed_rises"]) == len(echo["step_sizes"])
 
     def test_call_counter(self):
         ds = _random_instance(44, 8, 5)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from ecreg.core import Dataset, FitSettings, fit
+from ecreg.data_io import SynthConfig, gen_synthetic
 from ecreg.errors import (
     AllPointsFailed,
     ConfigError,
@@ -199,6 +200,38 @@ class TestCalibrateRho:
         monkeypatch.setattr("ecreg.hyper.fit", fake_fit)
         with pytest.raises(NonMonotoneDetected):
             calibrate_rho(ds, 5.0, 3.0, BERNOULLI_GAUSS, sigma_w2=4.0)
+
+    @pytest.mark.parametrize("seed,rep", [(1, 3), (11, 3), (8, 2), (16, 3)])
+    def test_orderings_that_stalled_at_the_rounding_floor(self, seed, rep, monkeypatch):
+        # criterion 7's design under a seeded sample/feature permutation and
+        # sign flip.  On these orderings a probe's line search once found no
+        # decrease because Phi's cancelling summands leave only rounding
+        # noise, and fit returned converged=False with the full step still
+        # able to meet grad_tol.
+        probes = []
+
+        def recording_fit(*args, **kwargs):
+            probes.append(fit(*args, **kwargs))
+            return probes[-1]
+
+        monkeypatch.setattr("ecreg.hyper.fit", recording_fit)
+        base, _, _ = gen_synthetic(SynthConfig(N=276, alpha=0.5, rho0=0.05,
+                                               sigma_w0_sq=1.0, sigma_n0_sq=0.5,
+                                               seed=0))
+        rng = np.random.default_rng(np.random.SeedSequence([seed, rep]))
+        features = rng.permutation(base.n_features)
+        samples = rng.permutation(base.n_samples)
+        signs = rng.choice([-1.0, 1.0], size=base.n_features)
+        ds = Dataset((base.X * signs[:, None])[features][:, samples], base.y[samples])
+        result = calibrate_rho(ds, 2.0, 4.0, BERNOULLI_GAUSS, sigma_w2=1.0)
+        assert result.fit.state.converged
+        assert abs(result.rho - 0.013628260259863944) <= 1e-6 * 0.013628260259863944
+        # some probe took a full step that raised Phi within rounding, and no
+        # step of any probe rose by more than fit allowed it
+        rises = [np.asarray(p.settings["allowed_rises"]) for p in probes]
+        assert any(np.any(r > 0.0) for r in rises)
+        for p, r in zip(probes, rises):
+            assert np.all(np.diff(p.settings["free_energies"]) <= r)
 
     def test_determinism(self):
         ds = _instance(43, 20, 40)

@@ -12,7 +12,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from ecreg.core import Dataset, FitSettings, fit
+from ecreg.core import Dataset, ECState, FitResult, FitSettings, fit
 from ecreg.errors import (
     ConfigError,
     NonConvergence,
@@ -100,6 +100,25 @@ class TestApproxLooe:
         assert abs(denom) < DENOMINATOR_FLOOR
         assert np.isfinite(report.samples[0].residual_loo_approx)
         assert np.isfinite(report.eps_loo)
+
+    def test_leverage_above_one_is_flagged_not_clipped(self):
+        # hand-built fit: X = I and beta = 1, so the leverages are the
+        # diagonal of the Hessian inverse, 2 and 0.5
+        ds = Dataset(np.eye(2), np.array([1.0, 3.0]))
+        m = np.array([0.5, 1.0])
+        z = np.zeros(2)
+        state = ECState(m=m, h=z, E=1.0, Mi=z, Q=1.0, q=0.0, chi=1.0,
+                        lambda_tilde=1.0, free_energy=0.0, grad_norm=0.0,
+                        iterations=1, converged=True)
+        result = FitResult(state=state, hessian=np.diag([0.5, 2.0]),
+                           hessian_inverse=np.diag([2.0, 0.5]),
+                           inclusion_probs=np.ones(2), settings={})
+        report = approx_looe(result, ds, 1.0)
+        assert report.flagged == [0]
+        assert [s.leverage for s in report.samples] == [2.0, 0.5]
+        # the residual keeps the formula's value: 0.5 / (1 - 2) and 2 / 0.5
+        assert [s.residual_loo_approx for s in report.samples] == [-0.5, 4.0]
+        assert report.eps_loo == (0.25 + 16.0) / 4.0
 
     def test_report_shape(self):
         ds = _instance(9, 10, 16)

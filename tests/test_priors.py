@@ -247,6 +247,18 @@ class TestInvertMean:
         warm = invert_mean(prior, 1.25, 0.8, h0=cold * 1.05)
         np.testing.assert_allclose(warm, cold, rtol=1e-10)
 
+    @pytest.mark.parametrize("prior", [bernoulli_gauss(0.2, 4.0), bernoulli_uniform(0.2)],
+                             ids=["bg", "bu"])
+    @pytest.mark.parametrize("h0", [None, 0.0, 1e3, -1e3])
+    def test_spike_to_slab_transition_target(self, prior, h0):
+        # Newton that only keeps its iterate inside the bracket cycles on
+        # this target for bg, started below the root (h0 = 0 or cold) or
+        # above it (h0 = +-1e3 is clipped to the bracket's top)
+        E, m_target = 20.42366241422203, 0.028944513191871957
+        h = invert_mean(prior, m_target, E, h0=h0)
+        assert abs(float(moments(prior, h, E).mean) - m_target) <= 1e-12
+        assert invert_mean(prior, -m_target, E, h0=h0) == -h
+
     def test_pure_spike_rejects_nonzero_target(self):
         with pytest.raises(RangeError):
             invert_mean(bernoulli_gauss(0.0, 1.0), 0.3, 1.0)
@@ -255,3 +267,4 @@ class TestInvertMean:
     def test_invalid_tilt_rejected(self):
         with pytest.raises(IntegrabilityViolation):
             invert_mean(bernoulli_uniform(0.5), 0.3, -2.0)
+
