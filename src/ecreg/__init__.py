@@ -2,9 +2,9 @@
 
 The model is y = X^T w + noise with a spike-and-slab prior on w.  A
 self-consistent Gaussian approximation of the posterior is fitted by a damped
-Newton method; its leave-one-out error then follows from a single Hessian
-inverse instead of one refit per sample, with literal and k-fold harnesses
-available to check the shortcut.
+Newton method; its leave-one-out error then follows from one solve of the
+fitted curvature instead of one refit per sample, with literal and k-fold
+harnesses available to check the shortcut.
 """
 
 __version__ = "0.1.0"
@@ -14,17 +14,7 @@ from .core import (
     ECState,
     FitResult,
     FitSettings,
-    Spectrum,
     fit,
-    fit_call_count,
-    free_energy,
-    gradient,
-    hessian,
-    objective,
-    reset_fit_call_count,
-    solve_lambda,
-    solve_tilt,
-    spectrum,
 )
 from .data_io import (
     CenteringRecord,
@@ -77,17 +67,13 @@ from .loocv import (
     approx_looe,
     kfold_cv,
     literal_loocv,
-    loo_estimator,
 )
 from .priors import (
     BERNOULLI_GAUSS,
     BERNOULLI_UNIFORM,
     PriorSpec,
-    ScalarMoments,
     bernoulli_gauss,
     bernoulli_uniform,
-    invert_mean,
-    moments,
 )
 from .validate import run_checks
 
@@ -124,9 +110,7 @@ __all__ = [
     "PriorSpec",
     "RangeError",
     "RankOneSingularity",
-    "ScalarMoments",
     "SingularHessian",
-    "Spectrum",
     "SweepGrid",
     "SweepPoint",
     "SweepResult",
@@ -138,28 +122,16 @@ __all__ = [
     "calibrate_rho",
     "error_summary",
     "fit",
-    "fit_call_count",
-    "free_energy",
     "gen_synthetic",
-    "gradient",
-    "hessian",
-    "invert_mean",
     "kfold_cv",
     "literal_loocv",
     "load_csv",
     "load_fit_json",
-    "loo_estimator",
-    "moments",
-    "objective",
-    "reset_fit_call_count",
     "run_checks",
     "save_dataset_csv",
     "save_fit_json",
     "save_loo_csv",
     "save_sweep_csv",
     "select_beta",
-    "solve_lambda",
-    "solve_tilt",
-    "spectrum",
     "sweep",
 ]

@@ -8,7 +8,6 @@ failure, 2 usage error.
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict
 
@@ -26,7 +25,6 @@ from .data_io import (
     save_sweep_csv,
 )
 from .errors import (
-    AllPointsFailed,
     ConfigError,
     DimensionMismatch,
     EcregError,
@@ -34,7 +32,7 @@ from .errors import (
     MissingTarget,
     ParseError,
 )
-from .hyper import SweepGrid, calibrate_rho, sweep
+from .hyper import SweepGrid, calibrate, sweep
 from .loocv import approx_looe, kfold_cv, literal_loocv
 from .priors import BERNOULLI_GAUSS, BERNOULLI_UNIFORM, PriorSpec
 from .validate import run_checks
@@ -262,40 +260,24 @@ def _cmd_calibrate(args):
     family = _family_from_flags(args, args.sigma_w2, "--sigma-w2")
     settings = _settings_from_flags(args)
     dataset, _ = _load_dataset(args)
-    rows = []
-    any_success = False
-    for K in args.k_target:
-        per_beta = []
-        for beta in args.beta_grid:
-            try:
-                cal = calibrate_rho(dataset, beta, K, family,
-                                    sigma_w2=args.sigma_w2, settings=settings)
-                eps = error_summary(cal.fit.state.m, dataset).eps
-                eps_loo = approx_looe(cal.fit, dataset, beta).eps_loo
-                row = {"K": K, "beta": beta, "rho": cal.rho,
-                       "achieved_K": cal.achieved_K, "eps": eps,
-                       "eps_loo": eps_loo, "selected": False}
-                any_success = True
-                print(f"K={K!r} beta={beta!r}: rho={cal.rho!r} "
-                      f"achieved_K={cal.achieved_K!r} eps_loo={eps_loo!r}")
-            except EcregError as exc:
-                row = {"K": K, "beta": beta, "rho": None, "achieved_K": None,
-                       "eps": None, "eps_loo": None, "selected": False}
-                print(f"K={K!r} beta={beta!r}: failed "
-                      f"({type(exc).__name__}: {exc})", file=sys.stderr)
-            per_beta.append(row)
-        ok = [r for r in per_beta if r["eps_loo"] is not None
-              and math.isfinite(r["eps_loo"])]
-        if ok:
-            winner = min(ok, key=lambda r: (r["eps_loo"], r["beta"]))
-            winner["selected"] = True
-            print(f"K={K!r} selected: beta={winner['beta']!r} "
+    rows = calibrate(dataset, family, args.k_target, args.beta_grid,
+                     sigma_w2=args.sigma_w2, settings=settings)
+    per_k = len(args.beta_grid)
+    for start in range(0, len(rows), per_k):
+        group = rows[start:start + per_k]
+        for row in group:
+            if row["error"] is None:
+                print(f"K={row['K']!r} beta={row['beta']!r}: rho={row['rho']!r} "
+                      f"achieved_K={row['achieved_K']!r} eps_loo={row['eps_loo']!r}")
+            else:
+                print(f"K={row['K']!r} beta={row['beta']!r}: failed ({row['error']})",
+                      file=sys.stderr)
+        winner = next((row for row in group if row["selected"]), None)
+        if winner is not None:
+            print(f"K={winner['K']!r} selected: beta={winner['beta']!r} "
                   f"rho={winner['rho']!r} eps_loo={winner['eps_loo']!r}")
         else:
-            print(f"K={K!r}: no successful grid point", file=sys.stderr)
-        rows.extend(per_beta)
-    if not any_success:
-        raise AllPointsFailed("calibration failed at every (K, beta) point")
+            print(f"K={group[0]['K']!r}: no successful grid point", file=sys.stderr)
     header = ([f"ecreg {__version__} calibrate"] + _data_lines(args)
               + [f"family={family} sigma_w2={args.sigma_w2!r} "
                  f"k_targets={args.k_target} beta_grid={args.beta_grid}"]

@@ -19,7 +19,6 @@ ridge posterior mean and Phi equals the exact negative log evidence with zero
 additive constant.
 """
 
-import threading
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
@@ -36,32 +35,6 @@ from .errors import (
     VarianceCollapse,
 )
 from .priors import invert_mean, moments
-
-# ---------------------------------------------------------------------------
-# instrumentation: solver-call counter (used by cost-claim audits)
-# ---------------------------------------------------------------------------
-
-_fit_counter_lock = threading.Lock()
-_fit_calls = 0
-
-
-def fit_call_count():
-    """Number of fit() invocations since the last reset."""
-    with _fit_counter_lock:
-        return _fit_calls
-
-
-def reset_fit_call_count():
-    global _fit_calls
-    with _fit_counter_lock:
-        _fit_calls = 0
-
-
-def _count_fit_call():
-    global _fit_calls
-    with _fit_counter_lock:
-        _fit_calls += 1
-
 
 # ---------------------------------------------------------------------------
 # dataset and spectrum
@@ -87,6 +60,9 @@ class Dataset:
                 f"y has {y.size} entries but X has {X.shape[1]} samples")
         if X.shape[0] < 1 or X.shape[1] < 1:
             raise DimensionMismatch("need at least one feature and one sample")
+        bad = np.flatnonzero(~np.isfinite(y))
+        if bad.size:
+            raise DomainError(f"y[{bad[0]}] = {float(y[bad[0]])} is not finite")
         self.X = X
         self.y = y
 
@@ -504,7 +480,6 @@ class ECState:
 class FitResult:
     state: ECState
     hessian: np.ndarray
-    hessian_inverse: np.ndarray
     inclusion_probs: np.ndarray
     settings: dict
 
@@ -515,14 +490,25 @@ def _chol_solve_with_shift(H, rhs, n):
     base = 1e-8 * float(np.trace(H)) / n
     for _ in range(40):
         try:
-            if tau == 0.0:
-                cf = sla.cho_factor(H, lower=True, check_finite=False)
-            else:
-                cf = sla.cho_factor(H + tau * np.eye(n), lower=True, check_finite=False)
+            shifted = H if tau == 0.0 else H + tau * np.eye(n)
+            cf = sla.cho_factor(shifted, lower=True, check_finite=False)
             return sla.cho_solve(cf, rhs, check_finite=False)
         except np.linalg.LinAlgError:
             tau = base if tau == 0.0 else tau * 10.0
     raise SingularHessian("curvature could not be shifted to positive definite")
+
+
+def _solve_curvature(H, rhs):
+    """H^{-1} rhs for a fitted curvature H: Cholesky, or LU when H is not
+    positive definite (a fit that stopped on step_tol can end there)."""
+    try:
+        cf = sla.cho_factor(H, lower=True, check_finite=False)
+        return sla.cho_solve(cf, rhs, check_finite=False)
+    except np.linalg.LinAlgError:
+        try:
+            return np.linalg.solve(H, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SingularHessian(str(exc)) from exc
 
 
 def _rounding_rise(trial, phi, grad_norm, m, tilt, dataset, beta, prior):
@@ -547,14 +533,15 @@ def fit(dataset, prior, beta, init=None, settings=None):
     is still taken if it raises the free energy by no more than the rounding
     error of its summands and lowers the gradient infinity-norm.
     Terminates when the gradient infinity-norm falls below
-    grad_tol*max(1, ||beta*X y||_inf) or the accepted relative step is below
-    step_tol.  On iteration exhaustion the best state is returned with
-    converged=False.  The settings echo records, per step, the free energy
-    reached (``free_energies``, which starts at the initial point) and the
-    rise the step was allowed (``allowed_rises``: that rounding error for
-    such a full step, 0.0 for a strict decrease).
+    grad_tol*max(1, ||beta*X y||_inf), when the undamped Newton step is below
+    step_tol*max(1, ||m||_inf), or when the line search stalls with a Newton
+    decrement below the free energy's rounding noise.  On iteration
+    exhaustion the best state is returned with converged=False.  The settings
+    echo records, per step, the free energy reached (``free_energies``, which
+    starts at the initial point) and the rise the step was allowed
+    (``allowed_rises``: that rounding error for such a full step, 0.0 for a
+    strict decrease).
     """
-    _count_fit_call()
     cfg = settings or FitSettings()
     if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
@@ -575,6 +562,9 @@ def fit(dataset, prior, beta, init=None, settings=None):
     allowed_rises = []
     converged = False
     iterations = 0
+
+    def negligible(step, m):
+        return float(np.max(np.abs(step))) <= cfg.step_tol * max(1.0, float(np.max(np.abs(m))))
 
     for outer in range(cfg.max_outer):
         iterations = outer
@@ -621,17 +611,15 @@ def fit(dataset, prior, beta, init=None, settings=None):
                 # already negligible; otherwise a genuine stall
                 decrement = -0.5 * float(grad @ direction)
                 noise_phi = 8.0 * np.finfo(float).eps * max(1.0, abs(phi))
-                full_step = float(np.max(np.abs(direction)))
-                if (decrement <= noise_phi
-                        or full_step <= cfg.step_tol * max(1.0, float(np.max(np.abs(m))))):
-                    converged = True
+                converged = decrement <= noise_phi or negligible(direction, m)
                 break
         m, tilt, phi = m_trial, tilt_trial, phi_trial
         step_sizes.append(s)
         free_energies.append(phi)
         allowed_rises.append(rise)
         iterations = outer + 1
-        if s * float(np.max(np.abs(direction))) <= cfg.step_tol * max(1.0, float(np.max(np.abs(m)))):
+        # the undamped step: a short damped step says nothing about stationarity
+        if negligible(direction, m):
             converged = True
             break
 
@@ -641,15 +629,6 @@ def fit(dataset, prior, beta, init=None, settings=None):
         converged = True
     H = hessian(m, tilt.Mi, tilt.E, dataset, beta,
                 variances=tilt.variances, variance_floor=cfg.variance_floor)
-    try:
-        cf = sla.cho_factor(H, lower=True, check_finite=False)
-        H_inv = sla.cho_solve(cf, np.eye(n), check_finite=False)
-    except np.linalg.LinAlgError:
-        try:
-            H_inv = np.linalg.inv(H)
-        except np.linalg.LinAlgError as exc:
-            raise SingularHessian(str(exc)) from exc
-    H_inv = 0.5 * (H_inv + H_inv.T)
 
     state = ECState(m=m, h=tilt.h, E=tilt.E, Mi=tilt.Mi, Q=tilt.Q, q=tilt.q,
                     chi=tilt.chi, lambda_tilde=tilt.lambda_tilde, free_energy=phi,
@@ -659,5 +638,4 @@ def fit(dataset, prior, beta, init=None, settings=None):
     echo["step_sizes"] = step_sizes
     echo["free_energies"] = free_energies
     echo["allowed_rises"] = allowed_rises
-    return FitResult(state=state, hessian=H, hessian_inverse=H_inv,
-                     inclusion_probs=inclusion, settings=echo)
+    return FitResult(state=state, hessian=H, inclusion_probs=inclusion, settings=echo)

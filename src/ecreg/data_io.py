@@ -319,9 +319,9 @@ def save_sweep_csv(path, points, header_lines=()):
 def save_calibration_csv(path, rows, header_lines=()):
     """Calibration table: K,beta,rho,achieved_K,eps,eps_loo,selected.
 
-    ``rows`` are mappings with those keys, one per (K, beta) point; a failed
-    calibration carries None in rho, achieved_K, eps and eps_loo, written as
-    empty cells.
+    ``rows`` are mappings with those keys, one per (K, beta) point, such as
+    hyper.calibrate returns; a failed calibration carries None in rho,
+    achieved_K, eps and eps_loo, written as empty cells.
     """
     numeric = ["K", "beta", "rho", "achieved_K", "eps", "eps_loo"]
     cells = ([_format_cell(None if r[c] is None else float(r[c])) for c in numeric]

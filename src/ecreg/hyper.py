@@ -98,16 +98,21 @@ def _make_prior(family, rho, sigma_w2):
     return PriorSpec(BERNOULLI_GAUSS, rho, sigma_w2)
 
 
+def _score(res, dataset, beta, rho, sigma_w2):
+    """The sweep point of a fit and its LOO report (None if not converged)."""
+    eps = error_summary(res.state.m, dataset).eps
+    if not res.state.converged:
+        return SweepPoint(beta, rho, sigma_w2, eps, math.nan,
+                          res.state.free_energy, False, "fit did not converge"), None
+    report = approx_looe(res, dataset, beta)
+    return SweepPoint(beta, rho, sigma_w2, eps, report.eps_loo,
+                      res.state.free_energy, True, None), report
+
+
 def _evaluate_point(dataset, family, beta, rho, sigma_w2, settings):
     try:
         res = fit(dataset, _make_prior(family, rho, sigma_w2), beta, settings=settings)
-        eps = error_summary(res.state.m, dataset).eps
-        if not res.state.converged:
-            return SweepPoint(beta, rho, sigma_w2, eps, math.nan,
-                              res.state.free_energy, False, "fit did not converge"), None
-        report = approx_looe(res, dataset, beta)
-        return SweepPoint(beta, rho, sigma_w2, eps, report.eps_loo,
-                          res.state.free_energy, True, None), report
+        return _score(res, dataset, beta, rho, sigma_w2)
     except EcregError as exc:
         return SweepPoint(beta, rho, sigma_w2, math.nan, math.nan,
                           math.nan, False, str(exc)), None
@@ -201,6 +206,45 @@ def calibrate_rho(dataset, beta, K, family, sigma_w2=None, settings=None,
         else:
             hi, k_hi = mid, k_mid
     raise NonConvergence(f"calibration did not reach K={K} within {max_probes} probes")
+
+
+def calibrate(dataset, family, K_targets, beta_grid, sigma_w2=None, settings=None):
+    """Calibrate rho at every (K, beta) pair, then select a beta for each K.
+
+    Returns one row per pair, K-major in the given orders: a dict with K,
+    beta, rho, achieved_K, eps, eps_loo, selected and error.  For each K the
+    row with the smallest approximate LOO error is selected, under the sweep
+    tie-break (smallest beta wins ties); a K with no finite eps_loo has no
+    selected row.  A pair whose calibration or LOO raises keeps its row, with
+    None values and the failure text in error.  Raises AllPointsFailed when
+    every pair fails.
+    """
+    rows = []
+    for K in K_targets:
+        scored = []
+        for beta in beta_grid:
+            row = {"K": K, "beta": beta, "rho": None, "achieved_K": None, "eps": None,
+                   "eps_loo": None, "selected": False, "error": None}
+            try:
+                cal = calibrate_rho(dataset, beta, K, family, sigma_w2=sigma_w2,
+                                    settings=settings)
+                point, _ = _score(cal.fit, dataset, beta, cal.rho, sigma_w2)
+                row.update(rho=cal.rho, achieved_K=cal.achieved_K, eps=point.eps,
+                           eps_loo=point.eps_loo)
+            except EcregError as exc:
+                point, row["error"] = None, f"{type(exc).__name__}: {exc}"
+            scored.append((point, row))
+        try:
+            best = _argmin_point([point for point, _ in scored if point is not None])
+        except AllPointsFailed:
+            best = None
+        for point, row in scored:
+            row["selected"] = best is not None and point is best
+            rows.append(row)
+    if all(row["error"] is not None for row in rows):
+        first = f" (first: {rows[0]['error']})" if rows else ""
+        raise AllPointsFailed(f"calibration failed at every (K, beta) point{first}")
+    return rows
 
 
 def select_beta(dataset, prior, beta_grid, settings=None):

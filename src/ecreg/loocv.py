@@ -2,9 +2,9 @@
 
 The semi-analytic route computes every held-out residual from the full fit:
 residual_loo = residual_full / (1 - leverage) with leverage =
-beta * x_mu^T H^{-1} x_mu from the full-data curvature H.  One Hessian inverse
-replaces M refits.  The literal and k-fold harnesses actually refit and exist
-to validate that formula.
+beta * x_mu^T H^{-1} x_mu from the full-data curvature H.  One solve of H
+against X replaces M refits.  The literal and k-fold harnesses actually
+refit and exist to validate that formula.
 """
 
 import time
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, fit
+from .core import Dataset, _solve_curvature, fit
 from .errors import (
     ConfigError,
     EcregError,
@@ -62,19 +62,18 @@ def _loo_eps(residuals, m_samples):
 def approx_looe(fit_result, dataset, beta):
     """Semi-analytic LOO error from the full fit; no refits.
 
-    Requires a converged fit.  Cost is two matrix products against the cached
-    Hessian inverse; samples whose |1 - leverage| falls below the floor are
-    clipped to the floor and flagged, and samples with leverage above 1 are
-    flagged unclipped.
+    Requires a converged fit.  Cost is one Cholesky solve of the fitted
+    curvature against X; samples whose |1 - leverage| falls below the floor
+    are clipped to the floor and flagged, and samples with leverage above 1
+    are flagged unclipped.
     """
     t0 = time.perf_counter()
     if not fit_result.state.converged:
         raise NotConverged("approximate LOO requires a converged fit")
-    h_inv = fit_result.hessian_inverse
-    if not np.all(np.isfinite(h_inv)):
-        raise SingularHessian("hessian inverse contains non-finite entries")
     X = dataset.X
-    w = h_inv @ X
+    w = _solve_curvature(fit_result.hessian, X)
+    if not np.all(np.isfinite(w)):
+        raise SingularHessian("curvature solve gave non-finite entries")
     leverage = beta * np.einsum("im,im->m", X, w)
     residual_full = dataset.y - X.T @ fit_result.state.m
     denom = 1.0 - leverage
@@ -100,29 +99,26 @@ def loo_estimator(fit_result, dataset, beta, mu):
     """Estimator with sample mu removed, via a rank-one Hessian downdate.
 
     The deleted sample's field contribution is delta_h = beta * x_mu *
-    residual_mu; the downdated covariance (H - beta x_mu x_mu^T)^{-1} comes
-    from the Sherman-Morrison formula on the cached inverse.  Diagnostic
-    companion to approx_looe, not used in its hot path.
+    residual_mu; by Sherman-Morrison, (H - beta x_mu x_mu^T)^{-1} delta_h is
+    (beta * residual_mu / (1 - beta x_mu.w)) * w with w = H^{-1} x_mu.
+    Diagnostic companion to approx_looe, not used in its hot path.
     """
     if not fit_result.state.converged:
         raise NotConverged("loo estimator requires a converged fit")
     x = dataset.X[:, mu]
     m = fit_result.state.m
-    h_inv = fit_result.hessian_inverse
-    w = h_inv @ x
+    w = _solve_curvature(fit_result.hessian, x)
     denom = 1.0 - beta * float(x @ w)
     if abs(denom) < DENOMINATOR_FLOOR:
         raise RankOneSingularity(
             f"downdate denominator {denom:.3e} below floor at sample {mu}")
     residual = float(dataset.y[mu] - x @ m)
-    delta_h = beta * residual * x
-    # c = h_inv + beta * w w^T / denom applied to delta_h, without forming c
-    c_delta = h_inv @ delta_h + (beta * float(w @ delta_h) / denom) * w
-    return m - c_delta
+    return m - (beta * residual / denom) * w
 
 
 def _fit_fold(dataset, prior, beta, keep_mask, warm_m, settings):
-    """Fit on a sample subset; returns (m or None on error, converged)."""
+    """Fit on a sample subset; returns (m, converged), with warm_m as m when
+    the refit raises."""
     if not np.any(keep_mask):
         # data-free fold: the estimator is the prior mean
         return np.zeros(dataset.n_features), True
@@ -130,7 +126,7 @@ def _fit_fold(dataset, prior, beta, keep_mask, warm_m, settings):
     try:
         res = fit(sub, prior, beta, init=warm_m, settings=settings)
     except EcregError:
-        return None, False
+        return warm_m, False
     return res.state.m, res.state.converged
 
 
@@ -153,8 +149,6 @@ def _cross_validate(dataset, prior, beta, folds, method, settings):
         keep = np.ones(M, dtype=bool)
         keep[test_idx] = False
         m_fold, ok = _fit_fold(dataset, prior, beta, keep, warm, settings)
-        if m_fold is None:
-            m_fold = warm
         for mu in test_idx:
             # per-sample dot, not a batched product: the accumulation order
             # does not depend on the fold layout, so k = M matches the

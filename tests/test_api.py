@@ -1,0 +1,39 @@
+"""The package's top-level API: exactly these names, each importable."""
+
+import ecreg
+
+PUBLIC = {
+    "__version__",
+    # fitting
+    "Dataset", "ECState", "FitResult", "FitSettings", "fit",
+    # priors
+    "BERNOULLI_GAUSS", "BERNOULLI_UNIFORM", "PriorSpec", "bernoulli_gauss",
+    "bernoulli_uniform",
+    # leave-one-out
+    "LooReport", "LooSample", "approx_looe", "kfold_cv", "literal_loocv",
+    # hyper-parameters
+    "BetaSelection", "CalibrationResult", "SweepGrid", "SweepPoint", "SweepResult",
+    "calibrate_rho", "select_beta", "sweep",
+    # data and files
+    "CenteringRecord", "ErrorSummary", "GroundTruth", "SynthConfig", "error_summary",
+    "gen_synthetic", "load_csv", "load_fit_json", "save_dataset_csv", "save_fit_json",
+    "save_loo_csv", "save_sweep_csv",
+    # diagnostics
+    "run_checks",
+    # errors
+    "AllPointsFailed", "ConfigError", "DecompositionFailure", "DimensionMismatch",
+    "DomainError", "EcregError", "InfeasibleTilt", "IntegrabilityViolation", "IoError",
+    "MissingTarget", "NonConvergence", "NonMonotoneDetected", "NonNumericCell",
+    "NotConverged", "ParseError", "RangeError", "RankOneSingularity", "SingularHessian",
+    "VarianceCollapse",
+}
+
+
+def test_all_is_the_public_api():
+    assert len(ecreg.__all__) == len(set(ecreg.__all__))
+    assert set(ecreg.__all__) == PUBLIC
+
+
+def test_every_exported_name_resolves():
+    for name in ecreg.__all__:
+        assert getattr(ecreg, name) is not None, name

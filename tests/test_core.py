@@ -15,16 +15,15 @@ from ecreg.core import (
     Dataset,
     FitSettings,
     fit,
-    fit_call_count,
     free_energy,
     gradient,
     hessian,
     objective,
-    reset_fit_call_count,
     solve_lambda,
     solve_tilt,
     spectrum,
 )
+from ecreg.data_io import SynthConfig, gen_synthetic
 from ecreg.errors import (
     DecompositionFailure,
     DimensionMismatch,
@@ -78,6 +77,14 @@ class TestDataset:
         ds = Dataset(X, np.zeros(2))
         with pytest.raises(DecompositionFailure):
             spectrum(ds)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_response_rejected(self, bad):
+        y = np.zeros(4)
+        y[2] = bad
+        y[3] = bad
+        with pytest.raises(DomainError, match=r"y\[2\]"):
+            Dataset(np.ones((3, 4)), y)
 
 
 class TestSpectrum:
@@ -317,12 +324,6 @@ class TestHessian:
         np.testing.assert_allclose(H, H.T, rtol=1e-10)
         assert np.linalg.eigvalsh(H).min() > 0.0
 
-    def test_inverse_pairs_with_hessian(self):
-        ds = _random_instance(26, 20, 12)
-        result = fit(ds, bernoulli_gauss(0.25, 6.0), 3.0)
-        prod = result.hessian @ result.hessian_inverse
-        np.testing.assert_allclose(prod, np.eye(20), atol=1e-8)
-
     def test_variance_collapse_detected(self):
         ds = _random_instance(27, 5, 3)
         m = np.zeros(5)
@@ -422,6 +423,20 @@ class TestFit:
         assert result.state.iterations <= 2
         assert np.all(np.isfinite(result.state.m))
 
+    def test_stall_at_the_inner_solve_floor_is_converged(self):
+        # at calibrate_rho's lowest probe, rho = 1e-8, the gradient stops near
+        # 2e-7 * scale: its largest entry sits on a coordinate with curvature
+        # ~6e8, where the step that would remove it lowers Phi far below
+        # Phi's rounding noise.  The line search then stalls with a Newton
+        # decrement below that noise, and that is convergence.
+        ds, _, _ = gen_synthetic(SynthConfig(N=40, alpha=1.5, rho0=0.2, sigma_w0_sq=4.0,
+                                             sigma_n0_sq=0.1, seed=5))
+        beta = 4.0
+        result = fit(ds, bernoulli_gauss(1e-8, 4.0), beta)
+        scale = max(1.0, float(np.max(np.abs(beta * ds.xy))))
+        assert result.state.grad_norm > FitSettings().grad_tol * scale
+        assert result.state.converged
+
     def test_invalid_beta_rejected(self):
         ds = _random_instance(41, 5, 3)
         with pytest.raises(DomainError):
@@ -441,14 +456,6 @@ class TestFit:
         assert echo["max_outer"] == 500
         assert len(echo["step_sizes"]) + 1 == len(echo["free_energies"])
         assert len(echo["allowed_rises"]) == len(echo["step_sizes"])
-
-    def test_call_counter(self):
-        ds = _random_instance(44, 8, 5)
-        reset_fit_call_count()
-        assert fit_call_count() == 0
-        fit(ds, bernoulli_gauss(0.5, 2.0), 2.0)
-        fit(ds, bernoulli_gauss(0.5, 2.0), 3.0)
-        assert fit_call_count() == 2
 
 
 class TestFreeEnergy:

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ecreg.core import Dataset, FitSettings, fit
+from ecreg.core import Dataset, FitSettings, fit, gradient
 from ecreg.data_io import SynthConfig, gen_synthetic
 from ecreg.errors import (
     AllPointsFailed,
@@ -21,6 +21,7 @@ from ecreg.errors import (
 )
 from ecreg.hyper import (
     SweepGrid,
+    calibrate,
     calibrate_rho,
     select_beta,
     sweep,
@@ -232,6 +233,16 @@ class TestCalibrateRho:
         assert any(np.any(r > 0.0) for r in rises)
         for p, r in zip(probes, rises):
             assert np.all(np.diff(p.settings["free_energies"]) <= r)
+        # a probe that reports converged is stationary: its gradient meets
+        # grad_tol, or its Newton step (not a damped fraction of it) step_tol
+        cfg = FitSettings()
+        scale = max(1.0, float(np.max(np.abs(2.0 * ds.xy))))
+        for p in (p for p in probes if p.state.converged):
+            g = gradient(p.state.m, p.state.h, p.state.E, ds, 2.0)
+            newton = np.linalg.solve(p.hessian, g)
+            assert (np.max(np.abs(g)) <= cfg.grad_tol * scale
+                    or np.max(np.abs(newton))
+                    <= cfg.step_tol * max(1.0, float(np.max(np.abs(p.state.m)))))
 
     def test_determinism(self):
         ds = _instance(43, 20, 40)
@@ -240,6 +251,43 @@ class TestCalibrateRho:
         assert a.rho == b.rho
         assert a.achieved_K == b.achieved_K
         assert a.iterations == b.iterations
+
+
+class TestCalibrate:
+    def test_selects_per_target_around_a_failed_point(self, monkeypatch):
+        ds = _instance(43, 20, 40)
+
+        def failing_at_beta_5(dataset, beta, K, *args, **kwargs):
+            if beta == 5.0:
+                raise RangeError("unreachable here")
+            return calibrate_rho(dataset, beta, K, *args, **kwargs)
+
+        monkeypatch.setattr("ecreg.hyper.calibrate_rho", failing_at_beta_5)
+        rows = calibrate(ds, BERNOULLI_GAUSS, [8.0, 12.0], [20.0, 5.0, 10.0], sigma_w2=4.0)
+        assert [(r["K"], r["beta"]) for r in rows] == [
+            (K, b) for K in (8.0, 12.0) for b in (20.0, 5.0, 10.0)]
+        for K in (8.0, 12.0):
+            group = [r for r in rows if r["K"] == K]
+            failed = [r for r in group if r["beta"] == 5.0]
+            assert failed[0]["error"] == "RangeError: unreachable here"
+            assert [failed[0][key] for key in ("rho", "achieved_K", "eps", "eps_loo")] == [None] * 4
+            assert failed[0]["selected"] is False
+            ok = [r for r in group if r["error"] is None]
+            for r in ok:
+                cal = calibrate_rho(ds, r["beta"], K, BERNOULLI_GAUSS, sigma_w2=4.0)
+                assert (r["rho"], r["achieved_K"]) == (cal.rho, cal.achieved_K)
+                assert r["eps_loo"] == approx_looe(cal.fit, ds, r["beta"]).eps_loo
+            selected = [r for r in group if r["selected"]]
+            assert selected == [min(ok, key=lambda r: (r["eps_loo"], r["beta"]))]
+
+    def test_all_points_failed(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise RangeError("unreachable here")
+
+        monkeypatch.setattr("ecreg.hyper.calibrate_rho", failing)
+        with pytest.raises(AllPointsFailed, match="unreachable here"):
+            calibrate(_instance(43, 20, 40), BERNOULLI_GAUSS, [8.0], [5.0, 10.0],
+                      sigma_w2=4.0)
 
 
 class TestSelectBeta:

@@ -26,7 +26,7 @@ from ecreg.loocv import (
     literal_loocv,
     loo_estimator,
 )
-from ecreg.priors import bernoulli_gauss
+from ecreg.priors import bernoulli_gauss, bernoulli_uniform
 
 
 def _instance(seed, n, m, rho=0.3, sigma_w2=4.0, noise=0.1):
@@ -102,23 +102,35 @@ class TestApproxLooe:
         assert np.isfinite(report.eps_loo)
 
     def test_leverage_above_one_is_flagged_not_clipped(self):
-        # hand-built fit: X = I and beta = 1, so the leverages are the
-        # diagonal of the Hessian inverse, 2 and 0.5
+        # hand-built fit: X = I and beta = 8, so the leverages are 8 times
+        # the diagonal of the Hessian inverse, 2 and 0.5; powers of two keep
+        # the Cholesky solve exact
         ds = Dataset(np.eye(2), np.array([1.0, 3.0]))
         m = np.array([0.5, 1.0])
         z = np.zeros(2)
         state = ECState(m=m, h=z, E=1.0, Mi=z, Q=1.0, q=0.0, chi=1.0,
                         lambda_tilde=1.0, free_energy=0.0, grad_norm=0.0,
                         iterations=1, converged=True)
-        result = FitResult(state=state, hessian=np.diag([0.5, 2.0]),
-                           hessian_inverse=np.diag([2.0, 0.5]),
+        result = FitResult(state=state, hessian=np.diag([4.0, 16.0]),
                            inclusion_probs=np.ones(2), settings={})
-        report = approx_looe(result, ds, 1.0)
+        report = approx_looe(result, ds, 8.0)
         assert report.flagged == [0]
         assert [s.leverage for s in report.samples] == [2.0, 0.5]
         # the residual keeps the formula's value: 0.5 / (1 - 2) and 2 / 0.5
         assert [s.residual_loo_approx for s in report.samples] == [-0.5, 4.0]
         assert report.eps_loo == (0.25 + 16.0) / 4.0
+
+    @pytest.mark.parametrize("prior", [bernoulli_gauss(0.3, 4.0), bernoulli_uniform(0.3)],
+                             ids=["bg", "bu"])
+    def test_leverages_match_dense_inverse(self, prior):
+        ds = _instance(15, 18, 26)
+        beta = 6.0
+        result = fit(ds, prior, beta)
+        assert result.state.converged
+        h_inv = np.linalg.inv(result.hessian)
+        expected = beta * np.diag(ds.X.T @ h_inv @ ds.X)
+        got = np.array([s.leverage for s in approx_looe(result, ds, beta).samples])
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
 
     def test_report_shape(self):
         ds = _instance(9, 10, 16)
