@@ -1,4 +1,4 @@
-"""Command-line front end: synthesize, fit, LOO-CV, sweep, calibrate, validate.
+"""Command-line front end: synthesize, fit, LOO-CV, sweep, calibrate.
 
 Every subcommand is a thin composition of library calls; outputs are CSV and
 JSON files whose '#' header lines echo the resolved settings so any run can
@@ -7,7 +7,6 @@ failure, 2 usage error.
 """
 
 import argparse
-import json
 import sys
 from dataclasses import asdict
 
@@ -15,6 +14,7 @@ from . import __version__
 from .core import FitSettings, fit
 from .data_io import (
     SynthConfig,
+    _write_json,
     error_summary,
     gen_synthetic,
     load_csv,
@@ -35,7 +35,6 @@ from .errors import (
 from .hyper import SweepGrid, calibrate, sweep
 from .loocv import approx_looe, kfold_cv, literal_loocv
 from .priors import BERNOULLI_GAUSS, BERNOULLI_UNIFORM, PriorSpec
-from .validate import run_checks
 
 _FAMILIES = {"bg": BERNOULLI_GAUSS, "bu": BERNOULLI_UNIFORM}
 
@@ -160,12 +159,7 @@ def _cmd_synth(args):
                          "sigma_n0_sq": config.sigma_n0_sq, "seed": config.seed,
                          "test_samples": config.test_samples},
         }
-        try:
-            with open(args.out_truth, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2)
-                fh.write("\n")
-        except OSError as exc:
-            raise IoError(f"cannot write {args.out_truth}: {exc}") from exc
+        _write_json(args.out_truth, payload)
         print(f"wrote {args.out_truth}: {truth.support.size} non-zero coefficients")
     return 0
 
@@ -287,16 +281,6 @@ def _cmd_calibrate(args):
     return 0
 
 
-def _cmd_validate(args):
-    results = run_checks(seed=args.seed)
-    failures = 0
-    for name, ok, detail in results:
-        print(f"[{'ok' if ok else 'FAIL'}] {name}: {detail}")
-        failures += 0 if ok else 1
-    print(f"{len(results) - failures}/{len(results)} checks passed")
-    return 0 if failures == 0 else 1
-
-
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
@@ -379,10 +363,6 @@ def build_parser():
     _add_tolerance_flags(p)
     p.add_argument("--out", default="calibrate.csv")
     p.set_defaults(func=_cmd_calibrate)
-
-    p = sub.add_parser("validate", help="run the built-in diagnostic suite")
-    p.add_argument("--seed", type=int, default=7)
-    p.set_defaults(func=_cmd_validate)
 
     return parser
 

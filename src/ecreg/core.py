@@ -404,43 +404,14 @@ def objective(dataset, prior, beta, m, E0=None, h0=None):
 
     Re-solves the tilt consistency at this m and evaluates the free energy
     there; fit minimizes exactly this function of m.  E0/h0 warm-start the
-    tilt solve.
+    tilt solve; at a fitted state m with E0=state.E, h0=state.h it returns
+    state.free_energy.
     """
     m = np.asarray(m, dtype=float)
     if m.shape != (dataset.n_features,):
         raise DimensionMismatch(
             f"m has shape {m.shape}, expected ({dataset.n_features},)")
     tilt = solve_tilt(m, prior, beta, spectrum(dataset), E0=E0, h0=h0)
-    return _free_energy_at(m, tilt, dataset, beta, prior)
-
-
-def free_energy(state, dataset, beta, prior):
-    """Free-energy value of a self-consistent state.
-
-    Only differences across hyper-parameters are meaningful in general; the
-    additive convention here is fixed (and equals the exact negative log
-    evidence for a rho = 1 Gaussian slab).  Raises DomainError when the state
-    does not satisfy the tilt consistency it claims.
-    """
-    m = np.asarray(state.m, dtype=float)
-    n = m.size
-    q = float(m @ m) / n
-    if not np.isfinite(state.chi) or state.chi <= 0.0:
-        raise DomainError("state has non-positive chi")
-    if abs(state.q - q) > 1e-8 * max(1.0, q):
-        raise DomainError("state q does not match |m|^2/N")
-    if abs(state.Q - state.q - state.chi) > 1e-8 * max(1.0, state.chi):
-        raise DomainError("state chi does not match Q - q")
-    lam = spectrum(dataset).eigenvalues
-    secular = float(np.mean(1.0 / (lam + state.lambda_tilde)))
-    if abs(secular - beta * state.chi) > 1e-6 * beta * state.chi:
-        raise DomainError("lambda_tilde violates the secular equation")
-    mom = moments(prior, state.h, state.E)
-    if np.max(np.abs(mom.mean - m)) > 1e-6 * max(1.0, float(np.max(np.abs(m)))):
-        raise DomainError("tilt fields do not reproduce m")
-    tilt = TiltResult(h=state.h, E=state.E, Mi=state.Mi, Q=state.Q, q=state.q,
-                      chi=state.chi, lambda_tilde=state.lambda_tilde,
-                      variances=mom.variance)
     return _free_energy_at(m, tilt, dataset, beta, prior)
 
 

@@ -249,6 +249,16 @@ def _jsonable(value):
     return value
 
 
+def _write_json(path, payload):
+    """Write payload as indented JSON with a trailing newline."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+
+
 def save_fit_json(path, fit_result, extra=None):
     """Serialize a FitResult to JSON (vectors, scalars, settings echo)."""
     state = fit_result.state
@@ -265,12 +275,7 @@ def save_fit_json(path, fit_result, extra=None):
     }
     if extra:
         payload["settings"].update(_jsonable(extra))
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    _write_json(path, payload)
 
 
 def load_fit_json(path):

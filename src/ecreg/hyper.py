@@ -22,7 +22,7 @@ from .errors import (
     RangeError,
 )
 from .loocv import approx_looe
-from .priors import BERNOULLI_GAUSS, BERNOULLI_UNIFORM, PriorSpec
+from .priors import PriorSpec
 
 
 def _positive_list(name, values):
@@ -92,12 +92,6 @@ class BetaSelection:
     table: list
 
 
-def _make_prior(family, rho, sigma_w2):
-    if family == BERNOULLI_UNIFORM:
-        return PriorSpec(BERNOULLI_UNIFORM, rho)
-    return PriorSpec(BERNOULLI_GAUSS, rho, sigma_w2)
-
-
 def _score(res, dataset, beta, rho, sigma_w2):
     """The sweep point of a fit and its LOO report (None if not converged)."""
     eps = error_summary(res.state.m, dataset).eps
@@ -110,8 +104,9 @@ def _score(res, dataset, beta, rho, sigma_w2):
 
 
 def _evaluate_point(dataset, family, beta, rho, sigma_w2, settings):
+    prior = PriorSpec(family, rho, sigma_w2)  # a bad family or slab raises, not a row
     try:
-        res = fit(dataset, _make_prior(family, rho, sigma_w2), beta, settings=settings)
+        res = fit(dataset, prior, beta, settings=settings)
         return _score(res, dataset, beta, rho, sigma_w2)
     except EcregError as exc:
         return SweepPoint(beta, rho, sigma_w2, math.nan, math.nan,
@@ -136,8 +131,6 @@ def sweep(dataset, family, grid, settings=None):
     order.
     """
     sigmas = grid.sigma_w2_values if grid.sigma_w2_values is not None else (None,)
-    if family == BERNOULLI_GAUSS and grid.sigma_w2_values is None:
-        raise ConfigError("Gaussian slab sweep needs sigma_w2_values")
     points = [_evaluate_point(dataset, family, b, r, s, settings)[0]
               for b in grid.beta_values for r in grid.rho_values for s in sigmas]
     return SweepResult(points=points, best=_argmin_point(points))
@@ -165,7 +158,7 @@ def calibrate_rho(dataset, beta, K, family, sigma_w2=None, settings=None,
     def achieved(rho):
         nonlocal probes
         probes += 1
-        res = fit(dataset, _make_prior(family, rho, sigma_w2), beta,
+        res = fit(dataset, PriorSpec(family, rho, sigma_w2), beta,
                   init=warm["m"], settings=settings)
         if not res.state.converged:
             raise NonConvergence(f"calibration probe at rho={rho:.6g} did not converge")
@@ -216,9 +209,15 @@ def calibrate(dataset, family, K_targets, beta_grid, sigma_w2=None, settings=Non
     row with the smallest approximate LOO error is selected, under the sweep
     tie-break (smallest beta wins ties); a K with no finite eps_loo has no
     selected row.  A pair whose calibration or LOO raises keeps its row, with
-    None values and the failure text in error.  Raises AllPointsFailed when
-    every pair fails.
+    None values and the failure text in error.  Raises ConfigError on an
+    empty K_targets, a bad beta_grid, family or slab variance, and
+    AllPointsFailed when every pair fails.
     """
+    beta_grid = _positive_list("beta_grid", beta_grid)
+    K_targets = list(K_targets)
+    if not K_targets:
+        raise ConfigError("K_targets must be non-empty")
+    PriorSpec(family, 1.0, sigma_w2)  # a bad family or slab raises here, not per row
     rows = []
     for K in K_targets:
         scored = []
@@ -242,8 +241,8 @@ def calibrate(dataset, family, K_targets, beta_grid, sigma_w2=None, settings=Non
             row["selected"] = best is not None and point is best
             rows.append(row)
     if all(row["error"] is not None for row in rows):
-        first = f" (first: {rows[0]['error']})" if rows else ""
-        raise AllPointsFailed(f"calibration failed at every (K, beta) point{first}")
+        raise AllPointsFailed(
+            f"calibration failed at every (K, beta) point (first: {rows[0]['error']})")
     return rows
 
 
@@ -251,8 +250,9 @@ def select_beta(dataset, prior, beta_grid, settings=None):
     """Pick the beta minimizing the approximate LOO error over a grid.
 
     Returns the winning beta, its LOO report, and the full per-beta table,
-    evaluated serially in grid order.  The argmin uses the sweep tie-break (smallest beta wins ties), so the
-    result is invariant under permutation of the grid.
+    evaluated serially in grid order.  The argmin uses the sweep tie-break
+    (smallest beta wins ties), so the result is invariant under permutation
+    of the grid.
     """
     evaluated = [_evaluate_point(dataset, prior.family, b, prior.rho, prior.sigma_w2, settings)
                  for b in _positive_list("beta_grid", beta_grid)]

@@ -43,6 +43,8 @@ class PriorSpec:
         if self.family == BERNOULLI_GAUSS:
             if self.sigma_w2 is None or self.sigma_w2 <= 0.0:
                 raise ConfigError("bernoulli_gauss requires sigma_w2 > 0")
+        elif self.sigma_w2 is not None:
+            raise ConfigError("bernoulli_uniform has a flat slab and takes no sigma_w2")
 
     def min_tilt(self):
         """Infimum of admissible E (exclusive)."""

@@ -18,8 +18,6 @@ PUBLIC = {
     "CenteringRecord", "ErrorSummary", "GroundTruth", "SynthConfig", "error_summary",
     "gen_synthetic", "load_csv", "load_fit_json", "save_dataset_csv", "save_fit_json",
     "save_loo_csv", "save_sweep_csv",
-    # diagnostics
-    "run_checks",
     # errors
     "AllPointsFailed", "ConfigError", "DecompositionFailure", "DimensionMismatch",
     "DomainError", "EcregError", "InfeasibleTilt", "IntegrabilityViolation", "IoError",

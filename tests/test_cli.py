@@ -4,14 +4,16 @@ Commands run in-process through main(argv), which returns the exit code:
 0 success, 1 numerical failure, 2 usage error.
 """
 
+import argparse
 import csv
 import json
+import pathlib
 import re
 
 import numpy as np
 import pytest
 
-from ecreg.cli import main
+from ecreg.cli import build_parser, main
 from ecreg.data_io import load_csv, load_fit_json
 
 
@@ -276,14 +278,30 @@ class TestCalibrate:
         assert len(failed) == 1
         assert failed[0][6] == "false"
 
+    @pytest.mark.parametrize("flags", [
+        ["--sigma-w2", "4", "--beta-grid=-1,4"],
+        ["--sigma-w2", "-4", "--beta-grid", "4"],
+    ])
+    def test_bad_input_is_usage_error(self, tmp_path, capsys, flags):
+        # the same exit code as sweep's, and no table of failed rows
+        paths = _synth(tmp_path)
+        out_path = tmp_path / "cal.csv"
+        rc = main(["calibrate", "--data", paths["train"], "--family", "bg",
+                   "--k-target", "8", *flags, "--out", str(out_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out_path.exists()
 
-class TestValidate:
-    def test_all_checks_pass(self, capsys):
-        rc = main(["validate"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "8/8 checks passed" in out
-        assert "[FAIL]" not in out
+
+class TestReadme:
+    def test_sh_blocks_name_exactly_the_subcommands(self):
+        readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+        blocks = re.findall(r"```sh\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+        named = {match.group(1) for block in blocks
+                 for match in re.finditer(r"^ecreg (\w+)", block, re.M)}
+        sub = next(action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        assert named == set(sub.choices)
 
 
 class TestUsage:
@@ -295,6 +313,9 @@ class TestUsage:
 
     def test_no_command(self):
         assert main([]) == 2
+
+    def test_validate_is_not_a_command(self):
+        assert main(["validate"]) == 2
 
     def test_version_exits_cleanly(self, capsys):
         assert main(["--version"]) == 0

@@ -6,8 +6,6 @@ identities for the spectral resolvent, finite differences of the variational
 objective, and plain scalar bisection for the tilt consistency.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -15,7 +13,6 @@ from ecreg.core import (
     Dataset,
     FitSettings,
     fit,
-    free_energy,
     gradient,
     hessian,
     objective,
@@ -488,16 +485,9 @@ class TestFreeEnergy:
         ds = _random_instance(52, 10, 15)
         prior = bernoulli_uniform(0.4)
         result = fit(ds, prior, 4.0)
-        value = free_energy(result.state, ds, 4.0, prior)
+        value = objective(ds, prior, 4.0, result.state.m, E0=result.state.E,
+                          h0=result.state.h)
         np.testing.assert_allclose(value, result.state.free_energy, rtol=1e-12)
-
-    def test_inconsistent_state_rejected(self):
-        ds = _random_instance(53, 15, 10)
-        prior = bernoulli_gauss(0.3, 4.0)
-        result = fit(ds, prior, 4.0)
-        bad = dataclasses.replace(result.state, q=result.state.q + 0.5)
-        with pytest.raises(DomainError):
-            free_energy(bad, ds, 4.0, prior)
 
     def test_gradient_matches_objective_slope_along_line(self):
         # directional check of the envelope property on a random segment

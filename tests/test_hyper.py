@@ -155,6 +155,12 @@ class TestSweep:
         assert result.best.sigma_w2 is None
         assert result.best.converged
 
+    @pytest.mark.parametrize("family", ["laplace", BERNOULLI_UNIFORM])
+    def test_bad_family_or_slab_rejected(self, family):
+        grid = SweepGrid(beta_values=[4.0], rho_values=[0.2], sigma_w2_values=[4.0])
+        with pytest.raises(ConfigError):
+            sweep(_instance(55, 8, 16), family, grid)
+
 
 class TestCalibrateRho:
     def test_reaches_target_count(self):
@@ -186,6 +192,11 @@ class TestCalibrateRho:
         for K in (1e-9, 19.999999999):
             with pytest.raises(RangeError):
                 calibrate_rho(ds, 10.0, K, BERNOULLI_GAUSS, sigma_w2=4.0)
+
+    @pytest.mark.parametrize("family", ["laplace", BERNOULLI_UNIFORM])
+    def test_bad_family_or_slab_rejected(self, family):
+        with pytest.raises(ConfigError):
+            calibrate_rho(_instance(43, 20, 40), 4.0, 8.0, family, sigma_w2=4.0)
 
     def test_non_monotone_probes_detected(self, monkeypatch):
         ds = _instance(49, 8, 12)
@@ -288,6 +299,23 @@ class TestCalibrate:
         with pytest.raises(AllPointsFailed, match="unreachable here"):
             calibrate(_instance(43, 20, 40), BERNOULLI_GAUSS, [8.0], [5.0, 10.0],
                       sigma_w2=4.0)
+
+    @pytest.mark.parametrize("family, K_targets, beta_grid, sigma_w2", [
+        (BERNOULLI_GAUSS, [8.0], [-1.0, 4.0], 4.0),
+        (BERNOULLI_GAUSS, [8.0], [4.0], -4.0),
+        (BERNOULLI_GAUSS, [], [4.0], 4.0),
+        ("laplace", [8.0], [4.0], 4.0),
+        (BERNOULLI_UNIFORM, [8.0], [4.0], 4.0),
+    ])
+    def test_bad_input_raises_before_any_fit(self, monkeypatch, family, K_targets,
+                                             beta_grid, sigma_w2):
+        def never(*args, **kwargs):
+            raise AssertionError("calibrate_rho called")
+
+        monkeypatch.setattr("ecreg.hyper.calibrate_rho", never)
+        with pytest.raises(ConfigError):
+            calibrate(_instance(43, 20, 40), family, K_targets, beta_grid,
+                      sigma_w2=sigma_w2)
 
 
 class TestSelectBeta:

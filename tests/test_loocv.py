@@ -147,8 +147,8 @@ class TestApproxLooe:
 
 class TestLooEstimator:
     def test_two_path_identity(self):
-        # y_mu - x_mu @ m_loo equals residual_full/(1 - leverage) exactly;
-        # both paths use the same cached inverse, so agreement is algebraic
+        # y_mu - x_mu @ m_loo equals residual_full/(1 - leverage) in exact
+        # arithmetic; each path makes its own Cholesky solve of the curvature
         ds = _instance(11, 20, 28, rho=0.4)
         beta = 9.0
         result = fit(ds, bernoulli_gauss(0.4, 5.0), beta)

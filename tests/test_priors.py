@@ -42,6 +42,10 @@ class TestPriorSpec:
         with pytest.raises(ConfigError):
             PriorSpec("laplace", 0.5, 1.0)
 
+    def test_flat_slab_takes_no_slab_variance(self):
+        with pytest.raises(ConfigError):
+            PriorSpec("bernoulli_uniform", 0.5, 1.0)
+
     def test_min_tilt(self):
         assert bernoulli_gauss(0.5, 4.0).min_tilt() == -0.25
         assert bernoulli_uniform(0.5).min_tilt() == 0.0
