@@ -7,6 +7,7 @@ failure, 2 usage error.
 """
 
 import argparse
+import math
 import sys
 from dataclasses import asdict
 
@@ -49,6 +50,16 @@ def _float_list(text):
     if not values:
         raise argparse.ArgumentTypeError(f"empty list: {text!r}")
     return values
+
+
+def _positive_float(text):
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"not a finite positive number: {text!r}")
+    return value
 
 
 def _add_data_flags(p):
@@ -317,7 +328,7 @@ def build_parser():
     p = sub.add_parser("fit", help="fit one model and write a fit file")
     _add_data_flags(p)
     _add_prior_flags(p)
-    p.add_argument("--beta", type=float, required=True,
+    p.add_argument("--beta", type=_positive_float, required=True,
                    help="inverse temperature (inverse noise variance)")
     _add_tolerance_flags(p)
     p.add_argument("--out", default="fit.json")
@@ -327,7 +338,7 @@ def build_parser():
                        help="fit, then approximate leave-one-out residuals")
     _add_data_flags(p)
     _add_prior_flags(p)
-    p.add_argument("--beta", type=float, required=True)
+    p.add_argument("--beta", type=_positive_float, required=True)
     _add_tolerance_flags(p)
     p.add_argument("--literal", action="store_true",
                    help="also run literal refit-per-sample CV for comparison")

@@ -34,7 +34,7 @@ from .errors import (
     SingularHessian,
     VarianceCollapse,
 )
-from .priors import invert_mean, moments
+from .priors import BERNOULLI_UNIFORM, invert_mean, moments
 
 # ---------------------------------------------------------------------------
 # dataset and spectrum
@@ -232,18 +232,22 @@ def _default_tilt_origin(prior, beta, lam_bar):
 def solve_tilt(m, prior, beta, spec, E0=None, h0=None, tol=1e-10, max_inner=60):
     """Find (h, E) with tilted means equal to m and E = 1/chi - beta*Ltil.
 
-    The scalar consistency is solved by a secant-accelerated damped fixed
-    point started above the physical root; if that stalls, by bisection on
-    r(E) = E_new(E) - E.  r(E) -> beta*mean(lambda) - E < 0 as E grows (the
-    beta*Ltil term cancels the 1/chi growth), so a high bracket always exists;
-    the upper sign change is the stable branch.  Residual on E <=
-    tol*max(1, |E|).
+    The scalar consistency r(E) = E_new(E) - E = 0 is solved by a
+    secant-accelerated damped fixed point from E0 (by default above the
+    physical root), in at most max_inner evaluations of E_new, each one
+    invert_mean and one solve_lambda.  Residual on E <= tol*max(1, |E|);
+    below |E| = 1 that test is absolute, so on a flat slab with zero modes,
+    where r ~ -f0*E near 0 (f0 the zero-mode fraction), any E below tol/f0
+    passes.
 
-    Raises InfeasibleTilt when no sign change exists.  For the flat slab this
-    happens on rank-deficient gram matrices once the inclusion probabilities
-    cannot drop below 1 - (zero-mode fraction): the null directions then have
-    no curvature from either data or slab and E_new(E) stays below E all the
-    way down to the integrability edge.
+    Near E_min, r > 0 for the Gaussian slab (chi -> inf, so E_new ->
+    beta*lambda_min >= 0 > -1/sigma_w2) and for the flat slab on a full-rank
+    gram, so a root exists and an exhausted budget raises NonConvergence.
+    On a flat slab whose gram has a zero eigenvalue, E_new/E -> 1 - f0 < 1
+    as E -> 0: the null directions have no curvature from either data or
+    slab, and r can stay negative down to the integrability edge.  An
+    exhausted budget there raises InfeasibleTilt unless some evaluation saw
+    r > 0.
     """
     if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
@@ -254,44 +258,28 @@ def solve_tilt(m, prior, beta, spec, E0=None, h0=None, tol=1e-10, max_inner=60):
         raise InfeasibleTilt(
             "pure spike prior has zero tilted variance; the tilt system is undefined")
     lam = spec.eigenvalues
-    lam_bar = float(lam.mean())
     E_min = prior.min_tilt()
     q = float(m @ m) / m.size
 
-    h_prev = h0
-    ltil_prev = None
-
-    def step(E):
-        nonlocal h_prev, ltil_prev
-        h = invert_mean(prior, m, E, h0=h_prev)
-        h_prev = h
+    E = float(E0) if E0 is not None else _default_tilt_origin(prior, beta, float(lam.mean()))
+    if E <= E_min:
+        E = E_min + max(1e-8, 1e-8 * abs(E_min))
+    h, r, rose = h0, np.nan, False
+    ltil = E_last = r_last = None
+    for _ in range(max_inner):
+        h = invert_mean(prior, m, E, h0=h)
         mom = moments(prior, h, E)
         chi = float(np.mean(mom.variance))
         if not chi > 0.0:
             raise InfeasibleTilt(f"tilted variances vanished at E = {E}")
-        ltil = ltil_prev = solve_lambda(spec, beta, chi, _start=ltil_prev)
-        e_new = 1.0 / chi - beta * ltil
-        return h, mom, chi, ltil, e_new
-
-    def accepted(r, E, chi):
+        ltil = solve_lambda(spec, beta, chi, _start=ltil)
+        r = 1.0 / chi - beta * ltil - E
         # 1/chi - beta*Ltil cancels two O(1/chi) terms, so the residual
         # cannot be resolved below a few eps/chi; accept at that floor.
-        noise = 8.0 * np.finfo(float).eps / chi
-        return abs(r) <= max(tol * max(1.0, abs(E)), noise)
-
-    def pack(E, h, mom, chi, ltil):
-        return TiltResult(h=h, E=float(E), Mi=mom.second_moment, Q=q + chi, q=q,
-                          chi=chi, lambda_tilde=ltil, variances=mom.variance)
-
-    E = float(E0) if E0 is not None else _default_tilt_origin(prior, beta, lam_bar)
-    if E <= E_min:
-        E = E_min + max(1e-8, 1e-8 * abs(E_min))
-    E_last = r_last = None
-    for _ in range(max_inner):
-        h, mom, chi, ltil, e_new = step(E)
-        r = e_new - E
-        if accepted(r, E, chi):
-            return pack(E, h, mom, chi, ltil)
+        if abs(r) <= max(tol * max(1.0, abs(E)), 8.0 * np.finfo(float).eps / chi):
+            return TiltResult(h=h, E=float(E), Mi=mom.second_moment, Q=q + chi, q=q,
+                              chi=chi, lambda_tilde=ltil, variances=mom.variance)
+        rose = rose or r > 0.0
         E_next = None
         if r_last is not None and r != r_last:
             cand = E - r * (E - E_last) / (r - r_last)
@@ -303,47 +291,11 @@ def solve_tilt(m, prior, beta, spec, E0=None, h0=None, tol=1e-10, max_inner=60):
             E_next = 0.5 * (E + E_min)
         E_last, r_last = E, r
         E = E_next
-
-    # bisection fallback on the upper root of r(E)
-    hi = max(4.0 * beta * lam_bar + 4.0, 2.0 * abs(E), E_min + 1.0)
-    r_hi = None
-    for _ in range(200):
-        _, _, _, _, e_new = step(hi)
-        r_hi = e_new - hi
-        if r_hi <= 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise InfeasibleTilt("no upper bracket for the tilt consistency")
-    # search for a lower edge with r > 0; stop well above E_min because the
-    # ratio E_new/E settles to its limit long before the gap closes (for the
-    # flat slab on rank-deficient data that limit is below 1, i.e. no root)
-    lo = hi
-    floor = E_min + 1e-100 * max(1.0, abs(E_min))
-    for _ in range(4000):
-        lo = E_min + 0.5 * (lo - E_min)
-        if lo <= floor or not np.isfinite(lo):
-            raise InfeasibleTilt("tilt consistency has no sign change above E_min")
-        _, _, _, _, e_new = step(lo)
-        if e_new - lo > 0.0:
-            break
-    else:
-        raise InfeasibleTilt("tilt consistency has no sign change above E_min")
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        h, mom, chi, ltil, e_new = step(mid)
-        r = e_new - mid
-        if accepted(r, mid, chi):
-            return pack(mid, h, mom, chi, ltil)
-        if r > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 4.0 * np.finfo(float).eps * max(1.0, abs(hi)):
-            # bracket at machine width: E is determined even though the
-            # residual is evaluation-noise limited
-            return pack(mid, h, mom, chi, ltil)
-    raise NonConvergence(f"tilt fixed point stalled, residual {abs(r):.3e}")
+    if prior.family == BERNOULLI_UNIFORM and lam[0] == 0.0 and not rose:
+        raise InfeasibleTilt(f"E_new(E) < E at all {max_inner} evaluations "
+                             "on a flat slab with zero modes")
+    raise NonConvergence(f"tilt fixed point stalled after {max_inner} evaluations, "
+                         f"residual {abs(r):.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +374,13 @@ def objective(dataset, prior, beta, m, E0=None, h0=None):
 
 @dataclass(frozen=True)
 class FitSettings:
+    """Bounds of fit: it stops once the gradient inf-norm is at most
+    grad_tol*max(1, ||beta*X y||_inf) or the undamped Newton step at most
+    step_tol*max(1, ||m||_inf), after at most max_outer Newton steps, and
+    halves a step no further than step_floor.  Each tilt solve accepts a
+    residual of tilt_tol*max(1, |E|) within max_inner evaluations; a tilted
+    variance below variance_floor raises VarianceCollapse."""
+
     grad_tol: float = 1e-8
     step_tol: float = 1e-10
     max_outer: int = 500
@@ -514,8 +473,8 @@ def fit(dataset, prior, beta, init=None, settings=None):
     strict decrease).
     """
     cfg = settings or FitSettings()
-    if not beta > 0.0:
-        raise DomainError(f"beta must be positive, got {beta}")
+    if not 0.0 < beta < np.inf:
+        raise DomainError(f"beta must be finite and positive, got {beta}")
     n = dataset.n_features
     if init is not None:
         m = np.array(init, dtype=float)

@@ -41,8 +41,9 @@ class PriorSpec:
         if not 0.0 <= self.rho <= 1.0:
             raise ConfigError(f"rho must lie in [0, 1], got {self.rho}")
         if self.family == BERNOULLI_GAUSS:
-            if self.sigma_w2 is None or self.sigma_w2 <= 0.0:
-                raise ConfigError("bernoulli_gauss requires sigma_w2 > 0")
+            if self.sigma_w2 is None or not 0.0 < self.sigma_w2 < np.inf:
+                raise ConfigError(
+                    f"bernoulli_gauss requires a finite sigma_w2 > 0, got {self.sigma_w2}")
         elif self.sigma_w2 is not None:
             raise ConfigError("bernoulli_uniform has a flat slab and takes no sigma_w2")
 

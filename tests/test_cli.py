@@ -6,6 +6,7 @@ Commands run in-process through main(argv), which returns the exit code:
 
 import argparse
 import csv
+import importlib
 import json
 import pathlib
 import re
@@ -303,6 +304,17 @@ class TestReadme:
                    if isinstance(action, argparse._SubParsersAction))
         assert named == set(sub.choices)
 
+    def test_low_level_names_import_from_their_modules(self):
+        readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+        paragraph = re.search(r"^Low-level pieces .*?\n\n",
+                              readme.read_text(encoding="utf-8"), re.S | re.M).group(0)
+        listed = re.findall(r"((?:`\w+`(?:,|\s+and)?\s+)+)from `(ecreg\.\w+)`", paragraph)
+        assert {module for _, module in listed} == {"ecreg.core", "ecreg.priors",
+                                                    "ecreg.loocv"}
+        for names, module in listed:
+            for name in re.findall(r"`(\w+)`", names):
+                assert hasattr(importlib.import_module(module), name), (module, name)
+
 
 class TestUsage:
     def test_unknown_flag(self):
@@ -316,6 +328,18 @@ class TestUsage:
 
     def test_validate_is_not_a_command(self):
         assert main(["validate"]) == 2
+
+    @pytest.mark.parametrize("command", ["fit", "loocv"])
+    @pytest.mark.parametrize("flag,value", [("--sigma-w2", "nan"), ("--sigma-w2", "inf"),
+                                            ("--beta", "-1"), ("--beta", "nan"),
+                                            ("--beta", "inf")])
+    def test_bad_hyper_parameter_is_usage_error(self, tmp_path, command, flag, value):
+        paths = _synth(tmp_path)
+        flags = {"--sigma-w2": "4", "--beta": "4", flag: value}
+        rc = main([command, "--data", paths["train"], "--family", "bg", "--rho", "0.2",
+                   *(token for item in flags.items() for token in item),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
 
     def test_version_exits_cleanly(self, capsys):
         assert main(["--version"]) == 0

@@ -26,6 +26,7 @@ from ecreg.errors import (
     DimensionMismatch,
     DomainError,
     InfeasibleTilt,
+    NonConvergence,
     VarianceCollapse,
 )
 from ecreg.priors import bernoulli_gauss, bernoulli_uniform, invert_mean, moments
@@ -43,6 +44,18 @@ def _ridge(dataset, beta, sigma_w2):
     n = dataset.n_features
     A = beta * dataset.gram + np.eye(n) / sigma_w2
     return np.linalg.solve(A, beta * dataset.xy)
+
+
+def _count_evaluations(monkeypatch):
+    """A counter of the tilt solve's invert_mean calls, one per evaluation."""
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return invert_mean(*args, **kwargs)
+
+    monkeypatch.setattr("ecreg.core.invert_mean", counted)
+    return calls
 
 
 class TestDataset:
@@ -238,15 +251,47 @@ class TestSolveTilt:
         np.testing.assert_allclose(warm.E, cold.E, rtol=1e-8)
         np.testing.assert_allclose(warm.h, cold.h, rtol=1e-7, atol=1e-10)
 
-    def test_flat_slab_rank_deficient_infeasible(self):
+    def test_flat_slab_rank_deficient_infeasible(self, monkeypatch):
         # more features than samples leaves null directions with no curvature
         # from data or slab; at a generic target mean no positive E closes
-        # the consistency, and the solver reports that instead of stalling
+        # the consistency, and the solver reports that within its budget
         ds = _random_instance(13, 20, 10)
         rng = np.random.default_rng(14)
         m = rng.normal(0.0, 0.5, 20)
+        calls = _count_evaluations(monkeypatch)
         with pytest.raises(InfeasibleTilt):
-            solve_tilt(m, bernoulli_uniform(0.3), 4.0, spectrum(ds))
+            solve_tilt(m, bernoulli_uniform(0.3), 4.0, spectrum(ds), max_inner=60)
+        assert calls[0] == 60
+
+    def test_exhausted_budget_with_a_root_is_nonconvergence(self, monkeypatch):
+        # a Gaussian slab always has a root, so running out of evaluations
+        # is a stall, never infeasibility
+        ds = _random_instance(13, 20, 10)
+        prior = bernoulli_gauss(0.3, 5.0)
+        m = np.random.default_rng(14).normal(0.0, 0.5, 20)
+        root = solve_tilt(m, prior, 4.0, spectrum(ds)).E
+        calls = _count_evaluations(monkeypatch)
+        with pytest.raises(NonConvergence):
+            solve_tilt(m, prior, 4.0, spectrum(ds), E0=10.0 * root, max_inner=2)
+        assert calls[0] == 2
+
+    def test_fit_keeps_every_tilt_solve_within_budget(self, monkeypatch):
+        # a rank-deficient flat-slab fit whose line search meets infeasible tilts
+        calls = _count_evaluations(monkeypatch)
+        per_solve = []
+
+        def counted_solve(*args, **kwargs):
+            calls[0] = 0
+            try:
+                return solve_tilt(*args, **kwargs)
+            finally:
+                per_solve.append(calls[0])
+
+        monkeypatch.setattr("ecreg.core.solve_tilt", counted_solve)
+        settings = FitSettings()
+        fit(_random_instance(13, 20, 10), bernoulli_uniform(0.1), 4.0, settings=settings)
+        assert len(per_solve) > 1
+        assert max(per_solve) == settings.max_inner
 
     def test_pure_spike_infeasible(self):
         ds = _random_instance(17, 6, 4)
@@ -436,8 +481,9 @@ class TestFit:
 
     def test_invalid_beta_rejected(self):
         ds = _random_instance(41, 5, 3)
-        with pytest.raises(DomainError):
-            fit(ds, bernoulli_gauss(0.5, 1.0), 0.0)
+        for beta in (0.0, np.nan, np.inf):
+            with pytest.raises(DomainError):
+                fit(ds, bernoulli_gauss(0.5, 1.0), beta)
 
     def test_init_shape_checked(self):
         ds = _random_instance(42, 5, 3)

@@ -37,6 +37,9 @@ class TestPriorSpec:
             bernoulli_gauss(0.5, 0.0)
         with pytest.raises(ConfigError):
             PriorSpec("bernoulli_gauss", 0.5, None)
+        for non_finite in (np.nan, np.inf):
+            with pytest.raises(ConfigError):
+                bernoulli_gauss(0.5, non_finite)
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ConfigError):
