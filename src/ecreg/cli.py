@@ -162,15 +162,8 @@ def _cmd_synth(args):
         print(f"wrote {args.out_test}: {heldout.n_samples} samples x "
               f"{heldout.n_features} features")
     if args.out_truth:
-        payload = {
-            "w0": [float(v) for v in truth.w0],
-            "support": [int(i) for i in truth.support],
-            "settings": {"N": config.N, "alpha": config.alpha,
-                         "rho0": config.rho0, "sigma_w0_sq": config.sigma_w0_sq,
-                         "sigma_n0_sq": config.sigma_n0_sq, "seed": config.seed,
-                         "test_samples": config.test_samples},
-        }
-        _write_json(args.out_truth, payload)
+        _write_json(args.out_truth, {"w0": truth.w0, "support": truth.support,
+                                     "settings": asdict(config)})
         print(f"wrote {args.out_truth}: {truth.support.size} non-zero coefficients")
     return 0
 

@@ -139,15 +139,17 @@ def _secular_newton(lam, target, L):
 def solve_lambda(spec, beta, chi, *, _start=None):
     """Solve (1/N) sum_k 1/(lambda_k + Ltil) = beta*chi for Ltil.
 
-    The left side is strictly decreasing in Ltil on (-lambda_min, inf) and
-    spans (0, inf), so the root exists and is unique; it is positive whenever
-    any eigenvalue is zero or beta*chi exceeds (1/N) sum 1/lambda_k, and may
-    be negative (but > -lambda_min) otherwise.  Relative residual <= 1e-12.
+    The left side s(L) is strictly decreasing in Ltil on (-lambda_min, inf)
+    and spans (0, inf), so the root exists and is unique; it is positive
+    whenever any eigenvalue is zero or beta*chi exceeds (1/N) sum 1/lambda_k,
+    and may be negative (but > -lambda_min) otherwise.
 
-    ``_start`` is private to solve_tilt: a nearby root from which plain
-    Newton usually converges in a few steps.  The left side is convex, so
-    Newton from below the root climbs monotonically to it; a step that
-    leaves the domain or a stall falls back to the bracketed solve.
+    At most 200 Newton steps: s is convex, so a step from anywhere in the
+    domain lands at or below the root and from there climbs monotonically to
+    it; a step out of the domain goes halfway to the pole instead.  Starts at
+    ``_start`` (solve_tilt's previous root) when it lies in the domain, else
+    midway between a point near the pole and one where s <= beta*chi.
+    Relative residual <= 1e-12, else NonConvergence.
     """
     if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
@@ -157,49 +159,26 @@ def solve_lambda(spec, beta, chi, *, _start=None):
     target = beta * chi
     lam_min = float(lam.min())
 
-    if _start is not None:
+    if _start is not None and -lam_min < _start < np.inf:
         L = _start
-        for _ in range(30):
-            r, Ln = _secular_newton(lam, target, L)
-            if abs(r) <= 1e-13 * target:
-                return float(L)
-            if not (np.isfinite(Ln) and Ln > -lam_min) or Ln == L:
+    else:
+        hi = max(1.0, 1.0 - lam_min)
+        for _ in range(2000):
+            if float(np.mean(1.0 / (lam + hi))) <= target:
                 break
-            L = Ln
-
-    def s(L):
-        return float(np.mean(1.0 / (lam + L)))
-
-    hi = max(1.0, 1.0 - lam_min)
-    for _ in range(2000):
-        if s(hi) <= target:
-            break
-        hi *= 2.0
-    delta = min(1.0 / (lam.size * target), 1.0, max(lam_min, 1.0))
-    lo = -lam_min + delta
-    for _ in range(2000):
-        if s(lo) >= target:
-            break
-        delta *= 0.5
-        lo = -lam_min + delta
-    # safeguarded newton inside [lo, hi]; s is convex decreasing there
-    L = 0.5 * (lo + hi)
+            hi *= 2.0
+        lo = -lam_min + min(1.0 / (lam.size * target), 1.0, max(lam_min, 1.0))
+        L = 0.5 * (lo + hi)
     for _ in range(200):
         r, Ln = _secular_newton(lam, target, L)
         if abs(r) <= 1e-13 * target:
             return float(L)
-        if r > 0.0:
-            lo = L
-        else:
-            hi = L
-        if not np.isfinite(Ln) or Ln <= lo or Ln >= hi:
-            # geometric midpoint when the bracket spans many decades
-            # (roots can sit at ~1/(N*beta*chi) for huge chi)
-            Ln = np.sqrt(lo * hi) if lo > 0.0 else 0.5 * (lo + hi)
-        if Ln == L:
+        if Ln <= -lam_min:
+            Ln = 0.5 * (L - lam_min)
+        if not np.isfinite(Ln) or Ln == L:
             break
         L = Ln
-    r = s(L) - target
+    r = float(np.mean(1.0 / (lam + L))) - target
     if abs(r) <= 1e-12 * target:
         return float(L)
     raise NonConvergence(f"secular solve stalled, relative residual {abs(r) / target:.3e}")
@@ -309,14 +288,10 @@ def gradient(m, h, E, dataset, beta):
     return -beta * (dataset.X @ residual) - E * m + h
 
 
-def hessian(m, Mi, E, dataset, beta, variances=None, variance_floor=1e-12):
-    """Curvature beta*XX^T + diag(1/(Mi - m**2) - E).
-
-    ``variances`` optionally substitutes a cancellation-free evaluation of
-    Mi - m**2 (as produced by solve_tilt); the two agree at a solved tilt.
-    """
-    d = np.asarray(variances, dtype=float) if variances is not None \
-        else np.asarray(Mi, dtype=float) - np.asarray(m, dtype=float) ** 2
+def hessian(variances, E, dataset, beta, variance_floor=1e-12):
+    """Curvature beta*XX^T + diag(1/variances - E), with the tilted variances
+    of a solved tilt (TiltResult.variances)."""
+    d = np.asarray(variances, dtype=float)
     idx = int(np.argmin(d))
     if d[idx] < variance_floor:
         raise VarianceCollapse(idx, d[idx])
@@ -503,8 +478,7 @@ def fit(dataset, prior, beta, init=None, settings=None):
         if grad_norm <= cfg.grad_tol * grad_scale:
             converged = True
             break
-        H = hessian(m, tilt.Mi, tilt.E, dataset, beta,
-                    variances=tilt.variances, variance_floor=cfg.variance_floor)
+        H = hessian(tilt.variances, tilt.E, dataset, beta, cfg.variance_floor)
         direction = -_chol_solve_with_shift(H, grad, n)
 
         s = 1.0
@@ -557,8 +531,7 @@ def fit(dataset, prior, beta, init=None, settings=None):
     grad_norm = float(np.max(np.abs(grad)))
     if grad_norm <= cfg.grad_tol * grad_scale:
         converged = True
-    H = hessian(m, tilt.Mi, tilt.E, dataset, beta,
-                variances=tilt.variances, variance_floor=cfg.variance_floor)
+    H = hessian(tilt.variances, tilt.E, dataset, beta, cfg.variance_floor)
 
     state = ECState(m=m, h=tilt.h, E=tilt.E, Mi=tilt.Mi, Q=tilt.Q, q=tilt.q,
                     chi=tilt.chi, lambda_tilde=tilt.lambda_tilde, free_energy=phi,

@@ -233,27 +233,20 @@ def error_summary(m, train, test=None):
 # same binary64, so JSON and CSV payloads written here are lossless.
 
 
-def _jsonable(value):
+def _json_default(value):
+    """ndarrays as lists, numpy scalars as Python scalars."""
     if isinstance(value, np.ndarray):
-        return [float(v) for v in value]
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+        return value.tolist()
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _write_json(path, payload):
     """Write payload as indented JSON with a trailing newline."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
+            json.dump(payload, fh, indent=2, default=_json_default)
             fh.write("\n")
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
@@ -262,20 +255,17 @@ def _write_json(path, payload):
 def save_fit_json(path, fit_result, extra=None):
     """Serialize a FitResult to JSON (vectors, scalars, settings echo)."""
     state = fit_result.state
-    payload = {
-        "m": _jsonable(state.m),
+    _write_json(path, {
+        "m": state.m,
         "E": float(state.E),
-        "h": _jsonable(state.h),
-        "Mi": _jsonable(state.Mi),
-        "inclusion_probs": _jsonable(fit_result.inclusion_probs),
+        "h": state.h,
+        "Mi": state.Mi,
+        "inclusion_probs": fit_result.inclusion_probs,
         "free_energy": float(state.free_energy),
         "converged": bool(state.converged),
         "iterations": int(state.iterations),
-        "settings": _jsonable(fit_result.settings),
-    }
-    if extra:
-        payload["settings"].update(_jsonable(extra))
-    _write_json(path, payload)
+        "settings": {**fit_result.settings, **(extra or {})},
+    })
 
 
 def load_fit_json(path):

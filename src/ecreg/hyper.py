@@ -142,10 +142,8 @@ def calibrate_rho(dataset, beta, K, family, sigma_w2=None, settings=None,
 
     Geometric bisection on rho in (0, 1); each probe refits, warm-started from
     the previous probe.  The achieved count is monotone increasing in rho on
-    healthy instances; when a probe violates the running bracket's ordering
-    the search falls back to a refined grid scan of the bracket before giving
-    up with NonMonotoneDetected.  Success means |achieved - K| <=
-    1e-6 * max(1, K).
+    healthy instances; a probe outside the running bracket's counts raises
+    NonMonotoneDetected.  Success means |achieved - K| <= 1e-6 * max(1, K).
     """
     n = dataset.n_features
     if not 0.0 < K < n:
@@ -172,19 +170,6 @@ def calibrate_rho(dataset, beta, K, family, sigma_w2=None, settings=None,
         raise RangeError(
             f"K={K} outside achievable range [{k_lo:.6g}, {k_hi:.6g}] at beta={beta}")
 
-    def refine_bracket(lo, hi, k_lo, k_hi):
-        # grid refinement fallback: locate an adjacent monotone bracket
-        grid = np.geomspace(lo, hi, 33)
-        vals = []
-        for r in grid:
-            k_r, _ = achieved(r)
-            vals.append(k_r)
-        for i in range(len(grid) - 1):
-            if vals[i] - mono_tol <= K <= vals[i + 1] + mono_tol:
-                return grid[i], grid[i + 1], vals[i], vals[i + 1]
-        raise NonMonotoneDetected(
-            f"no monotone bracket for K={K} after grid refinement")
-
     while probes < max_probes:
         mid = math.sqrt(lo * hi)
         k_mid, res = achieved(mid)
@@ -192,8 +177,9 @@ def calibrate_rho(dataset, beta, K, family, sigma_w2=None, settings=None,
             return CalibrationResult(K=float(K), rho=float(mid),
                                      achieved_K=k_mid, iterations=probes, fit=res)
         if k_mid < k_lo - mono_tol or k_mid > k_hi + mono_tol:
-            lo, hi, k_lo, k_hi = refine_bracket(lo, hi, k_lo, k_hi)
-            continue
+            raise NonMonotoneDetected(
+                f"probe at rho={mid:.6g} gave K={k_mid:.6g}, outside the bracket's counts "
+                f"[{k_lo:.6g}, {k_hi:.6g}]")
         if k_mid < K:
             lo, k_lo = mid, k_mid
         else:

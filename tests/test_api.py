@@ -1,6 +1,11 @@
-"""The package's top-level API: exactly these names, each importable."""
+"""The package's top-level API, exactly these names, and the names the benchmark traces."""
+
+import importlib
+import importlib.util
+import pathlib
 
 import ecreg
+import ecreg.core
 
 PUBLIC = {
     "__version__",
@@ -35,3 +40,17 @@ def test_all_is_the_public_api():
 def test_every_exported_name_resolves():
     for name in ecreg.__all__:
         assert getattr(ecreg, name) is not None, name
+
+
+def test_benchmark_traced_names_resolve():
+    # the benchmark's traced run rebinds each (module, function) pair and
+    # crashes on one that no longer exists
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, name in tracing.TRACED:
+        assert callable(getattr(importlib.import_module(f"ecreg.{module}"), name, None)), \
+            (module, name)
+    for name in tracing.CHOLESKY:
+        assert callable(getattr(ecreg.core.sla, name, None)), name

@@ -149,10 +149,13 @@ class TestFit:
 
     def test_centering_flag(self, tmp_path):
         paths = _synth(tmp_path)
-        rc = main(["fit", "--data", paths["train"], "--center",
-                   "--rho", "0.2", "--sigma-w2", "4", "--beta", "4",
-                   "--out", str(tmp_path / "fit.json")])
-        assert rc == 0
+        for flag, center in ((["--center"], True), ([], False)):
+            out = str(tmp_path / f"fit_{center}.json")
+            rc = main(["fit", "--data", paths["train"], *flag,
+                       "--rho", "0.2", "--sigma-w2", "4", "--beta", "4", "--out", out])
+            assert rc == 0
+            with open(out, encoding="utf-8") as fh:
+                assert json.load(fh)["settings"]["center"] is center
 
 
 class TestLoocv:

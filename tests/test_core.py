@@ -6,12 +6,17 @@ identities for the spectral resolvent, finite differences of the variational
 objective, and plain scalar bisection for the tilt consistency.
 """
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from ecreg.core import (
     Dataset,
     FitSettings,
+    Spectrum,
+    _secular_newton,
     fit,
     gradient,
     hessian,
@@ -56,6 +61,20 @@ def _count_evaluations(monkeypatch):
 
     monkeypatch.setattr("ecreg.core.invert_mean", counted)
     return calls
+
+
+@contextlib.contextmanager
+def _newton_steps():
+    """The (L, L_next) pairs of solve_lambda's Newton steps inside the block."""
+    steps = []
+
+    def recorded(lam, target, L):
+        r, L_next = _secular_newton(lam, target, L)
+        steps.append((L, L_next))
+        return r, L_next
+
+    with mock.patch("ecreg.core._secular_newton", recorded):
+        yield steps
 
 
 class TestDataset:
@@ -166,6 +185,68 @@ class TestSolveLambda:
             lam = solve_lambda(sp, beta, chi)
             lhs = float(np.mean(1.0 / (sp.eigenvalues + lam)))
             assert abs(lhs - beta * chi) <= 1e-12 * beta * chi
+
+    def test_start_far_above_root_steps_out_of_domain_and_recovers(self):
+        sp = spectrum(Dataset(np.eye(7), np.zeros(7)))  # every eigenvalue is 1
+        with _newton_steps() as steps:
+            lam = solve_lambda(sp, 1.0, 0.5, _start=1e6)  # 1/(1+L) = 0.5
+        np.testing.assert_allclose(lam, 1.0, rtol=1e-12)
+        assert steps[0][1] <= -1.0  # the first Newton step leaves the domain
+        assert all(L > -1.0 for L, _ in steps)
+
+    def test_start_outside_domain_takes_the_cold_start(self):
+        sp = spectrum(_random_instance(9, 5, 10))
+        lam_min = float(sp.eigenvalues.min())
+        assert lam_min > 0.0
+        cold = solve_lambda(sp, 1.0, 0.3)
+        for start in (-lam_min, -lam_min - 5.0, np.nan, np.inf):
+            assert solve_lambda(sp, 1.0, 0.3, _start=start) == cold
+
+    def test_negative_root_on_full_rank_gram(self):
+        sp = spectrum(Dataset(np.diag([1.0, 2.0, 4.0]), np.zeros(3)))  # 1, 4, 16
+        # beta*chi = 1 exceeds mean(1/lambda) = 0.4375, so the root is in (-1, 0)
+        for start in (None, 3.0, -0.999):
+            lam = solve_lambda(sp, 2.0, 0.5, _start=start)
+            assert -1.0 < lam < 0.0
+            lhs = float(np.mean(1.0 / (sp.eigenvalues + lam)))
+            assert abs(lhs - 1.0) <= 1e-12
+
+    def test_residual_and_step_budget_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def cases(draw):
+            """A clamped spectrum, a root at least 1e-3*lambda_min from the
+            pole, beta*chi from that root, and an optional warm start."""
+            n = draw(st.integers(1, 40))
+            scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+            zeros = draw(st.integers(0, n))
+            lam = np.sort(np.concatenate([np.zeros(zeros), scale * 10.0 ** np.array(
+                draw(st.lists(st.floats(-4.0, 0.0), min_size=n - zeros,
+                              max_size=n - zeros)))]))
+            lam_min = float(lam[0])
+            ref, low = (lam_min, -3.0) if lam_min > 0.0 else (scale, -8.0)
+            delta = ref * 10.0 ** draw(st.floats(low, 4.0))
+            target = float(np.mean(1.0 / (lam + (delta - lam_min))))
+            beta = 10.0 ** draw(st.floats(-3.0, 3.0))
+            start = draw(st.one_of(
+                st.none(),
+                st.floats(-6.0, 6.0).map(lambda e: -lam_min + delta * 10.0 ** e),
+                st.floats(-1e3, 0.0).map(lambda x: -lam_min + x * scale)))
+            return Spectrum(eigenvalues=lam), beta, target / beta, start
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(cases())
+        def check(case):
+            sp, beta, chi, start = case
+            with _newton_steps() as steps:
+                lam = solve_lambda(sp, beta, chi, _start=start)
+            lhs = float(np.mean(1.0 / (sp.eigenvalues + lam)))
+            assert abs(lhs - beta * chi) <= 1e-12 * beta * chi
+            assert len(steps) <= 200
+
+        check()
 
     def test_domain_errors(self):
         sp = spectrum(_random_instance(8, 5, 3))
@@ -347,9 +428,7 @@ class TestGradient:
 class TestHessian:
     def test_identity_construction(self):
         ds = Dataset(np.zeros((4, 2)), np.zeros(2))
-        m = np.zeros(4)
-        Mi = np.ones(4)  # Mi - m^2 = 1, E = 0: diagonal is exactly 1
-        H = hessian(m, Mi, 0.0, ds, 1.0)
+        H = hessian(np.ones(4), 0.0, ds, 1.0)  # variances 1, E = 0: diagonal is 1
         np.testing.assert_array_equal(H, np.eye(4))
 
     def test_pure_gaussian_closed_form(self):
@@ -368,11 +447,10 @@ class TestHessian:
 
     def test_variance_collapse_detected(self):
         ds = _random_instance(27, 5, 3)
-        m = np.zeros(5)
-        Mi = np.full(5, 1.0)
-        Mi[3] = 1e-13  # collapsed coordinate
+        variances = np.full(5, 1.0)
+        variances[3] = 1e-13  # collapsed coordinate
         with pytest.raises(VarianceCollapse) as exc_info:
-            hessian(m, Mi, 0.5, ds, 1.0)
+            hessian(variances, 0.5, ds, 1.0)
         assert exc_info.value.index == 3
 
     def test_matches_finite_differences_at_frozen_tilt(self):

@@ -212,6 +212,7 @@ class TestCalibrateRho:
         monkeypatch.setattr("ecreg.hyper.fit", fake_fit)
         with pytest.raises(NonMonotoneDetected):
             calibrate_rho(ds, 5.0, 3.0, BERNOULLI_GAUSS, sigma_w2=4.0)
+        assert calls["n"] == 3  # the two ends and the first bisection probe
 
     @pytest.mark.parametrize("seed,rep", [(1, 3), (11, 3), (8, 2), (16, 3)])
     def test_orderings_that_stalled_at_the_rounding_floor(self, seed, rep, monkeypatch):
