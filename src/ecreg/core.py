@@ -12,7 +12,11 @@ free energy of an estimator m is
 where chi = Q - q is the average posterior variance, Ltil solves the secular
 equation (1/N) sum_k 1/(lambda_k + Ltil) = beta*chi, and (h, E) are chosen so
 the tilted means reproduce m (solve_tilt).  fit() minimizes Phi by damped
-Newton steps using the curvature beta*XX^T + diag(1/var_i - E).
+Newton steps on its exact Hessian: the partial curvature
+H = beta*XX^T + diag(1/var_i - E), which holds E (and through chi also Ltil)
+fixed, plus the rank-one term that E's dependence on m adds, applied to H's
+Cholesky factor by Sherman-Morrison.  A flat slab whose gram has a zero
+eigenvalue steps with H alone.  FitResult.hessian and the LOO formula use H.
 
 For a pure Gaussian prior (rho = 1 slab) this construction is exact: m is the
 ridge posterior mean and Phi equals the exact negative log evidence with zero
@@ -34,7 +38,7 @@ from .errors import (
     SingularHessian,
     VarianceCollapse,
 )
-from .priors import BERNOULLI_UNIFORM, invert_mean, moments
+from .priors import BERNOULLI_UNIFORM, _cumulants34, invert_mean, moments
 
 # ---------------------------------------------------------------------------
 # dataset and spectrum
@@ -202,6 +206,12 @@ class TiltResult:
     variances: np.ndarray
 
 
+def _flat_slab_with_zero_modes(prior, spec):
+    """A flat slab on a gram with a zero eigenvalue, whose null directions get
+    curvature from neither data nor slab (see solve_tilt)."""
+    return prior.family == BERNOULLI_UNIFORM and spec.eigenvalues[0] == 0.0
+
+
 def _default_tilt_origin(prior, beta, lam_bar):
     if prior.sigma_w2 is not None:
         return beta * lam_bar + 1.0 / prior.sigma_w2
@@ -270,7 +280,7 @@ def solve_tilt(m, prior, beta, spec, E0=None, h0=None, tol=1e-10, max_inner=60):
             E_next = 0.5 * (E + E_min)
         E_last, r_last = E, r
         E = E_next
-    if prior.family == BERNOULLI_UNIFORM and lam[0] == 0.0 and not rose:
+    if _flat_slab_with_zero_modes(prior, spec) and not rose:
         raise InfeasibleTilt(f"E_new(E) < E at all {max_inner} evaluations "
                              "on a flat slab with zero modes")
     raise NonConvergence(f"tilt fixed point stalled after {max_inner} evaluations, "
@@ -298,6 +308,28 @@ def hessian(variances, E, dataset, beta, variance_floor=1e-12):
     H = beta * dataset.gram.copy()
     H[np.diag_indices_from(H)] += 1.0 / d - E
     return H
+
+
+def _coupling(m, tilt, prior, beta, spec):
+    """(a, c) with the exact Hessian of Phi equal to H + c*a*a^T at a solved
+    tilt, H being hessian()'s partial curvature.
+
+    E moves with m through E = 1/chi - beta*Ltil(chi), so dE/dm =
+    k/(1 - k*b) * a with a = kappa3/(N*v), k = dE/dchi (using dLtil/dchi =
+    -beta/mean(u**2), u = 1/(lambda + Ltil)) and b = dchi/dE at fixed m;
+    kappa3 and kappa4 are the tilted prior's third and fourth cumulants.
+    """
+    v = tilt.variances
+    k3, k4 = _cumulants34(prior, tilt.h, tilt.E)
+    f_E = -0.5 * k3 - m * v
+    v_E = -0.5 * (k4 + 2.0 * v * v + 2.0 * m * k3)
+    b = float(np.mean(v_E - k3 * f_E / v))
+    u = 1.0 / (spec.eigenvalues + tilt.lambda_tilde)
+    # numpy division: an underflowed mean(u**2) gives k = inf and a
+    # non-finite c, which fit answers with H's step
+    k = -1.0 / (tilt.chi * tilt.chi) + beta * beta / np.mean(u * u)
+    n = m.size
+    return k3 / (n * v), 0.5 * n * k / (1.0 - k * b)
 
 
 def _free_energy_terms(m, tilt, dataset, beta, prior):
@@ -390,17 +422,39 @@ class FitResult:
 
 
 def _chol_solve_with_shift(H, rhs, n):
-    """Newton direction; Levenberg shift when H is not positive definite."""
+    """(H + tau*I)^{-1} rhs and tau, the Levenberg shift: 0 when H is
+    positive definite."""
     tau = 0.0
     base = 1e-8 * float(np.trace(H)) / n
     for _ in range(40):
         try:
             shifted = H if tau == 0.0 else H + tau * np.eye(n)
             cf = sla.cho_factor(shifted, lower=True, check_finite=False)
-            return sla.cho_solve(cf, rhs, check_finite=False)
+            return sla.cho_solve(cf, rhs, check_finite=False), tau
         except np.linalg.LinAlgError:
             tau = base if tau == 0.0 else tau * 10.0
     raise SingularHessian("curvature could not be shifted to positive definite")
+
+
+# 1 + c*a^T H^{-1} a = det(H + c*a*a^T)/det(H); below this the exact Hessian
+# is taken as not positive definite
+_SM_FLOOR = 1e-8
+
+
+def _newton_direction(H, grad, coupling, n):
+    """-(H + c*a*a^T)^{-1} grad for coupling = (a, c), by Sherman-Morrison on
+    the one factor of H.  -H^{-1} grad instead when coupling is None, c is
+    not finite, H needed a shift, or H + c*a*a^T is not safely positive
+    definite."""
+    if coupling is None or not np.isfinite(coupling[1]):
+        return -_chol_solve_with_shift(H, grad, n)[0]
+    a, c = coupling
+    xz, tau = _chol_solve_with_shift(H, np.column_stack([grad, a]), n)
+    x, z = xz[:, 0], xz[:, 1]
+    den = 1.0 + c * float(a @ z)
+    if tau > 0.0 or not den > _SM_FLOOR:
+        return -x
+    return -(x - z * c * float(a @ x) / den)
 
 
 def _solve_curvature(H, rhs):
@@ -429,14 +483,19 @@ def _rounding_rise(trial, phi, grad_norm, m, tilt, dataset, beta, prior):
     return floor if float(np.max(np.abs(g))) < grad_norm else None
 
 
-def fit(dataset, prior, beta, init=None, settings=None):
+def fit(dataset, prior, beta, init=None, settings=None, *, _tilt=None):
     """Minimize the free energy by damped Newton; deterministic.
 
     Each step re-solves the tilt at the current m, forms the gradient and
-    curvature, and backtracks the Newton step (halving from 1) until the free
-    energy strictly decreases.  When no halving decreases it, the full step
-    is still taken if it raises the free energy by no more than the rounding
-    error of its summands and lowers the gradient infinity-norm.
+    the exact Hessian of the free energy (the partial curvature H of
+    ``hessian`` plus a rank-one term, applied by Sherman-Morrison to H's
+    Cholesky factor), and backtracks the Newton step (halving from 1) until
+    the free energy strictly decreases.  The step uses H alone when H needs a
+    Levenberg shift, when the exact Hessian is not positive definite, and
+    for a flat slab whose gram has a zero eigenvalue.  When no halving
+    decreases the free energy, the full step is still taken if it raises it
+    by no more than the rounding error of its summands and lowers the
+    gradient infinity-norm.
     Terminates when the gradient infinity-norm falls below
     grad_tol*max(1, ||beta*X y||_inf), when the undamped Newton step is below
     step_tol*max(1, ||m||_inf), or when the line search stalls with a Newton
@@ -445,7 +504,8 @@ def fit(dataset, prior, beta, init=None, settings=None):
     echo records, per step, the free energy reached (``free_energies``, which
     starts at the initial point) and the rise the step was allowed
     (``allowed_rises``: that rounding error for such a full step, 0.0 for a
-    strict decrease).
+    strict decrease).  The private ``_tilt=(E, h)`` warm-starts the first
+    tilt solve.  ``FitResult.hessian`` is H, the curvature approx_looe uses.
     """
     cfg = settings or FitSettings()
     if not 0.0 < beta < np.inf:
@@ -458,9 +518,12 @@ def fit(dataset, prior, beta, init=None, settings=None):
     else:
         m = np.zeros(n)
     spec = spectrum(dataset)
+    flat_zero_modes = _flat_slab_with_zero_modes(prior, spec)
     grad_scale = max(1.0, float(np.max(np.abs(beta * dataset.xy))))
 
-    tilt = solve_tilt(m, prior, beta, spec, tol=cfg.tilt_tol, max_inner=cfg.max_inner)
+    E0, h0 = _tilt if _tilt is not None else (None, None)
+    tilt = solve_tilt(m, prior, beta, spec, E0=E0, h0=h0, tol=cfg.tilt_tol,
+                      max_inner=cfg.max_inner)
     phi = _free_energy_at(m, tilt, dataset, beta, prior)
     step_sizes = []
     free_energies = [phi]
@@ -479,7 +542,11 @@ def fit(dataset, prior, beta, init=None, settings=None):
             converged = True
             break
         H = hessian(tilt.variances, tilt.E, dataset, beta, cfg.variance_floor)
-        direction = -_chol_solve_with_shift(H, grad, n)
+        # the exact step steers a flat slab with zero modes away from the
+        # spurious near-zero tilt roots that solve_tilt's absolute acceptance
+        # lets through, and its fits then stall; they keep H's step
+        coupling = None if flat_zero_modes else _coupling(m, tilt, prior, beta, spec)
+        direction = _newton_direction(H, grad, coupling, n)
 
         s = 1.0
         accepted = False

@@ -122,6 +122,31 @@ def gen_synthetic(config):
 # ---------------------------------------------------------------------------
 
 
+def _parse_body(body, body_lines, width):
+    """The data rows as floats.  numpy parses cells as float() does, so one
+    call reads a well-formed body; the per-cell loop runs only to name the
+    first bad row or cell."""
+    if all(len(row) == width for row in body):
+        try:
+            return np.array(body, dtype=float)
+        except ValueError:
+            pass
+    data = np.empty((len(body), width))
+    for i, (row, lineno) in enumerate(zip(body, body_lines)):
+        if len(row) != width:
+            raise ParseError(f"expected {width} fields, found {len(row)}", row=lineno)
+        for j, cell in enumerate(row):
+            text = cell.strip()
+            if not text:
+                raise NonNumericCell("missing value", row=lineno, column=j + 1)
+            try:
+                data[i, j] = float(text)
+            except ValueError:
+                raise NonNumericCell(
+                    f"non-numeric cell {cell!r}", row=lineno, column=j + 1) from None
+    return data
+
+
 def load_csv(path, target_column, center=False):
     """Load a samples-by-columns CSV into a Dataset (features x samples).
 
@@ -152,20 +177,7 @@ def load_csv(path, target_column, center=False):
     if not body:
         raise ParseError(f"{path} has no data rows")
 
-    data = np.empty((len(body), len(header)))
-    for i, (row, lineno) in enumerate(zip(body, body_lines)):
-        if len(row) != len(header):
-            raise ParseError(
-                f"expected {len(header)} fields, found {len(row)}", row=lineno)
-        for j, cell in enumerate(row):
-            text = cell.strip()
-            if not text:
-                raise NonNumericCell("missing value", row=lineno, column=j + 1)
-            try:
-                data[i, j] = float(text)
-            except ValueError:
-                raise NonNumericCell(
-                    f"non-numeric cell {cell!r}", row=lineno, column=j + 1) from None
+    data = _parse_body(body, body_lines, len(header))
     bad = np.argwhere(~np.isfinite(data))
     if bad.size:
         i, j = (int(v) for v in bad[0])

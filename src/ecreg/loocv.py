@@ -116,23 +116,24 @@ def loo_estimator(fit_result, dataset, beta, mu):
     return m - (beta * residual / denom) * w
 
 
-def _fit_fold(dataset, prior, beta, keep_mask, warm_m, settings):
-    """Fit on a sample subset; returns (m, converged), with warm_m as m when
-    the refit raises."""
+def _fit_fold(dataset, prior, beta, keep_mask, warm, settings):
+    """Fit on a sample subset from the full fit's state ``warm``; returns
+    (m, converged), with warm.m as m when the refit raises."""
     if not np.any(keep_mask):
         # data-free fold: the estimator is the prior mean
         return np.zeros(dataset.n_features), True
     sub = Dataset(dataset.X[:, keep_mask], dataset.y[keep_mask])
     try:
-        res = fit(sub, prior, beta, init=warm_m, settings=settings)
+        res = fit(sub, prior, beta, init=warm.m, settings=settings,
+                  _tilt=(warm.E, warm.h))
     except EcregError:
-        return warm_m, False
+        return warm.m, False
     return res.state.m, res.state.converged
 
 
 def _cross_validate(dataset, prior, beta, folds, method, settings):
     """Refit once per fold of held-out sample indices, warm-started from the
-    full fit, and report every sample's held-out residual.
+    full fit's estimator and tilt, and report every sample's held-out residual.
 
     Residuals are reduced in index order.  A fold whose refit fails keeps the
     full-fit prediction and its samples are flagged; the call raises only when
@@ -140,7 +141,7 @@ def _cross_validate(dataset, prior, beta, folds, method, settings):
     """
     t0 = time.perf_counter()
     M = dataset.n_samples
-    warm = fit(dataset, prior, beta, settings=settings).state.m
+    warm = fit(dataset, prior, beta, settings=settings).state
 
     residuals = np.empty(M)
     flagged = []
@@ -162,7 +163,7 @@ def _cross_validate(dataset, prior, beta, folds, method, settings):
     flagged.sort()
 
     samples = [
-        LooSample(index=mu, residual_full=float(dataset.y[mu] - dataset.X[:, mu] @ warm),
+        LooSample(index=mu, residual_full=float(dataset.y[mu] - dataset.X[:, mu] @ warm.m),
                   leverage=None, residual_loo_approx=None,
                   residual_loo_literal=float(residuals[mu]))
         for mu in range(M)

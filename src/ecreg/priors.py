@@ -142,6 +142,21 @@ def _mean_var(prior, h, E):
     return pi * mu_s, pi * v_s + pi * (1.0 - pi) * mu_s * mu_s
 
 
+def _cumulants34(prior, h, E):
+    """Third and fourth cumulants of the tilted prior, dv/dh and d2v/dh2.
+
+    Cancellation-free mixture forms with pi, mu, s the inclusion probability,
+    slab mean and slab variance and pq = pi*(1-pi); both vanish at rho = 1.
+    """
+    ln_zs, mu, s = _slab_parts(prior, h, E)
+    pi = expit(_log_prior_odds(prior.rho) + ln_zs)
+    pq = pi * (1.0 - pi)
+    mu2 = mu * mu
+    k3 = pq * mu * ((1.0 - 2.0 * pi) * mu2 + 3.0 * s)
+    k4 = pq * ((1.0 - 6.0 * pq) * mu2 * mu2 + 6.0 * (1.0 - 2.0 * pi) * mu2 * s + 3.0 * s * s)
+    return k3, k4
+
+
 # ---------------------------------------------------------------------------
 # mean inversion
 # ---------------------------------------------------------------------------

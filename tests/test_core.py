@@ -16,6 +16,7 @@ from ecreg.core import (
     Dataset,
     FitSettings,
     Spectrum,
+    _coupling,
     _secular_newton,
     fit,
     gradient,
@@ -34,7 +35,7 @@ from ecreg.errors import (
     NonConvergence,
     VarianceCollapse,
 )
-from ecreg.priors import bernoulli_gauss, bernoulli_uniform, invert_mean, moments
+from ecreg.priors import _cumulants34, bernoulli_gauss, bernoulli_uniform, invert_mean, moments
 
 
 def _random_instance(seed, n, m, rho=0.3, sigma_w2=4.0, noise=0.1):
@@ -479,6 +480,39 @@ class TestHessian:
         np.testing.assert_allclose(fd, H, atol=1e-4 * scale)
 
 
+    @pytest.mark.parametrize("family", ["bg", "bu"])
+    def test_exact_hessian_matches_finite_differences(self, family):
+        # with the tilt re-solved at every m, the gradient's m-derivative is
+        # the partial curvature plus fit's rank-one term c*a*a^T
+        if family == "bg":
+            ds, prior = _random_instance(28, 8, 5), bernoulli_gauss(0.4, 5.0)
+        else:  # a full-rank gram: the flat slab steps with H alone otherwise
+            ds, prior = _random_instance(28, 8, 16), bernoulli_uniform(0.4)
+        beta = 3.0
+        spec = spectrum(ds)
+        result = fit(ds, prior, beta)
+        m0 = result.state.m
+        tilt = solve_tilt(m0, prior, beta, spec, E0=result.state.E, h0=result.state.h,
+                          tol=1e-14)
+
+        def grad_resolved(m_vec):
+            t = solve_tilt(m_vec, prior, beta, spec, E0=tilt.E, h0=tilt.h, tol=1e-14)
+            return gradient(m_vec, t.h, t.E, ds, beta)
+
+        step = 1e-5
+        fd = np.empty((8, 8))
+        for i in range(8):
+            up, down = m0.copy(), m0.copy()
+            up[i] += step
+            down[i] -= step
+            fd[:, i] = (grad_resolved(up) - grad_resolved(down)) / (2.0 * step)
+        a, c = _coupling(m0, tilt, prior, beta, spec)
+        scale = float(np.max(np.abs(fd)))
+        exact = result.hessian + c * np.outer(a, a)
+        assert float(np.max(np.abs(exact - fd))) <= 1e-5 * scale
+        assert float(np.max(np.abs(result.hessian - fd))) > 1e-3 * scale
+
+
 class TestFit:
     def test_zero_data_returns_prior_mean(self):
         ds = Dataset(np.zeros((6, 3)), np.zeros(3))
@@ -556,6 +590,27 @@ class TestFit:
         scale = max(1.0, float(np.max(np.abs(beta * ds.xy))))
         assert result.state.grad_norm > FitSettings().grad_tol * scale
         assert result.state.converged
+
+    def test_flat_slab_with_zero_modes_keeps_the_partial_step(self, monkeypatch):
+        # the rank-one term is never evaluated there; on a full-rank gram it is
+        calls = []
+
+        def counted(prior, h, E):
+            calls.append(E)
+            return _cumulants34(prior, h, E)
+
+        monkeypatch.setattr("ecreg.core._cumulants34", counted)
+        fit(_random_instance(44, 8, 16), bernoulli_uniform(0.4), 3.0)
+        assert calls
+
+        def refused(prior, h, E):
+            raise AssertionError("coupling evaluated on a flat slab with zero modes")
+
+        monkeypatch.setattr("ecreg.core._cumulants34", refused)
+        ds = _random_instance(46, 12, 10)
+        assert spectrum(ds).eigenvalues[0] == 0.0
+        result = fit(ds, bernoulli_uniform(0.3), 2.0)
+        assert result.state.iterations > 1
 
     def test_invalid_beta_rejected(self):
         ds = _random_instance(41, 5, 3)

@@ -12,7 +12,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from ecreg.core import Dataset, ECState, FitResult, FitSettings, fit
+from ecreg.core import Dataset, ECState, FitResult, FitSettings, fit, solve_tilt
 from ecreg.errors import (
     ConfigError,
     NonConvergence,
@@ -227,6 +227,29 @@ class TestLiteralLoocv:
         b = np.array([s.residual_loo_literal for s in literal.samples])
         assert np.corrcoef(a, b)[0, 1] > 0.99
 
+    def test_folds_start_from_the_full_fits_tilt(self, monkeypatch):
+        first_E0 = []
+        fit_started = [False]
+
+        def starting_fit(*args, **kwargs):
+            fit_started[0] = True
+            return fit(*args, **kwargs)
+
+        def recording_solve_tilt(*args, **kwargs):
+            if fit_started[0]:
+                first_E0.append(kwargs.get("E0"))
+                fit_started[0] = False
+            return solve_tilt(*args, **kwargs)
+
+        monkeypatch.setattr("ecreg.loocv.fit", starting_fit)
+        monkeypatch.setattr("ecreg.core.solve_tilt", recording_solve_tilt)
+        ds = _instance(29, 9, 14)
+        prior = bernoulli_gauss(0.4, 3.0)
+        literal_loocv(ds, prior, 5.0)
+        full_E = fit(ds, prior, 5.0).state.E
+        # the full fit starts cold, then one warm first solve per fold
+        assert first_E0 == [None] + [full_E] * 14
+
     # both harnesses share one fold engine; check its failure rule through each
     @pytest.mark.parametrize("cross_validate", [
         pytest.param(literal_loocv, id="literal"),
@@ -257,15 +280,16 @@ class TestKfoldCv:
         seed = 11
         report = kfold_cv(ds, prior, beta, k=2, seed=seed)
 
-        # rebuild the same contiguous split of the seeded permutation
+        # rebuild the same contiguous split of the seeded permutation; each
+        # refit starts from the full fit's estimator and tilt, as the folds do
         perm = np.random.default_rng(seed).permutation(12)
-        full = fit(ds, prior, beta)
+        full = fit(ds, prior, beta).state
         expected = np.empty(12)
         for test_idx in (perm[:6], perm[6:]):
             keep = np.ones(12, dtype=bool)
             keep[test_idx] = False
             sub = Dataset(ds.X[:, keep], ds.y[keep])
-            res = fit(sub, prior, beta, init=full.state.m)
+            res = fit(sub, prior, beta, init=full.m, _tilt=(full.E, full.h))
             for mu in test_idx:
                 expected[mu] = ds.y[mu] - ds.X[:, mu] @ res.state.m
 

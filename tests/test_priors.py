@@ -11,6 +11,8 @@ import pytest
 from ecreg.errors import ConfigError, IntegrabilityViolation, RangeError
 from ecreg.priors import (
     PriorSpec,
+    _cumulants34,
+    _mean_var,
     bernoulli_gauss,
     bernoulli_uniform,
     invert_mean,
@@ -204,6 +206,41 @@ class TestMomentsDerivatives:
                 ma = moments(prior, a, 1.4).mean
                 mb = moments(prior, b, 1.4).mean
                 assert mb > ma
+
+
+class TestCumulants:
+    """kappa3 = dv/dh, and v_E = -(kappa4 + 2 v**2 + 2 m kappa3)/2 = dv/dE."""
+
+    @pytest.mark.parametrize("prior,E", [
+        (bernoulli_gauss(0.35, 5.0), -0.15),
+        (bernoulli_gauss(0.35, 5.0), 0.5),
+        (bernoulli_gauss(0.35, 5.0), 8.0),
+        (bernoulli_uniform(0.35), 0.1),
+        (bernoulli_uniform(0.35), 1.0),
+        (bernoulli_uniform(0.35), 10.0),
+    ], ids=["bg-neg", "bg-small", "bg-large", "bu-small", "bu-mid", "bu-large"])
+    def test_match_derivatives_of_the_variance(self, prior, E):
+        h = np.linspace(-40.0, 40.0, 161)
+        m, v = _mean_var(prior, h, E)
+        k3, k4 = _cumulants34(prior, h, E)
+        assert np.all(np.isfinite(k3)) and np.all(np.isfinite(k4))
+        step = 1e-5
+        dv_dh = (_mean_var(prior, h + step, E)[1] - _mean_var(prior, h - step, E)[1]) / (2 * step)
+        scale = float(np.max(np.abs(dv_dh)))
+        np.testing.assert_allclose(k3, dv_dh, rtol=1e-5, atol=1e-7 * scale)
+        step_e = 1e-6 * max(1.0, abs(E))
+        dv_de = (_mean_var(prior, h, E + step_e)[1]
+                 - _mean_var(prior, h, E - step_e)[1]) / (2 * step_e)
+        v_e = -0.5 * (k4 + 2.0 * v * v + 2.0 * m * k3)
+        scale = float(np.max(np.abs(dv_de)))
+        np.testing.assert_allclose(v_e, dv_de, rtol=1e-5, atol=1e-7 * scale)
+
+    def test_vanish_for_the_pure_slab(self):
+        h = np.linspace(-40.0, 40.0, 9)
+        for prior in (bernoulli_gauss(1.0, 5.0), bernoulli_uniform(1.0)):
+            k3, k4 = _cumulants34(prior, h, 0.5)
+            np.testing.assert_array_equal(k3, 0.0)
+            np.testing.assert_array_equal(k4, 0.0)
 
 
 class TestInvertMean:
