@@ -16,7 +16,8 @@ Newton steps on its exact Hessian: the partial curvature
 H = beta*XX^T + diag(1/var_i - E), which holds E (and through chi also Ltil)
 fixed, plus the rank-one term that E's dependence on m adds, applied to H's
 Cholesky factor by Sherman-Morrison.  A flat slab whose gram has a zero
-eigenvalue steps with H alone.  FitResult.hessian and the LOO formula use H.
+eigenvalue steps with H alone, and an indefinite H with H's diagonal term
+replaced by its absolute value.  FitResult.hessian and the LOO formula use H.
 
 For a pure Gaussian prior (rho = 1 slab) this construction is exact: m is the
 ridge posterior mean and Phi equals the exact negative log evidence with zero
@@ -148,43 +149,44 @@ def solve_lambda(spec, beta, chi, *, _start=None):
     whenever any eigenvalue is zero or beta*chi exceeds (1/N) sum 1/lambda_k,
     and may be negative (but > -lambda_min) otherwise.
 
-    At most 200 Newton steps: s is convex, so a step from anywhere in the
-    domain lands at or below the root and from there climbs monotonically to
-    it; a step out of the domain goes halfway to the pole instead.  Starts at
-    ``_start`` (solve_tilt's previous root) when it lies in the domain, else
-    midway between a point near the pole and one where s <= beta*chi.
-    Relative residual <= 1e-12, else NonConvergence.
+    At most 200 Newton steps on delta = Ltil + lambda_min, so a root near the
+    pole keeps its relative precision: s is convex, so a step from anywhere
+    in the domain lands at or below the root and from there climbs
+    monotonically to it; a step out of the domain goes halfway to the pole
+    instead.  Starts at ``_start`` (solve_tilt's previous root) when it lies
+    in the domain, else midway between a point near the pole and one where
+    s <= beta*chi.  Relative residual <= 1e-12, else NonConvergence.
     """
     if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
     if not chi > 0.0:
         raise DomainError(f"chi must be positive, got {chi}")
-    lam = spec.eigenvalues
+    lam_min = float(spec.eigenvalues.min())
+    mu = spec.eigenvalues - lam_min
     target = beta * chi
-    lam_min = float(lam.min())
 
-    if _start is not None and -lam_min < _start < np.inf:
-        L = _start
+    if _start is not None and 0.0 < _start + lam_min < np.inf:
+        delta = _start + lam_min
     else:
-        hi = max(1.0, 1.0 - lam_min)
+        hi = 1.0 + lam_min
         for _ in range(2000):
-            if float(np.mean(1.0 / (lam + hi))) <= target:
+            if float(np.mean(1.0 / (mu + hi))) <= target:
                 break
             hi *= 2.0
-        lo = -lam_min + min(1.0 / (lam.size * target), 1.0, max(lam_min, 1.0))
-        L = 0.5 * (lo + hi)
+        lo = min(1.0 / (mu.size * target), 1.0)
+        delta = 0.5 * (lo + hi)
     for _ in range(200):
-        r, Ln = _secular_newton(lam, target, L)
+        r, dn = _secular_newton(mu, target, delta)
         if abs(r) <= 1e-13 * target:
-            return float(L)
-        if Ln <= -lam_min:
-            Ln = 0.5 * (L - lam_min)
-        if not np.isfinite(Ln) or Ln == L:
+            return float(delta - lam_min)
+        if dn <= 0.0:
+            dn = 0.5 * delta
+        if not np.isfinite(dn) or dn == delta:
             break
-        L = Ln
-    r = float(np.mean(1.0 / (lam + L))) - target
+        delta = dn
+    r = float(np.mean(1.0 / (mu + delta))) - target
     if abs(r) <= 1e-12 * target:
-        return float(L)
+        return float(delta - lam_min)
     raise NonConvergence(f"secular solve stalled, relative residual {abs(r) / target:.3e}")
 
 
@@ -421,19 +423,23 @@ class FitResult:
     settings: dict
 
 
-def _chol_solve_with_shift(H, rhs, n):
-    """(H + tau*I)^{-1} rhs and tau, the Levenberg shift: 0 when H is
-    positive definite."""
-    tau = 0.0
-    base = 1e-8 * float(np.trace(H)) / n
-    for _ in range(40):
-        try:
-            shifted = H if tau == 0.0 else H + tau * np.eye(n)
-            cf = sla.cho_factor(shifted, lower=True, check_finite=False)
-            return sla.cho_solve(cf, rhs, check_finite=False), tau
-        except np.linalg.LinAlgError:
-            tau = base if tau == 0.0 else tau * 10.0
-    raise SingularHessian("curvature could not be shifted to positive definite")
+def _chol_solve_modified(H, d, rhs):
+    """H^{-1} rhs and False when H = beta*XX^T + diag(d) is positive definite.
+    Otherwise the solve with d replaced by max(|d|, 1e-8*trace(H)/n), which
+    is positive definite because beta*XX^T is semidefinite, and True; this
+    overwrites H's diagonal.  Two factorizations at most (Nocedal & Wright,
+    Numerical Optimization, 3.4)."""
+    try:
+        return sla.cho_solve(sla.cho_factor(H, lower=True, check_finite=False), rhs,
+                             check_finite=False), False
+    except np.linalg.LinAlgError:
+        pass
+    H[np.diag_indices_from(H)] += np.maximum(np.abs(d), 1e-8 * float(np.trace(H)) / d.size) - d
+    try:
+        cf = sla.cho_factor(H, lower=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise SingularHessian("modified curvature is not positive definite") from exc
+    return sla.cho_solve(cf, rhs, check_finite=False), True
 
 
 # 1 + c*a^T H^{-1} a = det(H + c*a*a^T)/det(H); below this the exact Hessian
@@ -441,18 +447,19 @@ def _chol_solve_with_shift(H, rhs, n):
 _SM_FLOOR = 1e-8
 
 
-def _newton_direction(H, grad, coupling, n):
+def _newton_direction(H, d, grad, coupling):
     """-(H + c*a*a^T)^{-1} grad for coupling = (a, c), by Sherman-Morrison on
-    the one factor of H.  -H^{-1} grad instead when coupling is None, c is
-    not finite, H needed a shift, or H + c*a*a^T is not safely positive
-    definite."""
+    the one factor of H = beta*XX^T + diag(d).  -H^{-1} grad instead when
+    coupling is None, c is not finite, or H + c*a*a^T is not safely positive
+    definite; when H is indefinite, the step of _chol_solve_modified's
+    positive definite modification, without the rank-one term."""
     if coupling is None or not np.isfinite(coupling[1]):
-        return -_chol_solve_with_shift(H, grad, n)[0]
+        return -_chol_solve_modified(H, d, grad)[0]
     a, c = coupling
-    xz, tau = _chol_solve_with_shift(H, np.column_stack([grad, a]), n)
+    xz, modified = _chol_solve_modified(H, d, np.column_stack([grad, a]))
     x, z = xz[:, 0], xz[:, 1]
     den = 1.0 + c * float(a @ z)
-    if tau > 0.0 or not den > _SM_FLOOR:
+    if modified or not den > _SM_FLOOR:
         return -x
     return -(x - z * c * float(a @ x) / den)
 
@@ -490,12 +497,13 @@ def fit(dataset, prior, beta, init=None, settings=None, *, _tilt=None):
     the exact Hessian of the free energy (the partial curvature H of
     ``hessian`` plus a rank-one term, applied by Sherman-Morrison to H's
     Cholesky factor), and backtracks the Newton step (halving from 1) until
-    the free energy strictly decreases.  The step uses H alone when H needs a
-    Levenberg shift, when the exact Hessian is not positive definite, and
-    for a flat slab whose gram has a zero eigenvalue.  When no halving
-    decreases the free energy, the full step is still taken if it raises it
-    by no more than the rounding error of its summands and lowers the
-    gradient infinity-norm.
+    the free energy strictly decreases.  The step uses H alone when the exact
+    Hessian is not positive definite and for a flat slab whose gram has a
+    zero eigenvalue, and _chol_solve_modified's positive definite H when H
+    is indefinite (one failed and one successful factorization).  When no
+    halving decreases the free energy, the full step is still taken if it
+    raises it by no more than the rounding error of its summands and lowers
+    the gradient infinity-norm.
     Terminates when the gradient infinity-norm falls below
     grad_tol*max(1, ||beta*X y||_inf), when the undamped Newton step is below
     step_tol*max(1, ||m||_inf), or when the line search stalls with a Newton
@@ -542,11 +550,12 @@ def fit(dataset, prior, beta, init=None, settings=None, *, _tilt=None):
             converged = True
             break
         H = hessian(tilt.variances, tilt.E, dataset, beta, cfg.variance_floor)
+        d = 1.0 / tilt.variances - tilt.E
         # the exact step steers a flat slab with zero modes away from the
         # spurious near-zero tilt roots that solve_tilt's absolute acceptance
         # lets through, and its fits then stall; they keep H's step
         coupling = None if flat_zero_modes else _coupling(m, tilt, prior, beta, spec)
-        direction = _newton_direction(H, grad, coupling, n)
+        direction = _newton_direction(H, d, grad, coupling)
 
         s = 1.0
         accepted = False

@@ -7,16 +7,23 @@ objective, and plain scalar bisection for the tilt consistency.
 """
 
 import contextlib
+import types
 from unittest import mock
 
 import numpy as np
 import pytest
 
+from ecreg import core
 from ecreg.core import (
     Dataset,
     FitSettings,
     Spectrum,
+    _chol_solve_modified,
     _coupling,
+    _free_energy_at,
+    _free_energy_terms,
+    _newton_direction,
+    _rounding_rise,
     _secular_newton,
     fit,
     gradient,
@@ -33,6 +40,7 @@ from ecreg.errors import (
     DomainError,
     InfeasibleTilt,
     NonConvergence,
+    SingularHessian,
     VarianceCollapse,
 )
 from ecreg.priors import _cumulants34, bernoulli_gauss, bernoulli_uniform, invert_mean, moments
@@ -66,7 +74,8 @@ def _count_evaluations(monkeypatch):
 
 @contextlib.contextmanager
 def _newton_steps():
-    """The (L, L_next) pairs of solve_lambda's Newton steps inside the block."""
+    """The (delta, delta_next) pairs of solve_lambda's Newton steps inside the
+    block, delta = L + lambda_min."""
     steps = []
 
     def recorded(lam, target, L):
@@ -76,6 +85,27 @@ def _newton_steps():
 
     with mock.patch("ecreg.core._secular_newton", recorded):
         yield steps
+
+
+@contextlib.contextmanager
+def _factorizations():
+    """The outcomes of core's cho_factor calls inside the block, True for a
+    factor and False for a failed one."""
+    outcomes = []
+    linalg = core.sla
+
+    def cho_factor(*args, **kwargs):
+        try:
+            cf = linalg.cho_factor(*args, **kwargs)
+        except np.linalg.LinAlgError:
+            outcomes.append(False)
+            raise
+        outcomes.append(True)
+        return cf
+
+    proxy = types.SimpleNamespace(cho_factor=cho_factor, cho_solve=linalg.cho_solve)
+    with mock.patch("ecreg.core.sla", proxy):
+        yield outcomes
 
 
 class TestDataset:
@@ -192,8 +222,8 @@ class TestSolveLambda:
         with _newton_steps() as steps:
             lam = solve_lambda(sp, 1.0, 0.5, _start=1e6)  # 1/(1+L) = 0.5
         np.testing.assert_allclose(lam, 1.0, rtol=1e-12)
-        assert steps[0][1] <= -1.0  # the first Newton step leaves the domain
-        assert all(L > -1.0 for L, _ in steps)
+        assert steps[0][1] <= 0.0  # the first Newton step leaves the domain
+        assert all(delta > 0.0 for delta, _ in steps)
 
     def test_start_outside_domain_takes_the_cold_start(self):
         sp = spectrum(_random_instance(9, 5, 10))
@@ -248,6 +278,17 @@ class TestSolveLambda:
             assert len(steps) <= 200
 
         check()
+
+    def test_root_near_the_pole_keeps_relative_precision(self):
+        # lambda = 1e4 and 1/(1e4 + L) = 100: the root sits 0.01 = 1e-6*lambda
+        # above the pole, where L's float spacing is 1.8e-10 of that distance,
+        # so the solve iterates on delta = L + lambda_min
+        sp = spectrum(Dataset([[100.0]], [0.0]))
+        with _newton_steps() as steps:
+            lam = solve_lambda(sp, 1.0, 100.0)
+        delta = steps[-1][0]
+        assert abs(1.0 / delta - 100.0) <= 1e-12 * 100.0
+        assert lam == delta - 1e4  # the float nearest the root -9999.99
 
     def test_domain_errors(self):
         sp = spectrum(_random_instance(8, 5, 3))
@@ -513,6 +554,52 @@ class TestHessian:
         assert float(np.max(np.abs(result.hessian - fd))) > 1e-3 * scale
 
 
+class TestModifiedSolve:
+    @staticmethod
+    def _curvature(d_low):
+        """beta*XX^T + diag(d) on a rank-15 gram of 30 features, with d drawn
+        from [d_low, 2], and a two-column right-hand side."""
+        rng = np.random.default_rng(61)
+        ds = _random_instance(61, 30, 15)
+        d = rng.uniform(d_low, 2.0, 30)
+        H = 2.0 * ds.gram.copy()
+        H[np.diag_indices(30)] += d
+        return ds, d, H, rng.normal(size=(30, 2))
+
+    def test_indefinite_curvature_factors_its_modification_once(self):
+        ds, d, H, rhs = self._curvature(-0.5)
+        assert np.linalg.eigvalsh(H).min() < 0.0
+        floor = 1e-8 * float(np.trace(H)) / 30
+        expected = np.linalg.solve(2.0 * ds.gram + np.diag(np.maximum(np.abs(d), floor)), rhs)
+        with _factorizations() as outcomes:
+            x, modified = _chol_solve_modified(H.copy(), d, rhs)
+        assert outcomes == [False, True]
+        assert modified
+        assert np.max(np.abs(x - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+    def test_positive_definite_curvature_factors_once(self):
+        _, d, H, rhs = self._curvature(0.1)
+        plain = core.sla.cho_solve(core.sla.cho_factor(H, lower=True), rhs)
+        with _factorizations() as outcomes:
+            x, modified = _chol_solve_modified(H, d, rhs)
+        assert outcomes == [True]
+        assert not modified
+        np.testing.assert_array_equal(x, plain)
+
+    def test_non_finite_curvature_raises_after_two_factorizations(self):
+        _, d, H, rhs = self._curvature(0.1)
+        H[0, 1] = H[1, 0] = np.inf  # LAPACK's pivot test lets a NaN through
+        with _factorizations() as outcomes, pytest.raises(SingularHessian):
+            _chol_solve_modified(H, d, rhs)
+        assert outcomes == [False, False]
+
+    def test_modified_step_skips_the_rank_one_term(self):
+        _, d, H, rhs = self._curvature(-0.5)
+        grad, a = rhs[:, 0], rhs[:, 1]
+        x = _chol_solve_modified(H.copy(), d, grad)[0]
+        np.testing.assert_array_equal(_newton_direction(H, d, grad, (a, 0.3)), -x)
+
+
 class TestFit:
     def test_zero_data_returns_prior_mean(self):
         ds = Dataset(np.zeros((6, 3)), np.zeros(3))
@@ -632,6 +719,78 @@ class TestFit:
         assert echo["max_outer"] == 500
         assert len(echo["step_sizes"]) + 1 == len(echo["free_energies"])
         assert len(echo["allowed_rises"]) == len(echo["step_sizes"])
+
+    def test_each_newton_step_factors_at_most_twice(self, monkeypatch):
+        # criterion 1's first draw visits iterates with an indefinite H
+        ds, _, _ = gen_synthetic(SynthConfig(N=200, alpha=0.5, rho0=0.1, sigma_w0_sq=10.0,
+                                             sigma_n0_sq=0.1, seed=200))
+        beta = 10.0
+        steps = []
+
+        def recorded(H, d, grad, coupling):
+            with _factorizations() as outcomes:
+                direction = _newton_direction(H, d, grad, coupling)
+            steps.append((outcomes, float(grad @ direction)))
+            return direction
+
+        monkeypatch.setattr("ecreg.core._newton_direction", recorded)
+        result = fit(ds, bernoulli_gauss(0.1, 10.0), beta)
+        assert any(False in outcomes for outcomes, _ in steps)
+        for outcomes, slope in steps:
+            assert len(outcomes) <= 2 and outcomes.count(False) <= 1
+            assert slope < 0.0
+        scale = max(1.0, float(np.max(np.abs(beta * ds.xy))))
+        assert result.state.converged
+        assert result.state.grad_norm <= FitSettings().grad_tol * scale
+
+    def test_rounding_rise_accepts_only_a_rise_within_the_floor(self):
+        ds = _random_instance(47, 20, 30)
+        prior, beta = bernoulli_gauss(0.3, 4.0), 4.0
+        spec = spectrum(ds)
+        m = np.zeros(20)
+        tilt = solve_tilt(m, prior, beta, spec)
+        phi = _free_energy_at(m, tilt, ds, beta, prior)
+        grad_norm = float(np.max(np.abs(gradient(m, tilt.h, tilt.E, ds, beta))))
+        floor = float(8.0 * np.finfo(float).eps
+                      * sum(abs(t) for t in _free_energy_terms(m, tilt, ds, beta, prior)))
+        best = fit(ds, prior, beta).state
+        m_best = best.m
+        tilt_best = solve_tilt(m_best, prior, beta, spec, E0=best.E, h0=best.h)
+        args = (phi, grad_norm, m, tilt, ds, beta, prior)
+        assert _rounding_rise((m_best, tilt_best, phi + 0.5 * floor), *args) == floor
+        assert _rounding_rise((m_best, tilt_best, phi + 2.0 * floor), *args) is None
+        # the trial's gradient must fall below the current one
+        assert _rounding_rise((m_best, tilt_best, phi), phi, 0.0, m, tilt, ds, beta,
+                              prior) is None
+
+    def test_rise_within_rounding_is_taken_and_recorded(self, monkeypatch):
+        # every trial of the first step reads as no decrease, so that step is
+        # the full one that _rounding_rise allows
+        ds = _random_instance(47, 20, 30)
+        prior, beta = bernoulli_gauss(0.3, 4.0), 4.0
+        first = []
+        floors = []
+
+        def flat_first_step(m, tilt, dataset, beta, prior):
+            phi = _free_energy_at(m, tilt, dataset, beta, prior)
+            if not first:
+                first.append(phi)
+            return first[0] if not floors else phi
+
+        def recorded(*args):
+            floors.append(_rounding_rise(*args))
+            return floors[-1]
+
+        monkeypatch.setattr("ecreg.core._free_energy_at", flat_first_step)
+        monkeypatch.setattr("ecreg.core._rounding_rise", recorded)
+        result = fit(ds, prior, beta)
+        echo = result.settings
+        assert len(floors) == 1 and floors[0] > 0.0
+        assert echo["allowed_rises"][0] == floors[0]
+        assert echo["step_sizes"][0] == 1.0
+        assert echo["free_energies"][1] == echo["free_energies"][0]
+        assert all(r == 0.0 for r in echo["allowed_rises"][1:])
+        assert result.state.converged
 
 
 class TestFreeEnergy:

@@ -220,7 +220,9 @@ class TestCalibrateRho:
         # sign flip.  On these orderings a probe's line search once found no
         # decrease because Phi's cancelling summands leave only rounding
         # noise, and fit returned converged=False with the full step still
-        # able to meet grad_tol.
+        # able to meet grad_tol.  Whether a probe takes such a rise depends on
+        # Phi's last bits; TestFit::test_rise_within_rounding_is_taken_and_recorded
+        # forces that branch.
         probes = []
 
         def recording_fit(*args, **kwargs):
@@ -239,10 +241,8 @@ class TestCalibrateRho:
         result = calibrate_rho(ds, 2.0, 4.0, BERNOULLI_GAUSS, sigma_w2=1.0)
         assert result.fit.state.converged
         assert abs(result.rho - 0.013628260259863944) <= 1e-6 * 0.013628260259863944
-        # some probe took a full step that raised Phi within rounding, and no
-        # step of any probe rose by more than fit allowed it
+        # no step of any probe rose by more than fit allowed it
         rises = [np.asarray(p.settings["allowed_rises"]) for p in probes]
-        assert any(np.any(r > 0.0) for r in rises)
         for p, r in zip(probes, rises):
             assert np.all(np.diff(p.settings["free_energies"]) <= r)
         # a probe that reports converged is stationary: its gradient meets
