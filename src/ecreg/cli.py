@@ -116,10 +116,7 @@ def _load_dataset(args):
 
 def _tolerance_lines(settings):
     cfg = settings if settings is not None else FitSettings()
-    echo = asdict(cfg)
-    keys = ("grad_tol", "step_tol", "max_outer", "max_inner", "tilt_tol",
-            "variance_floor")
-    return ["settings: " + " ".join(f"{k}={echo[k]}" for k in keys)]
+    return ["settings: " + " ".join(f"{k}={v}" for k, v in asdict(cfg).items())]
 
 
 def _prior_lines(prior, beta):

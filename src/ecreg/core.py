@@ -17,7 +17,10 @@ H = beta*XX^T + diag(1/var_i - E), which holds E (and through chi also Ltil)
 fixed, plus the rank-one term that E's dependence on m adds, applied to H's
 Cholesky factor by Sherman-Morrison.  A flat slab whose gram has a zero
 eigenvalue steps with H alone, and an indefinite H with H's diagonal term
-replaced by its absolute value.  FitResult.hessian and the LOO formula use H.
+replaced by its absolute value.  Steps backtrack until Phi falls or, for a
+full step, rises within rounding while the gradient falls; converged means
+the gradient or the undamped step is below tolerance.  FitResult.hessian and
+the LOO formula use H.
 
 For a pure Gaussian prior (rho = 1 slab) this construction is exact: m is the
 ridge posterior mean and Phi equals the exact negative log evidence with zero
@@ -40,6 +43,9 @@ from .errors import (
     VarianceCollapse,
 )
 from .priors import BERNOULLI_UNIFORM, _cumulants34, invert_mean, moments
+
+_STEP_FLOOR = 2.0 ** -20  # fit halves a step no further
+_VARIANCE_FLOOR = 1e-12  # a tilted variance below it (or NaN) raises VarianceCollapse
 
 # ---------------------------------------------------------------------------
 # dataset and spectrum
@@ -300,12 +306,12 @@ def gradient(m, h, E, dataset, beta):
     return -beta * (dataset.X @ residual) - E * m + h
 
 
-def hessian(variances, E, dataset, beta, variance_floor=1e-12):
+def hessian(variances, E, dataset, beta):
     """Curvature beta*XX^T + diag(1/variances - E), with the tilted variances
     of a solved tilt (TiltResult.variances)."""
     d = np.asarray(variances, dtype=float)
     idx = int(np.argmin(d))
-    if d[idx] < variance_floor:
+    if not d[idx] >= _VARIANCE_FLOOR:
         raise VarianceCollapse(idx, d[idx])
     H = beta * dataset.gram.copy()
     H[np.diag_indices_from(H)] += 1.0 / d - E
@@ -385,18 +391,13 @@ def objective(dataset, prior, beta, m, E0=None, h0=None):
 class FitSettings:
     """Bounds of fit: it stops once the gradient inf-norm is at most
     grad_tol*max(1, ||beta*X y||_inf) or the undamped Newton step at most
-    step_tol*max(1, ||m||_inf), after at most max_outer Newton steps, and
-    halves a step no further than step_floor.  Each tilt solve accepts a
-    residual of tilt_tol*max(1, |E|) within max_inner evaluations; a tilted
-    variance below variance_floor raises VarianceCollapse."""
+    step_tol*max(1, ||m||_inf), after at most max_outer Newton steps.  Each
+    tilt solve makes at most max_inner evaluations."""
 
     grad_tol: float = 1e-8
     step_tol: float = 1e-10
     max_outer: int = 500
     max_inner: int = 60
-    tilt_tol: float = 1e-10
-    variance_floor: float = 1e-12
-    step_floor: float = 2.0 ** -20
 
 
 @dataclass(frozen=True)
@@ -496,24 +497,23 @@ def fit(dataset, prior, beta, init=None, settings=None, *, _tilt=None):
     Each step re-solves the tilt at the current m, forms the gradient and
     the exact Hessian of the free energy (the partial curvature H of
     ``hessian`` plus a rank-one term, applied by Sherman-Morrison to H's
-    Cholesky factor), and backtracks the Newton step (halving from 1) until
-    the free energy strictly decreases.  The step uses H alone when the exact
-    Hessian is not positive definite and for a flat slab whose gram has a
-    zero eigenvalue, and _chol_solve_modified's positive definite H when H
-    is indefinite (one failed and one successful factorization).  When no
-    halving decreases the free energy, the full step is still taken if it
-    raises it by no more than the rounding error of its summands and lowers
-    the gradient infinity-norm.
-    Terminates when the gradient infinity-norm falls below
-    grad_tol*max(1, ||beta*X y||_inf), when the undamped Newton step is below
-    step_tol*max(1, ||m||_inf), or when the line search stalls with a Newton
-    decrement below the free energy's rounding noise.  On iteration
-    exhaustion the best state is returned with converged=False.  The settings
-    echo records, per step, the free energy reached (``free_energies``, which
-    starts at the initial point) and the rise the step was allowed
-    (``allowed_rises``: that rounding error for such a full step, 0.0 for a
-    strict decrease).  The private ``_tilt=(E, h)`` warm-starts the first
-    tilt solve.  ``FitResult.hessian`` is H, the curvature approx_looe uses.
+    Cholesky factor) and backtracks along the Newton step.  The step uses H
+    alone when the exact Hessian is not positive definite and for a flat
+    slab whose gram has a zero eigenvalue, and _chol_solve_modified's
+    positive definite H when H is indefinite (one failed and one successful
+    factorization).  The line search halves s from 1 down to 2**-20 and
+    accepts the first trial that strictly lowers the free energy, or the
+    full step when it raises it by no more than the rounding error of its
+    summands and lowers the gradient infinity-norm.  converged=True means
+    that norm is at most grad_tol*max(1, ||beta*X y||_inf) or the undamped
+    Newton step at most step_tol*max(1, ||m||_inf); a fit whose line search
+    accepts no trial, or that runs out of max_outer steps, ends there.  The
+    settings echo records, per step, the free energy reached
+    (``free_energies``, which starts at the initial point) and the rise the
+    step was allowed (``allowed_rises``: that rounding error for such a full
+    step, 0.0 for a strict decrease).  The private ``_tilt=(E, h)``
+    warm-starts the first tilt solve.  ``FitResult.hessian`` is H, the
+    curvature approx_looe uses.
     """
     cfg = settings or FitSettings()
     if not 0.0 < beta < np.inf:
@@ -530,8 +530,7 @@ def fit(dataset, prior, beta, init=None, settings=None, *, _tilt=None):
     grad_scale = max(1.0, float(np.max(np.abs(beta * dataset.xy))))
 
     E0, h0 = _tilt if _tilt is not None else (None, None)
-    tilt = solve_tilt(m, prior, beta, spec, E0=E0, h0=h0, tol=cfg.tilt_tol,
-                      max_inner=cfg.max_inner)
+    tilt = solve_tilt(m, prior, beta, spec, E0=E0, h0=h0, max_inner=cfg.max_inner)
     phi = _free_energy_at(m, tilt, dataset, beta, prior)
     step_sizes = []
     free_energies = [phi]
@@ -549,7 +548,7 @@ def fit(dataset, prior, beta, init=None, settings=None, *, _tilt=None):
         if grad_norm <= cfg.grad_tol * grad_scale:
             converged = True
             break
-        H = hessian(tilt.variances, tilt.E, dataset, beta, cfg.variance_floor)
+        H = hessian(tilt.variances, tilt.E, dataset, beta)
         d = 1.0 / tilt.variances - tilt.E
         # the exact step steers a flat slab with zero modes away from the
         # spurious near-zero tilt roots that solve_tilt's absolute acceptance
@@ -557,42 +556,32 @@ def fit(dataset, prior, beta, init=None, settings=None, *, _tilt=None):
         coupling = None if flat_zero_modes else _coupling(m, tilt, prior, beta, spec)
         direction = _newton_direction(H, d, grad, coupling)
 
-        s = 1.0
-        accepted = False
-        full = None  # the undamped trial, kept for the stall check below
-        while s >= cfg.step_floor:
+        # Phi sums terms that cancel (|Phi| can be far below its largest
+        # summand), so a full step that lowers the gradient may read as a
+        # rise of rounding size; _rounding_rise takes it then
+        s, rise = 1.0, None
+        while s >= _STEP_FLOOR:
             m_trial = m + s * direction
             try:
                 tilt_trial = solve_tilt(m_trial, prior, beta, spec, E0=tilt.E,
-                                        h0=tilt.h, tol=cfg.tilt_tol,
-                                        max_inner=cfg.max_inner)
+                                        h0=tilt.h, max_inner=cfg.max_inner)
                 phi_trial = _free_energy_at(m_trial, tilt_trial, dataset, beta, prior)
             except (NonConvergence, InfeasibleTilt):
                 s *= 0.5
                 continue
             if phi_trial < phi:
-                accepted = True
+                rise = 0.0
                 break
             if s == 1.0:
-                full = m_trial, tilt_trial, phi_trial
+                rise = _rounding_rise((m_trial, tilt_trial, phi_trial), phi, grad_norm,
+                                      m, tilt, dataset, beta, prior)
+                if rise is not None:
+                    break
             s *= 0.5
-        rise = 0.0
-        if not accepted:
-            # Phi sums terms that cancel (|Phi| can be far below its largest
-            # summand), so every trial may read as a rise of rounding size
-            # although the full step still lowers the gradient: take it then
-            rise = None if full is None else _rounding_rise(full, phi, grad_norm, m, tilt,
-                                                            dataset, beta, prior)
-            if rise is not None:
-                (m_trial, tilt_trial, phi_trial), s = full, 1.0
-            else:
-                # success if the model's best possible improvement is below
-                # the objective's floating-point noise or the Newton step is
-                # already negligible; otherwise a genuine stall
-                decrement = -0.5 * float(grad @ direction)
-                noise_phi = 8.0 * np.finfo(float).eps * max(1.0, abs(phi))
-                converged = decrement <= noise_phi or negligible(direction, m)
-                break
+        if rise is None:
+            # no trial accepted: stationary only if the Newton step is negligible
+            converged = negligible(direction, m)
+            break
         m, tilt, phi = m_trial, tilt_trial, phi_trial
         step_sizes.append(s)
         free_energies.append(phi)
@@ -607,7 +596,7 @@ def fit(dataset, prior, beta, init=None, settings=None, *, _tilt=None):
     grad_norm = float(np.max(np.abs(grad)))
     if grad_norm <= cfg.grad_tol * grad_scale:
         converged = True
-    H = hessian(tilt.variances, tilt.E, dataset, beta, cfg.variance_floor)
+    H = hessian(tilt.variances, tilt.E, dataset, beta)
 
     state = ECState(m=m, h=tilt.h, E=tilt.E, Mi=tilt.Mi, Q=tilt.Q, q=tilt.q,
                     chi=tilt.chi, lambda_tilde=tilt.lambda_tilde, free_energy=phi,

@@ -136,14 +136,15 @@ def sweep(dataset, family, grid, settings=None):
     return SweepResult(points=points, best=_argmin_point(points))
 
 
-def calibrate_rho(dataset, beta, K, family, sigma_w2=None, settings=None,
-                  max_probes=200):
+def calibrate_rho(dataset, beta, K, family, sigma_w2=None, settings=None):
     """Find rho with posterior expected non-zero count sum(pi_i) = K.
 
-    Geometric bisection on rho in (0, 1); each probe refits, warm-started from
-    the previous probe.  The achieved count is monotone increasing in rho on
-    healthy instances; a probe outside the running bracket's counts raises
-    NonMonotoneDetected.  Success means |achieved - K| <= 1e-6 * max(1, K).
+    Geometric bisection on rho in [1e-8, 1 - 1e-8], at most about 60 probes;
+    each probe refits, warm-started from the previous probe.  The achieved
+    count is monotone increasing in rho on healthy instances; a probe
+    outside the running bracket's counts raises NonMonotoneDetected, and a
+    bracket that can no longer shrink NonConvergence.  Success means
+    |achieved - K| <= 1e-6 * max(1, K).
     """
     n = dataset.n_features
     if not 0.0 < K < n:
@@ -170,8 +171,11 @@ def calibrate_rho(dataset, beta, K, family, sigma_w2=None, settings=None,
         raise RangeError(
             f"K={K} outside achievable range [{k_lo:.6g}, {k_hi:.6g}] at beta={beta}")
 
-    while probes < max_probes:
+    while True:
         mid = math.sqrt(lo * hi)
+        if mid in (lo, hi):
+            raise NonConvergence(f"calibration bracket [{lo!r}, {hi!r}] cannot shrink "
+                                 f"before reaching K={K}")
         k_mid, res = achieved(mid)
         if abs(k_mid - K) <= tol:
             return CalibrationResult(K=float(K), rho=float(mid),
@@ -184,7 +188,6 @@ def calibrate_rho(dataset, beta, K, family, sigma_w2=None, settings=None,
             lo, k_lo = mid, k_mid
         else:
             hi, k_hi = mid, k_mid
-    raise NonConvergence(f"calibration did not reach K={K} within {max_probes} probes")
 
 
 def calibrate(dataset, family, K_targets, beta_grid, sigma_w2=None, settings=None):

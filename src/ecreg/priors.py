@@ -25,6 +25,7 @@ BERNOULLI_GAUSS = "bernoulli_gauss"
 BERNOULLI_UNIFORM = "bernoulli_uniform"
 
 _FAMILIES = (BERNOULLI_GAUSS, BERNOULLI_UNIFORM)
+_INVERT_PASSES = 200  # Newton passes of invert_mean
 
 
 @dataclass(frozen=True)
@@ -161,7 +162,7 @@ def _cumulants34(prior, h, E):
 # mean inversion
 # ---------------------------------------------------------------------------
 
-def invert_mean(prior, m_target, E, h0=None, max_iter=200):
+def invert_mean(prior, m_target, E, h0=None):
     """Solve moments(prior, h, E).mean == m_target for h.
 
     The tilted mean pi(h) * mu_slab(h) is odd and strictly increasing in h
@@ -204,7 +205,7 @@ def invert_mean(prior, m_target, E, h0=None, max_iter=200):
         tol = 1e-14 * np.maximum(1.0, mt)
         step = step_old = hi - lo
         converged = False
-        for _ in range(max_iter):
+        for _ in range(_INVERT_PASSES):
             mean, var = _mean_var(prior, x, E)
             err = mean - mt
             done = np.abs(err) <= tol

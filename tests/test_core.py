@@ -489,11 +489,13 @@ class TestHessian:
 
     def test_variance_collapse_detected(self):
         ds = _random_instance(27, 5, 3)
-        variances = np.full(5, 1.0)
-        variances[3] = 1e-13  # collapsed coordinate
-        with pytest.raises(VarianceCollapse) as exc_info:
-            hessian(variances, 0.5, ds, 1.0)
-        assert exc_info.value.index == 3
+        # a collapsed coordinate, and a NaN that Cholesky would let through
+        for bad in (1e-13, np.nan):
+            variances = np.full(5, 1.0)
+            variances[3] = bad
+            with pytest.raises(VarianceCollapse) as exc_info:
+                hessian(variances, 0.5, ds, 1.0)
+            assert exc_info.value.index == 3
 
     def test_matches_finite_differences_at_frozen_tilt(self):
         # with E frozen, the gradient's m-derivative is exactly
@@ -665,11 +667,11 @@ class TestFit:
         assert np.all(np.isfinite(result.state.m))
 
     def test_stall_at_the_inner_solve_floor_is_converged(self):
-        # at calibrate_rho's lowest probe, rho = 1e-8, the gradient stops near
-        # 2e-7 * scale: its largest entry sits on a coordinate with curvature
-        # ~6e8, where the step that would remove it lowers Phi far below
-        # Phi's rounding noise.  The line search then stalls with a Newton
-        # decrement below that noise, and that is convergence.
+        # at calibrate_rho's lowest probe, rho = 1e-8, the gradient stops
+        # above grad_tol * scale: its largest entry sits on a coordinate with
+        # curvature ~6e8, where the Newton step that would remove it is tiny.
+        # The fit ends converged after 43 iterations because that undamped
+        # step falls below step_tol.
         ds, _, _ = gen_synthetic(SynthConfig(N=40, alpha=1.5, rho0=0.2, sigma_w0_sq=4.0,
                                              sigma_n0_sq=0.1, seed=5))
         beta = 4.0
@@ -765,11 +767,13 @@ class TestFit:
 
     def test_rise_within_rounding_is_taken_and_recorded(self, monkeypatch):
         # every trial of the first step reads as no decrease, so that step is
-        # the full one that _rounding_rise allows
+        # the full one that _rounding_rise allows, taken without halving
         ds = _random_instance(47, 20, 30)
         prior, beta = bernoulli_gauss(0.3, 4.0), 4.0
         first = []
         floors = []
+        tilt_solves = []
+        solves_before_first_rise = []
 
         def flat_first_step(m, tilt, dataset, beta, prior):
             phi = _free_energy_at(m, tilt, dataset, beta, prior)
@@ -778,14 +782,25 @@ class TestFit:
             return first[0] if not floors else phi
 
         def recorded(*args):
+            if not floors:
+                solves_before_first_rise.append(len(tilt_solves))
             floors.append(_rounding_rise(*args))
             return floors[-1]
 
+        def counted(*args, **kwargs):
+            tilt_solves.append(1)
+            return solve_tilt(*args, **kwargs)
+
         monkeypatch.setattr("ecreg.core._free_energy_at", flat_first_step)
         monkeypatch.setattr("ecreg.core._rounding_rise", recorded)
+        monkeypatch.setattr("ecreg.core.solve_tilt", counted)
         result = fit(ds, prior, beta)
         echo = result.settings
-        assert len(floors) == 1 and floors[0] > 0.0
+        # one solve at the start point, one trial for the first step
+        assert solves_before_first_rise == [2]
+        # later full steps that do not lower Phi are checked too, and are
+        # refused: only the first step rose
+        assert floors[0] > 0.0 and all(f is None for f in floors[1:])
         assert echo["allowed_rises"][0] == floors[0]
         assert echo["step_sizes"][0] == 1.0
         assert echo["free_energies"][1] == echo["free_energies"][0]

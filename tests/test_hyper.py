@@ -16,6 +16,7 @@ from ecreg.errors import (
     AllPointsFailed,
     ConfigError,
     DomainError,
+    NonConvergence,
     NonMonotoneDetected,
     RangeError,
 )
@@ -162,6 +163,19 @@ class TestSweep:
             sweep(_instance(55, 8, 16), family, grid)
 
 
+def _assert_converged_probes_stationary(probes, ds, beta):
+    # a probe that reports converged is stationary: its gradient meets
+    # grad_tol, or its Newton step (not a damped fraction of it) step_tol
+    cfg = FitSettings()
+    scale = max(1.0, float(np.max(np.abs(beta * ds.xy))))
+    for p in (p for p in probes if p.state.converged):
+        g = gradient(p.state.m, p.state.h, p.state.E, ds, beta)
+        newton = np.linalg.solve(p.hessian, g)
+        assert (np.max(np.abs(g)) <= cfg.grad_tol * scale
+                or np.max(np.abs(newton))
+                <= cfg.step_tol * max(1.0, float(np.max(np.abs(p.state.m)))))
+
+
 class TestCalibrateRho:
     def test_reaches_target_count(self):
         ds = _instance(43, 20, 40)
@@ -214,6 +228,41 @@ class TestCalibrateRho:
             calibrate_rho(ds, 5.0, 3.0, BERNOULLI_GAUSS, sigma_w2=4.0)
         assert calls["n"] == 3  # the two ends and the first bisection probe
 
+    def test_bracket_that_cannot_shrink_stops(self, monkeypatch):
+        # every probe above the target pulls the bracket's top down onto its
+        # bottom; geometric bisection on [1e-8, 1 - 1e-8] collapses to
+        # adjacent floats within 60 probes
+        ds = _instance(49, 8, 12)
+        calls = {"n": 0}
+
+        def fake_fit(dataset, prior, beta, init=None, settings=None):
+            calls["n"] += 1
+            return SimpleNamespace(
+                state=SimpleNamespace(converged=True, m=np.zeros(8)),
+                inclusion_probs=np.array([1.0 if calls["n"] == 1 else 5.0]))
+
+        monkeypatch.setattr("ecreg.hyper.fit", fake_fit)
+        with pytest.raises(NonConvergence, match="cannot shrink"):
+            calibrate_rho(ds, 5.0, 3.0, BERNOULLI_GAUSS, sigma_w2=4.0)
+        assert calls["n"] <= 60
+
+    def test_converged_probes_are_stationary(self, monkeypatch):
+        # near rho = 1e-8 on this input the gradient stalls above grad_tol;
+        # a probe there may report converged only through step_tol
+        probes = []
+
+        def recording_fit(*args, **kwargs):
+            probes.append(fit(*args, **kwargs))
+            return probes[-1]
+
+        monkeypatch.setattr("ecreg.hyper.fit", recording_fit)
+        ds, _, _ = gen_synthetic(SynthConfig(N=40, alpha=1.5, rho0=0.2, sigma_w0_sq=4.0,
+                                             sigma_n0_sq=0.1, seed=5))
+        beta = 8.0
+        with pytest.raises(NonConvergence):
+            calibrate_rho(ds, beta, 4.0, BERNOULLI_GAUSS, sigma_w2=4.0)
+        _assert_converged_probes_stationary(probes, ds, beta)
+
     @pytest.mark.parametrize("seed,rep", [(1, 3), (11, 3), (8, 2), (16, 3)])
     def test_orderings_that_stalled_at_the_rounding_floor(self, seed, rep, monkeypatch):
         # criterion 7's design under a seeded sample/feature permutation and
@@ -245,16 +294,7 @@ class TestCalibrateRho:
         rises = [np.asarray(p.settings["allowed_rises"]) for p in probes]
         for p, r in zip(probes, rises):
             assert np.all(np.diff(p.settings["free_energies"]) <= r)
-        # a probe that reports converged is stationary: its gradient meets
-        # grad_tol, or its Newton step (not a damped fraction of it) step_tol
-        cfg = FitSettings()
-        scale = max(1.0, float(np.max(np.abs(2.0 * ds.xy))))
-        for p in (p for p in probes if p.state.converged):
-            g = gradient(p.state.m, p.state.h, p.state.E, ds, 2.0)
-            newton = np.linalg.solve(p.hessian, g)
-            assert (np.max(np.abs(g)) <= cfg.grad_tol * scale
-                    or np.max(np.abs(newton))
-                    <= cfg.step_tol * max(1.0, float(np.max(np.abs(p.state.m)))))
+        _assert_converged_probes_stationary(probes, ds, 2.0)
 
     def test_determinism(self):
         ds = _instance(43, 20, 40)
