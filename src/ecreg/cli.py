@@ -183,6 +183,7 @@ def _cmd_fit(args):
         "beta": args.beta,
         "eps": summary.eps,
         "y_mean": record.y_mean,
+        "feature_means": record.feature_means,
     }
     save_fit_json(args.out, result, extra=extra)
     state = result.state

@@ -11,11 +11,12 @@ free energy of an estimator m is
 
 where chi = Q - q is the average posterior variance, Ltil solves the secular
 equation (1/N) sum_k 1/(lambda_k + Ltil) = beta*chi, and (h, E) are chosen so
-the tilted means reproduce m (solve_tilt).  fit() minimizes Phi by damped
-Newton steps on its exact Hessian: the partial curvature
-H = beta*XX^T + diag(1/var_i - E), which holds E (and through chi also Ltil)
-fixed, plus the rank-one term that E's dependence on m adds, applied to H's
-Cholesky factor by Sherman-Morrison.  A flat slab whose gram has a zero
+the tilted means reproduce m (solve_tilt, whose TiltResult keeps the tilted
+prior's moments for Phi, the curvature and the fitted state).  fit()
+minimizes Phi by damped Newton steps on its exact Hessian: the partial
+curvature H = beta*XX^T + diag(1/var_i - E), which holds E (and through chi
+also Ltil) fixed, plus the rank-one term that E's dependence on m adds,
+applied to H's Cholesky factor by Sherman-Morrison.  A flat slab whose gram has a zero
 eigenvalue steps with H alone, and an indefinite H with H's diagonal term
 replaced by its absolute value.  Steps backtrack until Phi falls or, for a
 full step, rises within rounding while the gradient falls; converged means
@@ -42,7 +43,7 @@ from .errors import (
     SingularHessian,
     VarianceCollapse,
 )
-from .priors import BERNOULLI_UNIFORM, _cumulants34, invert_mean, moments
+from .priors import BERNOULLI_UNIFORM, ScalarMoments, _cumulants34, invert_mean, moments
 
 _STEP_FLOOR = 2.0 ** -20  # fit halves a step no further
 _VARIANCE_FLOOR = 1e-12  # a tilted variance below it (or NaN) raises VarianceCollapse
@@ -71,6 +72,9 @@ class Dataset:
                 f"y has {y.size} entries but X has {X.shape[1]} samples")
         if X.shape[0] < 1 or X.shape[1] < 1:
             raise DimensionMismatch("need at least one feature and one sample")
+        if not np.isfinite(X).all():
+            i, j = np.argwhere(~np.isfinite(X))[0]
+            raise DomainError(f"X[{i}, {j}] = {float(X[i, j])} is not finite")
         bad = np.flatnonzero(~np.isfinite(y))
         if bad.size:
             raise DomainError(f"y[{bad[0]}] = {float(y[bad[0]])} is not finite")
@@ -100,8 +104,6 @@ class Dataset:
 
     @cached_property
     def _spectrum(self):
-        if not np.all(np.isfinite(self.X)):
-            raise DecompositionFailure("design matrix contains non-finite entries")
         try:
             # eigenvalues only; they differ from eigh's in the last bits,
             # which fit's stopping tolerates (see _rounding_rise)
@@ -113,18 +115,12 @@ class Dataset:
             lam = np.zeros_like(lam)
         else:
             lam = np.where(lam < 1e-12 * lam_max, 0.0, lam)
-        return Spectrum(eigenvalues=lam)
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Ascending eigenvalues of X X^T with small ones clamped to zero."""
-
-    eigenvalues: np.ndarray
+        return lam
 
 
 def spectrum(dataset):
-    """Cached eigenvalues of the dataset's gram matrix."""
+    """Cached ascending eigenvalues of the dataset's gram matrix X X^T, with
+    those below 1e-12 times the largest clamped to zero."""
     return dataset._spectrum
 
 
@@ -147,7 +143,7 @@ def _secular_newton(lam, target, L):
     return r, L + (r / u_max) / (u_max * float(np.mean(v * v)))
 
 
-def solve_lambda(spec, beta, chi, *, _start=None):
+def solve_lambda(lam, beta, chi, *, _start=None):
     """Solve (1/N) sum_k 1/(lambda_k + Ltil) = beta*chi for Ltil.
 
     The left side s(L) is strictly decreasing in Ltil on (-lambda_min, inf)
@@ -167,8 +163,8 @@ def solve_lambda(spec, beta, chi, *, _start=None):
         raise DomainError(f"beta must be positive, got {beta}")
     if not chi > 0.0:
         raise DomainError(f"chi must be positive, got {chi}")
-    lam_min = float(spec.eigenvalues.min())
-    mu = spec.eigenvalues - lam_min
+    lam_min = float(lam.min())
+    mu = lam - lam_min
     target = beta * chi
 
     if _start is not None and 0.0 < _start + lam_min < np.inf:
@@ -198,26 +194,23 @@ def solve_lambda(spec, beta, chi, *, _start=None):
 
 @dataclass(frozen=True)
 class TiltResult:
-    """Self-consistent tilt at a fixed estimator m.
-
-    ``variances`` is Mi - m**2 evaluated in the cancellation-free form; at the
-    solved tilt the two expressions agree to rounding.
-    """
+    """Self-consistent tilt at a fixed estimator m.  ``moments`` holds the
+    tilted prior's moments at (h, E), from the evaluation solve_tilt
+    accepted; nothing recomputes them."""
 
     h: np.ndarray
     E: float
-    Mi: np.ndarray
     Q: float
     q: float
     chi: float
     lambda_tilde: float
-    variances: np.ndarray
+    moments: ScalarMoments
 
 
-def _flat_slab_with_zero_modes(prior, spec):
+def _flat_slab_with_zero_modes(prior, lam):
     """A flat slab on a gram with a zero eigenvalue, whose null directions get
     curvature from neither data nor slab (see solve_tilt)."""
-    return prior.family == BERNOULLI_UNIFORM and spec.eigenvalues[0] == 0.0
+    return prior.family == BERNOULLI_UNIFORM and lam[0] == 0.0
 
 
 def _default_tilt_origin(prior, beta, lam_bar):
@@ -226,7 +219,7 @@ def _default_tilt_origin(prior, beta, lam_bar):
     return beta * lam_bar + 1.0
 
 
-def solve_tilt(m, prior, beta, spec, E0=None, h0=None, tol=1e-10, max_inner=60):
+def solve_tilt(m, prior, beta, lam, E0=None, h0=None, tol=1e-10, max_inner=60):
     """Find (h, E) with tilted means equal to m and E = 1/chi - beta*Ltil.
 
     The scalar consistency r(E) = E_new(E) - E = 0 is solved by a
@@ -254,7 +247,6 @@ def solve_tilt(m, prior, beta, spec, E0=None, h0=None, tol=1e-10, max_inner=60):
     if prior.rho == 0.0:
         raise InfeasibleTilt(
             "pure spike prior has zero tilted variance; the tilt system is undefined")
-    lam = spec.eigenvalues
     E_min = prior.min_tilt()
     q = float(m @ m) / m.size
 
@@ -269,13 +261,13 @@ def solve_tilt(m, prior, beta, spec, E0=None, h0=None, tol=1e-10, max_inner=60):
         chi = float(np.mean(mom.variance))
         if not chi > 0.0:
             raise InfeasibleTilt(f"tilted variances vanished at E = {E}")
-        ltil = solve_lambda(spec, beta, chi, _start=ltil)
+        ltil = solve_lambda(lam, beta, chi, _start=ltil)
         r = 1.0 / chi - beta * ltil - E
         # 1/chi - beta*Ltil cancels two O(1/chi) terms, so the residual
         # cannot be resolved below a few eps/chi; accept at that floor.
         if abs(r) <= max(tol * max(1.0, abs(E)), 8.0 * np.finfo(float).eps / chi):
-            return TiltResult(h=h, E=float(E), Mi=mom.second_moment, Q=q + chi, q=q,
-                              chi=chi, lambda_tilde=ltil, variances=mom.variance)
+            return TiltResult(h=h, E=float(E), Q=q + chi, q=q, chi=chi,
+                              lambda_tilde=ltil, moments=mom)
         rose = rose or r > 0.0
         E_next = None
         if r_last is not None and r != r_last:
@@ -288,7 +280,7 @@ def solve_tilt(m, prior, beta, spec, E0=None, h0=None, tol=1e-10, max_inner=60):
             E_next = 0.5 * (E + E_min)
         E_last, r_last = E, r
         E = E_next
-    if _flat_slab_with_zero_modes(prior, spec) and not rose:
+    if _flat_slab_with_zero_modes(prior, lam) and not rose:
         raise InfeasibleTilt(f"E_new(E) < E at all {max_inner} evaluations "
                              "on a flat slab with zero modes")
     raise NonConvergence(f"tilt fixed point stalled after {max_inner} evaluations, "
@@ -308,17 +300,17 @@ def gradient(m, h, E, dataset, beta):
 
 def hessian(variances, E, dataset, beta):
     """Curvature beta*XX^T + diag(1/variances - E), with the tilted variances
-    of a solved tilt (TiltResult.variances)."""
+    of a solved tilt (TiltResult.moments.variance)."""
     d = np.asarray(variances, dtype=float)
     idx = int(np.argmin(d))
     if not d[idx] >= _VARIANCE_FLOOR:
         raise VarianceCollapse(idx, d[idx])
-    H = beta * dataset.gram.copy()
+    H = beta * dataset.gram
     H[np.diag_indices_from(H)] += 1.0 / d - E
     return H
 
 
-def _coupling(m, tilt, prior, beta, spec):
+def _coupling(m, tilt, prior, beta, lam):
     """(a, c) with the exact Hessian of Phi equal to H + c*a*a^T at a solved
     tilt, H being hessian()'s partial curvature.
 
@@ -327,12 +319,12 @@ def _coupling(m, tilt, prior, beta, spec):
     -beta/mean(u**2), u = 1/(lambda + Ltil)) and b = dchi/dE at fixed m;
     kappa3 and kappa4 are the tilted prior's third and fourth cumulants.
     """
-    v = tilt.variances
+    v = tilt.moments.variance
     k3, k4 = _cumulants34(prior, tilt.h, tilt.E)
     f_E = -0.5 * k3 - m * v
     v_E = -0.5 * (k4 + 2.0 * v * v + 2.0 * m * k3)
     b = float(np.mean(v_E - k3 * f_E / v))
-    u = 1.0 / (spec.eigenvalues + tilt.lambda_tilde)
+    u = 1.0 / (lam + tilt.lambda_tilde)
     # numpy division: an underflowed mean(u**2) gives k = inf and a
     # non-finite c, which fit answers with H's step
     k = -1.0 / (tilt.chi * tilt.chi) + beta * beta / np.mean(u * u)
@@ -340,11 +332,11 @@ def _coupling(m, tilt, prior, beta, spec):
     return k3 / (n * v), 0.5 * n * k / (1.0 - k * b)
 
 
-def _free_energy_terms(m, tilt, dataset, beta, prior):
+def _free_energy_terms(m, tilt, dataset, beta):
     """The summands of Phi(m) at a solved tilt, in the module docstring's order."""
     residual = dataset.y - dataset.X.T @ m
     rss = 0.5 * float(residual @ residual)
-    lam = spectrum(dataset).eigenvalues
+    lam = spectrum(dataset)
     n = m.size
     return [
         beta * rss,
@@ -354,14 +346,14 @@ def _free_energy_terms(m, tilt, dataset, beta, prior):
         0.5 * n,
         -0.5 * n * tilt.E * tilt.Q,
         float(tilt.h @ m),
-        -float(np.sum(moments(prior, tilt.h, tilt.E).log_partition)),
+        -float(np.sum(tilt.moments.log_partition)),
     ]
 
 
-def _free_energy_at(m, tilt, dataset, beta, prior):
+def _free_energy_at(m, tilt, dataset, beta):
     phi = 0.0
     # plain left-to-right sum; sum() compensates on Python >= 3.12
-    for term in _free_energy_terms(m, tilt, dataset, beta, prior):
+    for term in _free_energy_terms(m, tilt, dataset, beta):
         phi += term
     return float(phi)
 
@@ -379,7 +371,7 @@ def objective(dataset, prior, beta, m, E0=None, h0=None):
         raise DimensionMismatch(
             f"m has shape {m.shape}, expected ({dataset.n_features},)")
     tilt = solve_tilt(m, prior, beta, spectrum(dataset), E0=E0, h0=h0)
-    return _free_energy_at(m, tilt, dataset, beta, prior)
+    return _free_energy_at(m, tilt, dataset, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -478,12 +470,12 @@ def _solve_curvature(H, rhs):
             raise SingularHessian(str(exc)) from exc
 
 
-def _rounding_rise(trial, phi, grad_norm, m, tilt, dataset, beta, prior):
+def _rounding_rise(trial, phi, grad_norm, m, tilt, dataset, beta):
     """The rounding error 8*eps*sum|summands| of Phi at (m, tilt) when the
     trial (m, tilt, phi) raises Phi by no more than it and lowers the
     gradient inf-norm; None otherwise."""
     m_trial, tilt_trial, phi_trial = trial
-    terms = _free_energy_terms(m, tilt, dataset, beta, prior)
+    terms = _free_energy_terms(m, tilt, dataset, beta)
     floor = float(8.0 * np.finfo(float).eps * sum(abs(t) for t in terms))
     if phi_trial - phi > floor:
         return None
@@ -525,13 +517,13 @@ def fit(dataset, prior, beta, init=None, settings=None, *, _tilt=None):
             raise DimensionMismatch(f"init has shape {m.shape}, expected ({n},)")
     else:
         m = np.zeros(n)
-    spec = spectrum(dataset)
-    flat_zero_modes = _flat_slab_with_zero_modes(prior, spec)
+    lam = spectrum(dataset)
+    flat_zero_modes = _flat_slab_with_zero_modes(prior, lam)
     grad_scale = max(1.0, float(np.max(np.abs(beta * dataset.xy))))
 
     E0, h0 = _tilt if _tilt is not None else (None, None)
-    tilt = solve_tilt(m, prior, beta, spec, E0=E0, h0=h0, max_inner=cfg.max_inner)
-    phi = _free_energy_at(m, tilt, dataset, beta, prior)
+    tilt = solve_tilt(m, prior, beta, lam, E0=E0, h0=h0, max_inner=cfg.max_inner)
+    phi = _free_energy_at(m, tilt, dataset, beta)
     step_sizes = []
     free_energies = [phi]
     allowed_rises = []
@@ -548,12 +540,12 @@ def fit(dataset, prior, beta, init=None, settings=None, *, _tilt=None):
         if grad_norm <= cfg.grad_tol * grad_scale:
             converged = True
             break
-        H = hessian(tilt.variances, tilt.E, dataset, beta)
-        d = 1.0 / tilt.variances - tilt.E
+        H = hessian(tilt.moments.variance, tilt.E, dataset, beta)
+        d = 1.0 / tilt.moments.variance - tilt.E
         # the exact step steers a flat slab with zero modes away from the
         # spurious near-zero tilt roots that solve_tilt's absolute acceptance
         # lets through, and its fits then stall; they keep H's step
-        coupling = None if flat_zero_modes else _coupling(m, tilt, prior, beta, spec)
+        coupling = None if flat_zero_modes else _coupling(m, tilt, prior, beta, lam)
         direction = _newton_direction(H, d, grad, coupling)
 
         # Phi sums terms that cancel (|Phi| can be far below its largest
@@ -563,9 +555,9 @@ def fit(dataset, prior, beta, init=None, settings=None, *, _tilt=None):
         while s >= _STEP_FLOOR:
             m_trial = m + s * direction
             try:
-                tilt_trial = solve_tilt(m_trial, prior, beta, spec, E0=tilt.E,
+                tilt_trial = solve_tilt(m_trial, prior, beta, lam, E0=tilt.E,
                                         h0=tilt.h, max_inner=cfg.max_inner)
-                phi_trial = _free_energy_at(m_trial, tilt_trial, dataset, beta, prior)
+                phi_trial = _free_energy_at(m_trial, tilt_trial, dataset, beta)
             except (NonConvergence, InfeasibleTilt):
                 s *= 0.5
                 continue
@@ -574,7 +566,7 @@ def fit(dataset, prior, beta, init=None, settings=None, *, _tilt=None):
                 break
             if s == 1.0:
                 rise = _rounding_rise((m_trial, tilt_trial, phi_trial), phi, grad_norm,
-                                      m, tilt, dataset, beta, prior)
+                                      m, tilt, dataset, beta)
                 if rise is not None:
                     break
             s *= 0.5
@@ -596,14 +588,14 @@ def fit(dataset, prior, beta, init=None, settings=None, *, _tilt=None):
     grad_norm = float(np.max(np.abs(grad)))
     if grad_norm <= cfg.grad_tol * grad_scale:
         converged = True
-    H = hessian(tilt.variances, tilt.E, dataset, beta)
+    H = hessian(tilt.moments.variance, tilt.E, dataset, beta)
 
-    state = ECState(m=m, h=tilt.h, E=tilt.E, Mi=tilt.Mi, Q=tilt.Q, q=tilt.q,
-                    chi=tilt.chi, lambda_tilde=tilt.lambda_tilde, free_energy=phi,
+    state = ECState(m=m, h=tilt.h, E=tilt.E, Mi=tilt.moments.second_moment, Q=tilt.Q,
+                    q=tilt.q, chi=tilt.chi, lambda_tilde=tilt.lambda_tilde, free_energy=phi,
                     grad_norm=grad_norm, iterations=iterations, converged=converged)
-    inclusion = moments(prior, tilt.h, tilt.E).inclusion_prob
     echo = asdict(cfg)
     echo["step_sizes"] = step_sizes
     echo["free_energies"] = free_energies
     echo["allowed_rises"] = allowed_rises
-    return FitResult(state=state, hessian=H, inclusion_probs=inclusion, settings=echo)
+    return FitResult(state=state, hessian=H, inclusion_probs=tilt.moments.inclusion_prob,
+                     settings=echo)

@@ -9,12 +9,15 @@ slab mass (inclusion probability).  Two slab families are shipped:
 * ``bernoulli_gauss``   -- slab N(0, sigma_w2); integrable for E > -1/sigma_w2.
 * ``bernoulli_uniform`` -- improper flat slab; integrable only for E > 0.
 
-All closed forms are evaluated in log domain; the spike/slab mixture is
-combined with logaddexp and a stable sigmoid so that large h**2/(2E) never
+All closed forms are evaluated in log domain by one kernel, ``_mixture``,
+which ``moments``, ``invert_mean`` and the cumulants share: the spike/slab
+mixture is combined with logaddexp and a stable sigmoid of the log prior
+odds (-inf at rho = 0, +inf at rho = 1) so that large h**2/(2E) never
 leaves the log scale.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import expit
@@ -54,6 +57,12 @@ class PriorSpec:
             return 0.0
         return -1.0 / self.sigma_w2
 
+    @cached_property
+    def _log_odds(self):
+        """log(rho/(1-rho)): -inf for the pure spike, +inf for the pure slab."""
+        with np.errstate(divide="ignore"):
+            return np.log(self.rho) - np.log1p(-self.rho)
+
 
 def bernoulli_gauss(rho, sigma_w2):
     return PriorSpec(BERNOULLI_GAUSS, float(rho), float(sigma_w2))
@@ -79,30 +88,21 @@ class ScalarMoments:
 
 
 def _check_tilt(prior, E):
-    if prior.family == BERNOULLI_UNIFORM:
-        if not E > 0.0:
-            raise IntegrabilityViolation(
-                f"flat slab needs E > 0, got E = {E}")
-    else:
-        if not E > -1.0 / prior.sigma_w2:
-            raise IntegrabilityViolation(
-                f"Gaussian slab needs E > -1/sigma_w2 = {-1.0 / prior.sigma_w2}, got E = {E}")
+    if not E > prior.min_tilt():
+        raise IntegrabilityViolation(
+            f"tilted {prior.family} prior needs E > {prior.min_tilt()}, got E = {E}")
 
 
-def _slab_parts(prior, h, E):
-    """Return (log slab partition, slab mean, slab variance) for the tilted slab."""
+def _mixture(prior, h, E):
+    """(log partition, mean, variance) of the tilted slab and the inclusion
+    probability pi = rho*Z_slab / ((1-rho) + rho*Z_slab), for any rho in [0, 1]."""
     if prior.family == BERNOULLI_GAUSS:
         s2 = prior.sigma_w2
         a = 1.0 + E * s2
-        ln_zs = -0.5 * np.log(a) + h * h * (s2 / (2.0 * a))
-        return ln_zs, h * (s2 / a), s2 / a
-    ln_zs = 0.5 * np.log(2.0 * np.pi / E) + h * h / (2.0 * E)
-    return ln_zs, h / E, 1.0 / E
-
-
-def _log_prior_odds(rho):
-    # +inf for the pure slab, so expit gives an inclusion probability of 1
-    return np.inf if rho == 1.0 else np.log(rho) - np.log1p(-rho)
+        ln_zs, mu, s = -0.5 * np.log(a) + h * h * (s2 / (2.0 * a)), h * (s2 / a), s2 / a
+    else:
+        ln_zs, mu, s = 0.5 * np.log(2.0 * np.pi / E) + h * h / (2.0 * E), h / E, 1.0 / E
+    return ln_zs, mu, s, expit(prior._log_odds + ln_zs)
 
 
 def moments(prior, h, E):
@@ -114,33 +114,21 @@ def moments(prior, h, E):
     with Z_slab the tilted slab partition function.
     """
     _check_tilt(prior, float(E))
-    h = np.asarray(h, dtype=float)
-    ln_zs, mu_s, v_s = _slab_parts(prior, h, float(E))
-    rho = prior.rho
-    if rho == 0.0:
-        z = np.zeros_like(h)
-        return ScalarMoments(z, z, z, z, z)
-    if rho == 1.0:
-        one = np.ones_like(h)
-        var = np.full_like(h, v_s)
-        return ScalarMoments(ln_zs, mu_s, var + mu_s * mu_s, one, var)
-    pi = expit(_log_prior_odds(rho) + ln_zs)
-    log_z = np.logaddexp(np.log1p(-rho), np.log(rho) + ln_zs)
-    mean = pi * mu_s
-    second = pi * (v_s + mu_s * mu_s)
-    var = pi * v_s + pi * (1.0 - pi) * mu_s * mu_s
-    return ScalarMoments(log_z, mean, second, pi, var)
+    ln_zs, mu, s, pi = _mixture(prior, np.asarray(h, dtype=float), float(E))
+    with np.errstate(divide="ignore"):
+        log_z = np.logaddexp(np.log1p(-prior.rho), np.log(prior.rho) + ln_zs)
+    var = pi * s + pi * (1.0 - pi) * mu * mu
+    return ScalarMoments(log_z, pi * mu, pi * (s + mu * mu), pi, var)
 
 
 def _mean_var(prior, h, E):
     """Tilted mean and variance only, computed as ``moments`` computes them.
 
-    The kernel of ``invert_mean``: the caller has checked E and rho > 0, so
-    there is no tilt check, no log partition function and no dataclass.
+    The kernel of ``invert_mean``: the caller has checked E, so there is no
+    tilt check, no log partition function and no dataclass.
     """
-    ln_zs, mu_s, v_s = _slab_parts(prior, h, E)
-    pi = expit(_log_prior_odds(prior.rho) + ln_zs)
-    return pi * mu_s, pi * v_s + pi * (1.0 - pi) * mu_s * mu_s
+    _, mu, s, pi = _mixture(prior, h, E)
+    return pi * mu, pi * s + pi * (1.0 - pi) * mu * mu
 
 
 def _cumulants34(prior, h, E):
@@ -149,8 +137,7 @@ def _cumulants34(prior, h, E):
     Cancellation-free mixture forms with pi, mu, s the inclusion probability,
     slab mean and slab variance and pq = pi*(1-pi); both vanish at rho = 1.
     """
-    ln_zs, mu, s = _slab_parts(prior, h, E)
-    pi = expit(_log_prior_odds(prior.rho) + ln_zs)
+    _, mu, s, pi = _mixture(prior, h, E)
     pq = pi * (1.0 - pi)
     mu2 = mu * mu
     k3 = pq * mu * ((1.0 - 2.0 * pi) * mu2 + 3.0 * s)
@@ -191,9 +178,9 @@ def invert_mean(prior, m_target, E, h0=None):
     if np.any(live):
         mt = np.abs(m[live])
         # slab inverse: mu_slab(lo) = |m| with mu_slab = h * v_slab rounded
-        # as _slab_parts rounds it
-        lo = mt / _slab_parts(prior, 0.0, E)[2]
-        pi_lo = expit(_log_prior_odds(prior.rho) + _slab_parts(prior, lo, E)[0])
+        # as _mixture rounds it
+        lo = mt / _mixture(prior, 0.0, E)[2]
+        pi_lo = _mixture(prior, lo, E)[3]
         with np.errstate(divide="ignore", over="ignore"):
             hi = lo / pi_lo
         if not np.all(np.isfinite(hi)):

@@ -157,6 +157,22 @@ class TestFit:
             with open(out, encoding="utf-8") as fh:
                 assert json.load(fh)["settings"]["center"] is center
 
+    def test_centered_fit_predicts_from_the_file(self, tmp_path):
+        # (x - feature_means).m + y_mean on the raw training CSV reproduces eps
+        paths = _synth(tmp_path)
+        out = str(tmp_path / "fit.json")
+        rc = main(["fit", "--data", paths["train"], "--center", "--rho", "0.2",
+                   "--sigma-w2", "4", "--beta", "4", "--out", out])
+        assert rc == 0
+        payload = load_fit_json(out)
+        settings = payload["settings"]
+        raw, _ = load_csv(paths["train"], "y")
+        x_bar = np.asarray(settings["feature_means"])
+        assert x_bar.shape == (raw.n_features,) and np.any(x_bar != 0.0)
+        predicted = (raw.X - x_bar[:, None]).T @ payload["m"] + settings["y_mean"]
+        eps = float(np.mean((raw.y - predicted) ** 2)) / 2.0
+        np.testing.assert_allclose(eps, settings["eps"], rtol=1e-12)
+
 
 class TestLoocv:
     def test_approx_report(self, tmp_path, capsys):

@@ -5,6 +5,8 @@ int phi(w) exp(-E w^2/2 + h w) w^k dw (scipy.integrate.quad over the whole
 line, tolerance ~1e-12) independently of the closed forms under test.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,31 @@ class TestMomentsStructure:
         assert mom.second_moment == 0.0
         assert mom.inclusion_prob == 0.0
         assert mom.log_partition == 0.0
+
+    @pytest.mark.parametrize("family, E", [("bg", -0.3), ("bg", 1.5), ("bu", 0.7)])
+    def test_pure_spike_and_pure_slab_closed_forms(self, family, E):
+        # rho = 0 and rho = 1 take the general mixture formula, whose log
+        # prior odds are -inf and +inf there, without a warning
+        h = np.linspace(-30.0, 30.0, 41)
+        if family == "bg":
+            priors = bernoulli_gauss(0.0, 2.0), bernoulli_gauss(1.0, 2.0)
+            a = 1.0 + E * 2.0
+            log_z, mu, v = -0.5 * np.log(a) + h * h * (2.0 / (2.0 * a)), h * (2.0 / a), 2.0 / a
+        else:
+            priors = bernoulli_uniform(0.0), bernoulli_uniform(1.0)
+            log_z, mu, v = 0.5 * np.log(2.0 * np.pi / E) + h * h / (2.0 * E), h / E, 1.0 / E
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spike, slab = [moments(prior, h, E) for prior in priors]
+        zero = np.zeros_like(h)
+        for got in (spike.log_partition, spike.mean, spike.second_moment,
+                    spike.inclusion_prob, spike.variance):
+            np.testing.assert_array_equal(got, zero)
+        np.testing.assert_array_equal(slab.log_partition, log_z)
+        np.testing.assert_array_equal(slab.mean, mu)
+        np.testing.assert_array_equal(slab.second_moment, v + mu * mu)
+        np.testing.assert_array_equal(slab.inclusion_prob, np.ones_like(h))
+        np.testing.assert_array_equal(slab.variance, np.full_like(h, v))
 
     def test_inclusion_prob_bounds(self):
         rng = np.random.default_rng(11)
