@@ -63,7 +63,6 @@ from .hyper import (
 )
 from .loocv import (
     LooReport,
-    LooSample,
     approx_looe,
     kfold_cv,
     literal_loocv,
@@ -99,7 +98,6 @@ __all__ = [
     "IntegrabilityViolation",
     "IoError",
     "LooReport",
-    "LooSample",
     "MissingTarget",
     "NonConvergence",
     "NonMonotoneDetected",

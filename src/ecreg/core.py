@@ -95,8 +95,7 @@ class Dataset:
 
     @cached_property
     def gram(self):
-        g = self.X @ self.X.T
-        return 0.5 * (g + g.T)
+        return self.X @ self.X.T
 
     @cached_property
     def xy(self):

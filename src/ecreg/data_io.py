@@ -338,25 +338,21 @@ def save_calibration_csv(path, rows, header_lines=()):
 
 def save_loo_csv(path, report, literal_report=None, header_lines=()):
     """LOO table: mu,residual_full,leverage,residual_loo,flagged, plus a
-    residual_loo_literal comparison column when a literal report is given."""
+    residual_loo_literal comparison column when a literal report is given.
+    Row mu is sample mu; the leverage cells are empty for a refit report."""
     columns = ["mu", "residual_full", "leverage", "residual_loo", "flagged"]
-    literal_by_index = {}
-    if literal_report is not None:
-        columns.append("residual_loo_literal")
-        literal_by_index = {s.index: s.residual_loo_literal
-                            for s in literal_report.samples}
+    M = len(report.residual_loo)
+    leverage = [None] * M if report.leverage is None else report.leverage.tolist()
+    table = [report.residual_full.tolist(), leverage, report.residual_loo.tolist()]
     flagged = set(report.flagged)
     if literal_report is not None:
+        columns.append("residual_loo_literal")
+        table.append(literal_report.residual_loo.tolist())
         flagged |= set(literal_report.flagged)
 
-    def row(s):
-        loo = s.residual_loo_approx if s.residual_loo_approx is not None \
-            else s.residual_loo_literal
-        cells = [str(s.index), _format_cell(s.residual_full),
-                 _format_cell(s.leverage), _format_cell(loo),
-                 _format_cell(s.index in flagged)]
-        if literal_report is not None:
-            cells.append(_format_cell(literal_by_index.get(s.index)))
-        return cells
+    def row(mu, full, lev, loo, *literal):
+        return [str(mu), _format_cell(full), _format_cell(lev), _format_cell(loo),
+                _format_cell(mu in flagged), *map(_format_cell, literal)]
 
-    _write_table(path, columns, (row(s) for s in report.samples), header_lines)
+    _write_table(path, columns, (row(mu, *cells) for mu, cells in enumerate(zip(*table))),
+                 header_lines)

@@ -4,9 +4,11 @@ The semi-analytic route computes every held-out residual from the full fit:
 residual_loo = residual_full / (1 - leverage) with leverage =
 beta * x_mu^T H^{-1} x_mu from the full-data curvature H.  One solve of H
 against X replaces M refits.  The literal and k-fold harnesses actually
-refit and exist to validate that formula.
+refit and exist to validate that formula.  Each returns a LooReport: one
+table of per-sample arrays in sample order.
 """
 
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -28,17 +30,12 @@ DENOMINATOR_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
-class LooSample:
-    index: int
-    residual_full: float
-    leverage: float | None
-    residual_loo_approx: float | None
-    residual_loo_literal: float | None = None
-
-
-@dataclass(frozen=True)
 class LooReport:
     """Per-sample LOO table.  eps_loo = (1/2M) sum residual_loo**2.
+
+    ``residual_full``, ``residual_loo`` and ``leverage`` are arrays of shape
+    (M,) in sample order.  ``residual_loo`` is the formula's for the approx
+    method and the refit's otherwise; ``leverage`` is None for the refits.
 
     ``flagged`` lists, for the approx method, sample ids whose leverage
     denominator 1 - leverage is below DENOMINATOR_FLOOR: those whose
@@ -49,7 +46,9 @@ class LooReport:
     """
 
     eps_loo: float
-    samples: list
+    residual_full: np.ndarray
+    residual_loo: np.ndarray
+    leverage: np.ndarray | None
     flagged: list
     method: str
     wall_time: float
@@ -84,14 +83,9 @@ def approx_looe(fit_result, dataset, beta):
     flagged = [int(i) for i in np.flatnonzero(denom < DENOMINATOR_FLOOR)]
     safe = np.where(small, np.where(denom >= 0.0, DENOMINATOR_FLOOR, -DENOMINATOR_FLOOR), denom)
     residual_loo = residual_full / safe
-    samples = [
-        LooSample(index=mu, residual_full=float(residual_full[mu]),
-                  leverage=float(leverage[mu]),
-                  residual_loo_approx=float(residual_loo[mu]))
-        for mu in range(dataset.n_samples)
-    ]
     return LooReport(eps_loo=_loo_eps(residual_loo, dataset.n_samples),
-                     samples=samples, flagged=flagged, method="approx",
+                     residual_full=residual_full, residual_loo=residual_loo,
+                     leverage=leverage, flagged=flagged, method="approx",
                      wall_time=time.perf_counter() - t0)
 
 
@@ -161,16 +155,10 @@ def _cross_validate(dataset, prior, beta, folds, method, settings):
     if failures > 0.05 * len(folds):
         raise NonConvergence(f"{failures}/{len(folds)} folds failed")
     flagged.sort()
-
-    samples = [
-        LooSample(index=mu, residual_full=float(dataset.y[mu] - dataset.X[:, mu] @ warm.m),
-                  leverage=None, residual_loo_approx=None,
-                  residual_loo_literal=float(residuals[mu]))
-        for mu in range(M)
-    ]
-    return LooReport(eps_loo=_loo_eps(residuals, M), samples=samples,
-                     flagged=flagged, method=method,
-                     wall_time=time.perf_counter() - t0)
+    return LooReport(eps_loo=_loo_eps(residuals, M),
+                     residual_full=dataset.y - dataset.X.T @ warm.m,
+                     residual_loo=residuals, leverage=None, flagged=flagged,
+                     method=method, wall_time=time.perf_counter() - t0)
 
 
 def literal_loocv(dataset, prior, beta, settings=None):
@@ -190,7 +178,8 @@ def kfold_cv(dataset, prior, beta, k, seed=0, settings=None):
     residual, so k = M reproduces literal_loocv exactly.
     """
     M = dataset.n_samples
-    if not 2 <= k <= M:
-        raise ConfigError(f"k must satisfy 2 <= k <= {M}, got {k}")
+    # np.array_split would truncate a float k
+    if not isinstance(k, numbers.Integral) or not 2 <= k <= M:
+        raise ConfigError(f"k must be an integer with 2 <= k <= {M}, got {k}")
     folds = np.array_split(np.random.default_rng(seed).permutation(M), k)
     return _cross_validate(dataset, prior, beta, folds, f"kfold({k})", settings)

@@ -15,7 +15,7 @@ PUBLIC = {
     "BERNOULLI_GAUSS", "BERNOULLI_UNIFORM", "PriorSpec", "bernoulli_gauss",
     "bernoulli_uniform",
     # leave-one-out
-    "LooReport", "LooSample", "approx_looe", "kfold_cv", "literal_loocv",
+    "LooReport", "approx_looe", "kfold_cv", "literal_loocv",
     # hyper-parameters
     "BetaSelection", "CalibrationResult", "SweepGrid", "SweepPoint", "SweepResult",
     "calibrate_rho", "select_beta", "sweep",

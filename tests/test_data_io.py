@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import ecreg.loocv
 from ecreg.core import Dataset, fit
 from ecreg.data_io import (
     SynthConfig,
@@ -310,8 +311,8 @@ class TestTableCsv:
         assert len(rows) == 10
         for mu, row in enumerate(rows[1:]):
             assert int(row[0]) == mu
-            assert float(row[3]) == approx.samples[mu].residual_loo_approx
-            assert float(row[5]) == literal.samples[mu].residual_loo_literal
+            assert float(row[3]) == approx.residual_loo[mu]
+            assert float(row[5]) == literal.residual_loo[mu]
             assert row[4] == "false"
 
     def test_loo_schema_without_literal(self, tmp_path):
@@ -329,6 +330,35 @@ class TestTableCsv:
         assert rows[0] == ["mu", "residual_full", "leverage", "residual_loo",
                            "flagged"]
         assert len(rows) == 8
+
+    def test_loo_schema_of_a_refit_report(self, tmp_path, monkeypatch):
+        # a literal report as the only table: no leverages, its refit
+        # residuals, and its failed fold's sample flagged
+        fit_fold = ecreg.loocv._fit_fold
+
+        def failing_at_sample_2(dataset, prior, beta, keep_mask, warm, settings):
+            if not keep_mask[2]:
+                return warm.m, False
+            return fit_fold(dataset, prior, beta, keep_mask, warm, settings)
+
+        monkeypatch.setattr("ecreg.loocv._fit_fold", failing_at_sample_2)
+        rng = np.random.default_rng(13)
+        ds = Dataset(rng.normal(0.0, 0.4, (4, 20)), rng.normal(size=20))
+        literal = literal_loocv(ds, bernoulli_gauss(0.5, 2.0), 3.0)
+        assert literal.flagged == [2]
+        path = tmp_path / "loo.csv"
+        save_loo_csv(path, literal)
+        with open(path, encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["mu", "residual_full", "leverage", "residual_loo",
+                           "flagged"]
+        assert len(rows) == 21
+        for mu, row in enumerate(rows[1:]):
+            assert int(row[0]) == mu
+            assert float(row[1]) == literal.residual_full[mu]
+            assert row[2] == ""
+            assert float(row[3]) == literal.residual_loo[mu]
+            assert row[4] == ("true" if mu == 2 else "false")
 
 
 class TestLooTracksGeneralization:

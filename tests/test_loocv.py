@@ -59,8 +59,7 @@ class TestApproxLooe:
             assert result.state.converged
             report = approx_looe(result, ds, beta)
             oracle = _deleted_ridge_residuals(ds, beta, s2)
-            got = np.array([s.residual_loo_approx for s in report.samples])
-            np.testing.assert_allclose(got, oracle, rtol=1e-6, atol=1e-6)
+            np.testing.assert_allclose(report.residual_loo, oracle, rtol=1e-6, atol=1e-6)
             np.testing.assert_allclose(
                 report.eps_loo, np.sum(oracle**2) / (2.0 * ds.n_samples),
                 rtol=1e-5)
@@ -73,9 +72,8 @@ class TestApproxLooe:
         ds = Dataset(X, y)
         result = fit(ds, bernoulli_gauss(1.0, 2.0), 5.0)
         report = approx_looe(result, ds, 5.0)
-        s = report.samples[4]
-        assert s.leverage == 0.0
-        assert s.residual_loo_approx == s.residual_full == y[4]
+        assert report.leverage[4] == 0.0
+        assert report.residual_loo[4] == report.residual_full[4] == y[4]
 
     def test_requires_converged_fit(self):
         ds = _instance(7, 25, 20, rho=0.2)
@@ -96,9 +94,9 @@ class TestApproxLooe:
         result = fit(ds, bernoulli_gauss(1.0, 1e8), beta)
         report = approx_looe(result, ds, beta)
         assert report.flagged == [0]
-        denom = 1.0 - report.samples[0].leverage
+        denom = 1.0 - report.leverage[0]
         assert abs(denom) < DENOMINATOR_FLOOR
-        assert np.isfinite(report.samples[0].residual_loo_approx)
+        assert np.isfinite(report.residual_loo[0])
         assert np.isfinite(report.eps_loo)
 
     def test_leverage_above_one_is_flagged_not_clipped(self):
@@ -115,9 +113,9 @@ class TestApproxLooe:
                            inclusion_probs=np.ones(2), settings={})
         report = approx_looe(result, ds, 8.0)
         assert report.flagged == [0]
-        assert [s.leverage for s in report.samples] == [2.0, 0.5]
+        assert report.leverage.tolist() == [2.0, 0.5]
         # the residual keeps the formula's value: 0.5 / (1 - 2) and 2 / 0.5
-        assert [s.residual_loo_approx for s in report.samples] == [-0.5, 4.0]
+        assert report.residual_loo.tolist() == [-0.5, 4.0]
         assert report.eps_loo == (0.25 + 16.0) / 4.0
 
     @pytest.mark.parametrize("prior", [bernoulli_gauss(0.3, 4.0), bernoulli_uniform(0.3)],
@@ -129,7 +127,7 @@ class TestApproxLooe:
         assert result.state.converged
         h_inv = np.linalg.inv(result.hessian)
         expected = beta * np.diag(ds.X.T @ h_inv @ ds.X)
-        got = np.array([s.leverage for s in approx_looe(result, ds, beta).samples])
+        got = approx_looe(result, ds, beta).leverage
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
 
     def test_report_shape(self):
@@ -137,12 +135,12 @@ class TestApproxLooe:
         result = fit(ds, bernoulli_gauss(0.3, 4.0), 8.0)
         report = approx_looe(result, ds, 8.0)
         assert report.method == "approx"
-        assert [s.index for s in report.samples] == list(range(16))
+        assert report.residual_full.shape == report.residual_loo.shape == (16,)
+        assert report.leverage.shape == (16,)
         assert report.flagged == []
         assert report.wall_time >= 0.0
-        manual = np.array([s.residual_loo_approx for s in report.samples])
         np.testing.assert_allclose(report.eps_loo,
-                                   np.sum(manual**2) / 32.0, rtol=1e-13)
+                                   np.sum(report.residual_loo**2) / 32.0, rtol=1e-13)
 
 
 class TestLooEstimator:
@@ -157,7 +155,7 @@ class TestLooEstimator:
             m_loo = loo_estimator(result, ds, beta, mu)
             direct = ds.y[mu] - ds.X[:, mu] @ m_loo
             np.testing.assert_allclose(
-                direct, report.samples[mu].residual_loo_approx,
+                direct, report.residual_loo[mu],
                 rtol=1e-10, atol=1e-10)
 
     def test_matches_direct_downdated_solve(self):
@@ -201,7 +199,7 @@ class TestLiteralLoocv:
         y = np.array([1.25])
         ds = Dataset(X, y)
         report = literal_loocv(ds, bernoulli_gauss(0.5, 2.0), 3.0)
-        assert report.samples[0].residual_loo_literal == y[0]
+        assert report.residual_loo[0] == y[0]
         np.testing.assert_allclose(report.eps_loo, y[0] ** 2 / 2.0)
 
     def test_agrees_with_deleted_ridge_solves(self):
@@ -209,8 +207,7 @@ class TestLiteralLoocv:
         beta, s2 = 5.0, 3.0
         report = literal_loocv(ds, bernoulli_gauss(1.0, s2), beta)
         oracle = _deleted_ridge_residuals(ds, beta, s2)
-        got = np.array([s.residual_loo_literal for s in report.samples])
-        np.testing.assert_allclose(got, oracle, rtol=1e-6, atol=1e-6)
+        np.testing.assert_allclose(report.residual_loo, oracle, rtol=1e-6, atol=1e-6)
         assert report.flagged == []
         assert report.method == "literal"
 
@@ -223,9 +220,7 @@ class TestLiteralLoocv:
         literal = literal_loocv(ds, prior, beta)
         gap = abs(approx.eps_loo - literal.eps_loo) / literal.eps_loo
         assert gap < 0.1
-        a = np.array([s.residual_loo_approx for s in approx.samples])
-        b = np.array([s.residual_loo_literal for s in literal.samples])
-        assert np.corrcoef(a, b)[0, 1] > 0.99
+        assert np.corrcoef(approx.residual_loo, literal.residual_loo)[0, 1] > 0.99
 
     def test_folds_start_from_the_full_fits_tilt(self, monkeypatch):
         first_E0 = []
@@ -269,8 +264,7 @@ class TestKfoldCv:
         literal = literal_loocv(ds, prior, 5.0)
         folds = kfold_cv(ds, prior, 5.0, k=14, seed=3)
         assert folds.eps_loo == literal.eps_loo
-        for a, b in zip(folds.samples, literal.samples):
-            assert a.residual_loo_literal == b.residual_loo_literal
+        np.testing.assert_array_equal(folds.residual_loo, literal.residual_loo)
         assert folds.flagged == literal.flagged
 
     def test_two_folds_match_direct_refits(self):
@@ -293,8 +287,7 @@ class TestKfoldCv:
             for mu in test_idx:
                 expected[mu] = ds.y[mu] - ds.X[:, mu] @ res.state.m
 
-        got = np.array([s.residual_loo_literal for s in report.samples])
-        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(report.residual_loo, expected)
         np.testing.assert_allclose(report.eps_loo, np.sum(expected**2) / 24.0,
                                    rtol=1e-13)
 
@@ -305,6 +298,9 @@ class TestKfoldCv:
             kfold_cv(ds, prior, 3.0, k=1)
         with pytest.raises(ConfigError):
             kfold_cv(ds, prior, 3.0, k=6)
+        with pytest.raises(ConfigError):
+            kfold_cv(ds, prior, 3.0, k=2.5)
+        assert kfold_cv(ds, prior, 3.0, k=np.int64(5)).method == "kfold(5)"
 
     def test_seed_determinism(self):
         ds = _instance(37, 8, 15)
