@@ -11,17 +11,21 @@ free energy of an estimator m is
 
 where chi = Q - q is the average posterior variance, Ltil solves the secular
 equation (1/N) sum_k 1/(lambda_k + Ltil) = beta*chi, and (h, E) are chosen so
-the tilted means reproduce m (solve_tilt, whose TiltResult keeps the tilted
-prior's moments for Phi, the curvature and the fitted state).  fit()
-minimizes Phi by damped Newton steps on its exact Hessian: the partial
-curvature H = beta*XX^T + diag(1/var_i - E), which holds E (and through chi
-also Ltil) fixed, plus the rank-one term that E's dependence on m adds,
-applied to H's Cholesky factor by Sherman-Morrison.  A flat slab whose gram has a zero
-eigenvalue steps with H alone, and an indefinite H with H's diagonal term
-replaced by its absolute value.  Steps backtrack until Phi falls or, for a
-full step, rises within rounding while the gradient falls; converged means
-the gradient or the undamped step is below tolerance.  FitResult.hessian and
-the LOO formula use H.
+the tilted means reproduce m and E = 1/chi - beta*Ltil.  solve_tilt closes
+that consistency by Newton steps on E at fixed m, with the exact slope of
+_tilt_slope, and starts each mean inversion from h moved along the tangent
+of the fixed-m curve h(E); a flat slab whose gram has a zero eigenvalue
+keeps a secant step.  Its TiltResult keeps the tilted prior's moments for
+Phi, the curvature and the fitted state.  fit() minimizes Phi by damped
+Newton steps on its exact Hessian: the partial curvature H = beta*XX^T +
+diag(1/var_i - E), which holds E (and through chi also Ltil) fixed, plus
+the rank-one term that E's dependence on m adds (from the same _tilt_slope
+derivatives), applied to H's Cholesky factor by Sherman-Morrison.  A flat
+slab whose gram has a zero eigenvalue steps with H alone, and an indefinite
+H with H's diagonal term replaced by its absolute value.  Steps backtrack
+until Phi falls or, for a full step, rises within rounding while the
+gradient falls; converged means the gradient or the undamped step is below
+tolerance.  FitResult.hessian and the LOO formula use H.
 
 For a pure Gaussian prior (rho = 1 slab) this construction is exact: m is the
 ridge posterior mean and Phi equals the exact negative log evidence with zero
@@ -221,13 +225,22 @@ def _default_tilt_origin(prior, beta, lam_bar):
 def solve_tilt(m, prior, beta, lam, E0=None, h0=None, tol=1e-10, max_inner=60):
     """Find (h, E) with tilted means equal to m and E = 1/chi - beta*Ltil.
 
-    The scalar consistency r(E) = E_new(E) - E = 0 is solved by a
-    secant-accelerated damped fixed point from E0 (by default above the
-    physical root), in at most max_inner evaluations of E_new, each one
-    invert_mean and one solve_lambda.  Residual on E <= tol*max(1, |E|);
-    below |E| = 1 that test is absolute, so on a flat slab with zero modes,
-    where r ~ -f0*E near 0 (f0 the zero-mode fraction), any E below tol/f0
-    passes.
+    The scalar consistency r(E) = E_new(E) - E = 0 is solved from E0 (by
+    default above the physical root) in at most max_inner evaluations of
+    E_new, each one invert_mean and one solve_lambda.  Each step is Newton's
+    on r at fixed m, with the exact slope dr/dE = k*b - 1 of _tilt_slope
+    (Nocedal & Wright, Numerical Optimization, ch. 11), and the next
+    invert_mean starts from h + (dh/dE)*dE, the tangent of the fixed-m curve
+    h(E).  Where that slope is not finite and negative, or the Newton
+    candidate leaves (E_min, inf), the step falls back to the secant through
+    the last two evaluations, or to the damped fixed point E + r/2, halved
+    towards E_min if it leaves the domain.  A flat slab whose gram has a
+    zero eigenvalue takes that fallback at every step (fit drops the
+    rank-one term there too), because Newton's step leaves its consistency
+    unclosed within the budget where the secant closes it.  Residual on E
+    <= tol*max(1, |E|); below |E| = 1 that test is absolute, so on a flat
+    slab with zero modes, where r ~ -f0*E near 0 (f0 the zero-mode
+    fraction), any E below tol/f0 passes.
 
     Near E_min, r > 0 for the Gaussian slab (chi -> inf, so E_new ->
     beta*lambda_min >= 0 > -1/sigma_w2) and for the flat slab on a full-rank
@@ -252,6 +265,7 @@ def solve_tilt(m, prior, beta, lam, E0=None, h0=None, tol=1e-10, max_inner=60):
     E = float(E0) if E0 is not None else _default_tilt_origin(prior, beta, float(lam.mean()))
     if E <= E_min:
         E = E_min + max(1e-8, 1e-8 * abs(E_min))
+    secant_only = _flat_slab_with_zero_modes(prior, lam)
     h, r, rose = h0, np.nan, False
     ltil = E_last = r_last = None
     for _ in range(max_inner):
@@ -268,18 +282,31 @@ def solve_tilt(m, prior, beta, lam, E0=None, h0=None, tol=1e-10, max_inner=60):
             return TiltResult(h=h, E=float(E), Q=q + chi, q=q, chi=chi,
                               lambda_tilde=ltil, moments=mom)
         rose = rose or r > 0.0
-        E_next = None
-        if r_last is not None and r != r_last:
-            cand = E - r * (E - E_last) / (r - r_last)
-            if np.isfinite(cand) and cand > E_min:
-                E_next = cand
+        E_next = h_E = None
+        if not secant_only:
+            k, b, _, f_E = _tilt_slope(m, h, E, mom.variance, chi, ltil, prior, beta, lam)
+            h_E = -f_E / mom.variance
+            slope = k * b - 1.0
+            if -np.inf < slope < 0.0:
+                cand = E - r / slope
+                if cand > E_min:
+                    E_next = cand
         if E_next is None:
-            E_next = E + 0.5 * r
-        if E_next <= E_min:
-            E_next = 0.5 * (E + E_min)
+            if r_last is not None and r != r_last:
+                cand = E - r * (E - E_last) / (r - r_last)
+                if np.isfinite(cand) and cand > E_min:
+                    E_next = cand
+            if E_next is None:
+                E_next = E + 0.5 * r
+            if E_next <= E_min:
+                E_next = 0.5 * (E + E_min)
+        if h_E is not None:
+            # the tangent of the fixed-m curve h(E); invert_mean clips it
+            # into its bracket and replaces a NaN by the bracket's lower end
+            h = h + h_E * (E_next - E)
         E_last, r_last = E, r
         E = E_next
-    if _flat_slab_with_zero_modes(prior, lam) and not rose:
+    if secant_only and not rose:
         raise InfeasibleTilt(f"E_new(E) < E at all {max_inner} evaluations "
                              "on a flat slab with zero modes")
     raise NonConvergence(f"tilt fixed point stalled after {max_inner} evaluations, "
@@ -300,13 +327,40 @@ def gradient(m, h, E, dataset, beta):
 def hessian(variances, E, dataset, beta):
     """Curvature beta*XX^T + diag(1/variances - E), with the tilted variances
     of a solved tilt (TiltResult.moments.variance)."""
-    d = np.asarray(variances, dtype=float)
-    idx = int(np.argmin(d))
-    if not d[idx] >= _VARIANCE_FLOOR:
-        raise VarianceCollapse(idx, d[idx])
+    return _curvature(variances, E, dataset, beta)[0]
+
+
+def _curvature(variances, E, dataset, beta):
+    """hessian() and its diagonal term d = 1/variances - E."""
+    v = np.asarray(variances, dtype=float)
+    idx = int(np.argmin(v))
+    if not v[idx] >= _VARIANCE_FLOOR:
+        raise VarianceCollapse(idx, v[idx])
+    d = 1.0 / v - E
     H = beta * dataset.gram
-    H[np.diag_indices_from(H)] += 1.0 / d - E
-    return H
+    H[np.diag_indices_from(H)] += d
+    return H, d
+
+
+def _tilt_slope(m, h, E, v, chi, ltil, prior, beta, lam):
+    """(k, b, kappa3, f_E) at a tilt evaluation (h, E) with tilted variances
+    v, chi = mean(v) and Ltil = Ltil(chi), for a fixed estimator m.
+
+    k = d(1/chi - beta*Ltil)/dchi, using dLtil/dchi = -beta/mean(u**2) with
+    u = 1/(lambda + Ltil); f_E is the E-derivative of the tilted means at
+    fixed h, so h moves with E as dh/dE = -f_E/v at fixed m; and b = dchi/dE
+    at fixed m, from the tilted prior's third and fourth cumulants kappa3 =
+    dv/dh and kappa4.  The consistency residual r(E) = 1/chi - beta*Ltil - E
+    has slope dr/dE = k*b - 1 at fixed m.
+    """
+    k3, k4 = _cumulants34(prior, h, E)
+    f_E = -0.5 * k3 - m * v
+    v_E = -0.5 * (k4 + 2.0 * v * v + 2.0 * m * k3)
+    b = float(np.mean(v_E - k3 * f_E / v))
+    u = 1.0 / (lam + ltil)
+    # numpy division: an underflowed mean(u**2) gives k = inf
+    k = -1.0 / (chi * chi) + beta * beta / np.mean(u * u)
+    return k, b, k3, f_E
 
 
 def _coupling(m, tilt, prior, beta, lam):
@@ -314,19 +368,12 @@ def _coupling(m, tilt, prior, beta, lam):
     tilt, H being hessian()'s partial curvature.
 
     E moves with m through E = 1/chi - beta*Ltil(chi), so dE/dm =
-    k/(1 - k*b) * a with a = kappa3/(N*v), k = dE/dchi (using dLtil/dchi =
-    -beta/mean(u**2), u = 1/(lambda + Ltil)) and b = dchi/dE at fixed m;
-    kappa3 and kappa4 are the tilted prior's third and fourth cumulants.
+    k/(1 - k*b) * a with a = kappa3/(N*v) and k, b from _tilt_slope.  A
+    non-finite k gives a non-finite c, which fit answers with H's step.
     """
     v = tilt.moments.variance
-    k3, k4 = _cumulants34(prior, tilt.h, tilt.E)
-    f_E = -0.5 * k3 - m * v
-    v_E = -0.5 * (k4 + 2.0 * v * v + 2.0 * m * k3)
-    b = float(np.mean(v_E - k3 * f_E / v))
-    u = 1.0 / (lam + tilt.lambda_tilde)
-    # numpy division: an underflowed mean(u**2) gives k = inf and a
-    # non-finite c, which fit answers with H's step
-    k = -1.0 / (tilt.chi * tilt.chi) + beta * beta / np.mean(u * u)
+    k, b, k3, _ = _tilt_slope(m, tilt.h, tilt.E, v, tilt.chi, tilt.lambda_tilde,
+                              prior, beta, lam)
     n = m.size
     return k3 / (n * v), 0.5 * n * k / (1.0 - k * b)
 
@@ -532,15 +579,13 @@ def fit(dataset, prior, beta, init=None, settings=None, *, _tilt=None):
     def negligible(step, m):
         return float(np.max(np.abs(step))) <= cfg.step_tol * max(1.0, float(np.max(np.abs(m))))
 
+    grad = gradient(m, tilt.h, tilt.E, dataset, beta)
+    grad_norm = float(np.max(np.abs(grad)))
     for outer in range(cfg.max_outer):
         iterations = outer
-        grad = gradient(m, tilt.h, tilt.E, dataset, beta)
-        grad_norm = float(np.max(np.abs(grad)))
         if grad_norm <= cfg.grad_tol * grad_scale:
-            converged = True
             break
-        H = hessian(tilt.moments.variance, tilt.E, dataset, beta)
-        d = 1.0 / tilt.moments.variance - tilt.E
+        H, d = _curvature(tilt.moments.variance, tilt.E, dataset, beta)
         # the exact step steers a flat slab with zero modes away from the
         # spurious near-zero tilt roots that solve_tilt's absolute acceptance
         # lets through, and its fits then stall; they keep H's step
@@ -578,13 +623,13 @@ def fit(dataset, prior, beta, init=None, settings=None, *, _tilt=None):
         free_energies.append(phi)
         allowed_rises.append(rise)
         iterations = outer + 1
+        grad = gradient(m, tilt.h, tilt.E, dataset, beta)
+        grad_norm = float(np.max(np.abs(grad)))
         # the undamped step: a short damped step says nothing about stationarity
         if negligible(direction, m):
             converged = True
             break
 
-    grad = gradient(m, tilt.h, tilt.E, dataset, beta)
-    grad_norm = float(np.max(np.abs(grad)))
     if grad_norm <= cfg.grad_tol * grad_scale:
         converged = True
     H = hessian(tilt.moments.variance, tilt.E, dataset, beta)

@@ -158,10 +158,12 @@ def invert_mean(prior, m_target, E, h0=None):
     since pi < 1, and lo / pi(lo) lies above it, since pi grows with |h|:
     one evaluation brackets every coordinate.  Newton runs from the clipped
     warm start ``h0`` (or from lo) with an rtsafe-style safeguard: a step
-    that leaves the bracket, or is not half the step from two passes
-    earlier, is replaced by the bracket's geometric midpoint.  Vectorized
-    over m_target; converged coordinates stop moving.  Residual target
-    1e-14*max(1, |m_target|); a stalled iterate is accepted within
+    that leaves the closed bracket, or (from the third pass on) is not half
+    the step from two passes earlier, is replaced by the bracket's geometric
+    midpoint.  A step may land on an edge: when pi(lo) is within rounding of
+    1 the root sits on lo / pi(lo), and every Newton step lands there.
+    Vectorized over m_target; converged coordinates stop moving.  Residual
+    target 1e-14*max(1, |m_target|); a stalled iterate is accepted within
     1e-12*max(1, |m_target|).
     """
     _check_tilt(prior, float(E))
@@ -190,7 +192,8 @@ def invert_mean(prior, m_target, E, h0=None):
             warm = np.abs(np.atleast_1d(np.asarray(h0, dtype=float))[live])
             x = np.where(np.isnan(warm), lo, np.clip(warm, lo, hi))
         tol = 1e-14 * np.maximum(1.0, mt)
-        step = step_old = hi - lo
+        # no step precedes the first two passes, so only the bracket guards them
+        step = step_old = np.full_like(lo, np.inf)
         converged = False
         for _ in range(_INVERT_PASSES):
             mean, var = _mean_var(prior, x, E)
@@ -204,7 +207,7 @@ def invert_mean(prior, m_target, E, h0=None):
             newton = err / np.maximum(var, 1e-300)
             xn = x - newton
             # written so that a NaN step fails the bracket test
-            bisect = ~((xn > lo) & (xn < hi)) | (np.abs(newton) > 0.5 * np.abs(step_old))
+            bisect = ~((xn >= lo) & (xn <= hi)) | (np.abs(newton) > 0.5 * np.abs(step_old))
             if np.any(bisect):
                 xn = np.where(bisect, np.sqrt(lo) * np.sqrt(hi), xn)
             xn = np.where(done, x, xn)

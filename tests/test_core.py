@@ -24,6 +24,7 @@ from ecreg.core import (
     _newton_direction,
     _rounding_rise,
     _secular_newton,
+    _tilt_slope,
     fit,
     gradient,
     hessian,
@@ -414,6 +415,49 @@ class TestSolveTilt:
         fit(_random_instance(13, 20, 10), bernoulli_uniform(0.1), 4.0, settings=settings)
         assert len(per_solve) > 1
         assert max(per_solve) == settings.max_inner
+
+    @pytest.mark.parametrize("family", ["bg", "bu"])
+    def test_slope_matches_central_difference(self, family):
+        # dr/dE = k*b - 1 at fixed m, against r(E) = 1/chi - beta*Ltil - E
+        # re-solved through invert_mean and solve_lambda at E +- step
+        if family == "bg":
+            ds, prior = _random_instance(28, 8, 5), bernoulli_gauss(0.4, 5.0)
+        else:  # a full-rank gram
+            ds, prior = _random_instance(28, 8, 16), bernoulli_uniform(0.4)
+        beta = 3.0
+        spec = spectrum(ds)
+        m = fit(ds, prior, beta).state.m
+
+        def evaluate(E):
+            h = invert_mean(prior, m, E)
+            v = moments(prior, h, E).variance
+            chi = float(np.mean(v))
+            ltil = solve_lambda(spec, beta, chi)
+            return h, v, chi, ltil, 1.0 / chi - beta * ltil - E
+
+        root = solve_tilt(m, prior, beta, spec).E
+        for E in (root, 0.5 * root, 2.0 * root):
+            h, v, chi, ltil, _ = evaluate(E)
+            k, b, _, _ = _tilt_slope(m, h, E, v, chi, ltil, prior, beta, spec)
+            step = 1e-5 * E
+            fd = (evaluate(E + step)[-1] - evaluate(E - step)[-1]) / (2.0 * step)
+            np.testing.assert_allclose(k * b - 1.0, fd, rtol=1e-8)
+
+    @pytest.mark.parametrize("family", ["bg", "bu"])
+    def test_newton_closes_a_stepped_tilt_in_three_evaluations(self, family, monkeypatch):
+        # a line-search trial near a converged fit, warm-started from the
+        # fit's tilt as fit warm-starts it
+        if family == "bg":
+            ds, prior = _random_instance(48, 12, 20), bernoulli_gauss(0.3, 4.0)
+        else:
+            ds, prior = _random_instance(49, 12, 20), bernoulli_uniform(0.3)
+        state = fit(ds, prior, 3.0).state
+        rng = np.random.default_rng(50)
+        m = state.m + 1e-3 * np.max(np.abs(state.m)) * rng.normal(size=state.m.size)
+        calls = _count_evaluations(monkeypatch)
+        tilt = solve_tilt(m, prior, 3.0, spectrum(ds), E0=state.E, h0=state.h)
+        assert calls[0] <= 3
+        assert tilt.E != state.E
 
     def test_pure_spike_infeasible(self):
         ds = _random_instance(17, 6, 4)

@@ -6,6 +6,7 @@ line, tolerance ~1e-12) independently of the closed forms under test.
 """
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -329,6 +330,29 @@ class TestInvertMean:
         h = invert_mean(prior, m_target, E, h0=h0)
         assert abs(float(moments(prior, h, E).mean) - m_target) <= 1e-12
         assert invert_mean(prior, -m_target, E, h0=h0) == -h
+
+    @pytest.mark.parametrize("h0", [None, "midpoint"])
+    def test_root_on_the_bracket_edge_takes_few_passes(self, h0):
+        # pi(lo) = 1 - 1.2e-9 puts the root on the bracket's top lo/pi(lo) to
+        # rounding, so every Newton step lands on that edge; a safeguard that
+        # rejects such a step (by a strict bracket test, or by a halving test
+        # against the initial bracket width) bisects once per pass instead,
+        # 17 or 18 passes
+        prior = bernoulli_gauss(0.2, 4.0)
+        E, m_target = 16.7585252939308, 1.6822678075976432
+        if h0 == "midpoint":
+            lo = m_target * (1.0 + E * 4.0) / 4.0
+            h0 = 0.5 * (lo + lo / float(moments(prior, lo, E).inclusion_prob))
+        calls = [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return _mean_var(*args)
+
+        with mock.patch("ecreg.priors._mean_var", counted):
+            h = invert_mean(prior, m_target, E, h0=h0)
+        assert abs(float(moments(prior, h, E).mean) - m_target) <= 1e-14 * m_target
+        assert calls[0] <= 4
 
     def test_pure_spike_rejects_nonzero_target(self):
         with pytest.raises(RangeError):
