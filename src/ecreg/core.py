@@ -15,17 +15,19 @@ the tilted means reproduce m and E = 1/chi - beta*Ltil.  solve_tilt closes
 that consistency by Newton steps on E at fixed m, with the exact slope of
 _tilt_slope, and starts each mean inversion from h moved along the tangent
 of the fixed-m curve h(E); a flat slab whose gram has a zero eigenvalue
-keeps a secant step.  Its TiltResult keeps the tilted prior's moments for
-Phi, the curvature and the fitted state.  fit() minimizes Phi by damped
-Newton steps on its exact Hessian: the partial curvature H = beta*XX^T +
-diag(1/var_i - E), which holds E (and through chi also Ltil) fixed, plus
-the rank-one term that E's dependence on m adds (from the same _tilt_slope
-derivatives), applied to H's Cholesky factor by Sherman-Morrison.  A flat
-slab whose gram has a zero eigenvalue steps with H alone, and an indefinite
-H with H's diagonal term replaced by its absolute value.  Steps backtrack
-until Phi falls or, for a full step, rises within rounding while the
-gradient falls; converged means the gradient or the undamped step is below
-tolerance.  FitResult.hessian and the LOO formula use H.
+keeps a secant step.  The tilted prior is evaluated only inside
+invert_mean, whose accepting pass gives its moments and cumulants; the
+TiltResult keeps them for Phi, the curvature, the rank-one term and the
+fitted state.  fit() minimizes Phi by damped Newton steps on its exact
+Hessian: the partial curvature H = beta*XX^T + diag(1/var_i - E), which
+holds E (and through chi also Ltil) fixed, plus the rank-one term that E's
+dependence on m adds (from the same _tilt_slope derivatives), applied to
+H's Cholesky factor by Sherman-Morrison.  A flat slab whose gram has a zero
+eigenvalue steps with H alone, and an indefinite H with H's diagonal term
+replaced by its absolute value.  Steps backtrack until Phi falls or, for a
+full step, rises within rounding while the gradient falls; converged means
+the gradient or the undamped step is below tolerance.  FitResult.hessian
+and the LOO formula use H.
 
 For a pure Gaussian prior (rho = 1 slab) this construction is exact: m is the
 ridge posterior mean and Phi equals the exact negative log evidence with zero
@@ -39,6 +41,7 @@ import numpy as np
 from scipy import linalg as sla
 
 from .errors import (
+    ConfigError,
     DecompositionFailure,
     DimensionMismatch,
     DomainError,
@@ -47,7 +50,10 @@ from .errors import (
     SingularHessian,
     VarianceCollapse,
 )
-from .priors import BERNOULLI_UNIFORM, ScalarMoments, _cumulants34, invert_mean, moments
+# moments is not called here; it stays imported because
+# perfbench/test_perfbench.py::test_uninstall_restores_every_binding asserts
+# that ecreg.core.moments is ecreg.priors.moments
+from .priors import BERNOULLI_UNIFORM, ScalarMoments, invert_mean, moments  # noqa: F401
 
 _STEP_FLOOR = 2.0 ** -20  # fit halves a step no further
 _VARIANCE_FLOOR = 1e-12  # a tilted variance below it (or NaN) raises VarianceCollapse
@@ -198,8 +204,9 @@ def solve_lambda(lam, beta, chi, *, _start=None):
 @dataclass(frozen=True)
 class TiltResult:
     """Self-consistent tilt at a fixed estimator m.  ``moments`` holds the
-    tilted prior's moments at (h, E), from the evaluation solve_tilt
-    accepted; nothing recomputes them."""
+    tilted prior's moments and cumulants at (h, E), as the accepting pass of
+    the accepted evaluation's invert_mean computed them; nothing recomputes
+    them."""
 
     h: np.ndarray
     E: float
@@ -269,8 +276,7 @@ def solve_tilt(m, prior, beta, lam, E0=None, h0=None, tol=1e-10, max_inner=60):
     h, r, rose = h0, np.nan, False
     ltil = E_last = r_last = None
     for _ in range(max_inner):
-        h = invert_mean(prior, m, E, h0=h)
-        mom = moments(prior, h, E)
+        h, mom = invert_mean(prior, m, E, h0=h)
         chi = float(np.mean(mom.variance))
         if not chi > 0.0:
             raise InfeasibleTilt(f"tilted variances vanished at E = {E}")
@@ -284,7 +290,7 @@ def solve_tilt(m, prior, beta, lam, E0=None, h0=None, tol=1e-10, max_inner=60):
         rose = rose or r > 0.0
         E_next = h_E = None
         if not secant_only:
-            k, b, _, f_E = _tilt_slope(m, h, E, mom.variance, chi, ltil, prior, beta, lam)
+            k, b, f_E = _tilt_slope(m, mom, chi, ltil, beta, lam)
             h_E = -f_E / mom.variance
             slope = k * b - 1.0
             if -np.inf < slope < 0.0:
@@ -342,40 +348,40 @@ def _curvature(variances, E, dataset, beta):
     return H, d
 
 
-def _tilt_slope(m, h, E, v, chi, ltil, prior, beta, lam):
-    """(k, b, kappa3, f_E) at a tilt evaluation (h, E) with tilted variances
-    v, chi = mean(v) and Ltil = Ltil(chi), for a fixed estimator m.
+def _tilt_slope(m, mom, chi, ltil, beta, lam):
+    """(k, b, f_E) at a tilt evaluation with the tilted prior's moments mom,
+    chi = mean(mom.variance) and Ltil = Ltil(chi), for a fixed estimator m.
 
     k = d(1/chi - beta*Ltil)/dchi, using dLtil/dchi = -beta/mean(u**2) with
     u = 1/(lambda + Ltil); f_E is the E-derivative of the tilted means at
     fixed h, so h moves with E as dh/dE = -f_E/v at fixed m; and b = dchi/dE
-    at fixed m, from the tilted prior's third and fourth cumulants kappa3 =
-    dv/dh and kappa4.  The consistency residual r(E) = 1/chi - beta*Ltil - E
-    has slope dr/dE = k*b - 1 at fixed m.
+    at fixed m, from the cumulants mom.kappa3 = dv/dh and mom.kappa4.  f_E
+    and v_E take the means from the target m.  The consistency residual
+    r(E) = 1/chi - beta*Ltil - E has slope dr/dE = k*b - 1 at fixed m.
     """
-    k3, k4 = _cumulants34(prior, h, E)
+    v, k3, k4 = mom.variance, mom.kappa3, mom.kappa4
     f_E = -0.5 * k3 - m * v
     v_E = -0.5 * (k4 + 2.0 * v * v + 2.0 * m * k3)
     b = float(np.mean(v_E - k3 * f_E / v))
     u = 1.0 / (lam + ltil)
     # numpy division: an underflowed mean(u**2) gives k = inf
     k = -1.0 / (chi * chi) + beta * beta / np.mean(u * u)
-    return k, b, k3, f_E
+    return k, b, f_E
 
 
-def _coupling(m, tilt, prior, beta, lam):
+def _coupling(m, tilt, beta, lam):
     """(a, c) with the exact Hessian of Phi equal to H + c*a*a^T at a solved
     tilt, H being hessian()'s partial curvature.
 
     E moves with m through E = 1/chi - beta*Ltil(chi), so dE/dm =
-    k/(1 - k*b) * a with a = kappa3/(N*v) and k, b from _tilt_slope.  A
-    non-finite k gives a non-finite c, which fit answers with H's step.
+    k/(1 - k*b) * a with a = kappa3/(N*v) and k, b from _tilt_slope, all read
+    from tilt.moments.  A non-finite k gives a non-finite c, which fit
+    answers with H's step.
     """
-    v = tilt.moments.variance
-    k, b, k3, _ = _tilt_slope(m, tilt.h, tilt.E, v, tilt.chi, tilt.lambda_tilde,
-                              prior, beta, lam)
+    mom = tilt.moments
+    k, b, _ = _tilt_slope(m, mom, tilt.chi, tilt.lambda_tilde, beta, lam)
     n = m.size
-    return k3 / (n * v), 0.5 * n * k / (1.0 - k * b)
+    return mom.kappa3 / (n * mom.variance), 0.5 * n * k / (1.0 - k * b)
 
 
 def _free_energy_terms(m, tilt, dataset, beta):
@@ -430,12 +436,19 @@ class FitSettings:
     """Bounds of fit: it stops once the gradient inf-norm is at most
     grad_tol*max(1, ||beta*X y||_inf) or the undamped Newton step at most
     step_tol*max(1, ||m||_inf), after at most max_outer Newton steps.  Each
-    tilt solve makes at most max_inner evaluations."""
+    tilt solve makes at most max_inner evaluations.  The tolerances must be
+    finite and >= 0, max_outer >= 0 and max_inner >= 1."""
 
     grad_tol: float = 1e-8
     step_tol: float = 1e-10
     max_outer: int = 500
     max_inner: int = 60
+
+    def __post_init__(self):
+        if not (0.0 <= self.grad_tol < np.inf and 0.0 <= self.step_tol < np.inf
+                and self.max_outer >= 0 and self.max_inner >= 1):
+            raise ConfigError("fit settings need finite tolerances >= 0, max_outer >= 0 "
+                              f"and max_inner >= 1, got {self}")
 
 
 @dataclass(frozen=True)
@@ -589,7 +602,7 @@ def fit(dataset, prior, beta, init=None, settings=None, *, _tilt=None):
         # the exact step steers a flat slab with zero modes away from the
         # spurious near-zero tilt roots that solve_tilt's absolute acceptance
         # lets through, and its fits then stall; they keep H's step
-        coupling = None if flat_zero_modes else _coupling(m, tilt, prior, beta, lam)
+        coupling = None if flat_zero_modes else _coupling(m, tilt, beta, lam)
         direction = _newton_direction(H, d, grad, coupling)
 
         # Phi sums terms that cancel (|Phi| can be far below its largest

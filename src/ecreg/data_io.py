@@ -14,6 +14,7 @@ this is deliberate and documented to prevent a silent N/M swap.
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +62,8 @@ class SynthConfig:
             raise ConfigError(f"sigma_n0_sq must be non-negative, got {self.sigma_n0_sq}")
         if self.test_samples < 0:
             raise ConfigError(f"test_samples must be non-negative, got {self.test_samples}")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
 
     @property
     def M(self):

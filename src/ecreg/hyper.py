@@ -199,13 +199,17 @@ def calibrate(dataset, family, K_targets, beta_grid, sigma_w2=None, settings=Non
     tie-break (smallest beta wins ties); a K with no finite eps_loo has no
     selected row.  A pair whose calibration or LOO raises keeps its row, with
     None values and the failure text in error.  Raises ConfigError on an
-    empty K_targets, a bad beta_grid, family or slab variance, and
-    AllPointsFailed when every pair fails.
+    empty K_targets or a K outside (0, N), a bad beta_grid, family or slab
+    variance, and AllPointsFailed when every pair fails.
     """
     beta_grid = _positive_list("beta_grid", beta_grid)
     K_targets = list(K_targets)
     if not K_targets:
         raise ConfigError("K_targets must be non-empty")
+    n = dataset.n_features
+    for K in K_targets:
+        if not 0.0 < K < n:
+            raise ConfigError(f"K_targets entries must lie in (0, {n}), got {K}")
     PriorSpec(family, 1.0, sigma_w2)  # a bad family or slab raises here, not per row
     rows = []
     for K in K_targets:

@@ -181,5 +181,7 @@ def kfold_cv(dataset, prior, beta, k, seed=0, settings=None):
     # np.array_split would truncate a float k
     if not isinstance(k, numbers.Integral) or not 2 <= k <= M:
         raise ConfigError(f"k must be an integer with 2 <= k <= {M}, got {k}")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     folds = np.array_split(np.random.default_rng(seed).permutation(M), k)
     return _cross_validate(dataset, prior, beta, folds, f"kfold({k})", settings)

@@ -3,17 +3,20 @@
 Every coordinate of the regression weight carries a prior
 (1-rho)*delta(w) + rho*slab(w).  Inference needs the moments of that prior
 tilted by a quadratic exponential exp(-E*w^2/2 + h*w): the log partition
-function, the tilted mean f(h;E), the tilted second moment, and the posterior
-slab mass (inclusion probability).  Two slab families are shipped:
+function, the tilted mean f(h;E), the tilted second moment and variance, the
+posterior slab mass (inclusion probability), and the third and fourth
+cumulants, all fields of ``ScalarMoments``.  Two slab families are shipped:
 
 * ``bernoulli_gauss``   -- slab N(0, sigma_w2); integrable for E > -1/sigma_w2.
 * ``bernoulli_uniform`` -- improper flat slab; integrable only for E > 0.
 
 All closed forms are evaluated in log domain by one kernel, ``_mixture``,
-which ``moments``, ``invert_mean`` and the cumulants share: the spike/slab
-mixture is combined with logaddexp and a stable sigmoid of the log prior
-odds (-inf at rho = 0, +inf at rho = 1) so that large h**2/(2E) never
-leaves the log scale.
+which serves both ``moments`` and ``invert_mean``: the spike/slab mixture is
+combined with logaddexp and a stable sigmoid of the log prior odds (-inf at
+rho = 0, +inf at rho = 1) so that large h**2/(2E) never leaves the log
+scale.  One kernel pass gives every field of ``ScalarMoments``, and
+``invert_mean`` returns those of its accepting pass with the field h, so a
+caller never evaluates the kernel again at the h it solved for.
 """
 
 from dataclasses import dataclass
@@ -77,7 +80,9 @@ class ScalarMoments:
     """Moments of the tilted prior; entries are scalars or arrays over h.
 
     ``variance`` equals second_moment - mean**2 evaluated in the
-    cancellation-free form pi*v_slab + pi*(1-pi)*mu_slab**2.
+    cancellation-free form pi*v_slab + pi*(1-pi)*mu_slab**2.  ``kappa3`` and
+    ``kappa4`` are the third and fourth cumulants, dv/dh and d2v/dh2, in
+    cancellation-free mixture forms; both vanish at rho = 1.
     """
 
     log_partition: np.ndarray
@@ -85,6 +90,8 @@ class ScalarMoments:
     second_moment: np.ndarray
     inclusion_prob: np.ndarray
     variance: np.ndarray
+    kappa3: np.ndarray
+    kappa4: np.ndarray
 
 
 def _check_tilt(prior, E):
@@ -105,6 +112,17 @@ def _mixture(prior, h, E):
     return ln_zs, mu, s, expit(prior._log_odds + ln_zs)
 
 
+def _scalar_moments(prior, ln_zs, mu, s, pi):
+    """ScalarMoments from one ``_mixture`` output, with pq = pi*(1-pi)."""
+    with np.errstate(divide="ignore"):
+        log_z = np.logaddexp(np.log1p(-prior.rho), np.log(prior.rho) + ln_zs)
+    pq = pi * (1.0 - pi)
+    mu2 = mu * mu
+    k3 = pq * mu * ((1.0 - 2.0 * pi) * mu2 + 3.0 * s)
+    k4 = pq * ((1.0 - 6.0 * pq) * mu2 * mu2 + 6.0 * (1.0 - 2.0 * pi) * mu2 * s + 3.0 * s * s)
+    return ScalarMoments(log_z, pi * mu, pi * (s + mu2), pi, pi * s + pq * mu * mu, k3, k4)
+
+
 def moments(prior, h, E):
     """Moments of the prior tilted by exp(-E*w**2/2 + h*w).
 
@@ -114,35 +132,7 @@ def moments(prior, h, E):
     with Z_slab the tilted slab partition function.
     """
     _check_tilt(prior, float(E))
-    ln_zs, mu, s, pi = _mixture(prior, np.asarray(h, dtype=float), float(E))
-    with np.errstate(divide="ignore"):
-        log_z = np.logaddexp(np.log1p(-prior.rho), np.log(prior.rho) + ln_zs)
-    var = pi * s + pi * (1.0 - pi) * mu * mu
-    return ScalarMoments(log_z, pi * mu, pi * (s + mu * mu), pi, var)
-
-
-def _mean_var(prior, h, E):
-    """Tilted mean and variance only, computed as ``moments`` computes them.
-
-    The kernel of ``invert_mean``: the caller has checked E, so there is no
-    tilt check, no log partition function and no dataclass.
-    """
-    _, mu, s, pi = _mixture(prior, h, E)
-    return pi * mu, pi * s + pi * (1.0 - pi) * mu * mu
-
-
-def _cumulants34(prior, h, E):
-    """Third and fourth cumulants of the tilted prior, dv/dh and d2v/dh2.
-
-    Cancellation-free mixture forms with pi, mu, s the inclusion probability,
-    slab mean and slab variance and pq = pi*(1-pi); both vanish at rho = 1.
-    """
-    _, mu, s, pi = _mixture(prior, h, E)
-    pq = pi * (1.0 - pi)
-    mu2 = mu * mu
-    k3 = pq * mu * ((1.0 - 2.0 * pi) * mu2 + 3.0 * s)
-    k4 = pq * ((1.0 - 6.0 * pq) * mu2 * mu2 + 6.0 * (1.0 - 2.0 * pi) * mu2 * s + 3.0 * s * s)
-    return k3, k4
+    return _scalar_moments(prior, *_mixture(prior, np.asarray(h, dtype=float), float(E)))
 
 
 # ---------------------------------------------------------------------------
@@ -150,76 +140,69 @@ def _cumulants34(prior, h, E):
 # ---------------------------------------------------------------------------
 
 def invert_mean(prior, m_target, E, h0=None):
-    """Solve moments(prior, h, E).mean == m_target for h.
+    """Solve moments(prior, h, E).mean == m_target for h; returns (h, moments).
 
     The tilted mean pi(h) * mu_slab(h) is odd and strictly increasing in h
     (its h-derivative is the tilted variance), so the root is unique.  For a
     target |m| the slab inverse lo (mu_slab(lo) = |m|) lies below the root,
     since pi < 1, and lo / pi(lo) lies above it, since pi grows with |h|:
-    one evaluation brackets every coordinate.  Newton runs from the clipped
-    warm start ``h0`` (or from lo) with an rtsafe-style safeguard: a step
-    that leaves the closed bracket, or (from the third pass on) is not half
-    the step from two passes earlier, is replaced by the bracket's geometric
-    midpoint.  A step may land on an edge: when pi(lo) is within rounding of
-    1 the root sits on lo / pi(lo), and every Newton step lands there.
-    Vectorized over m_target; converged coordinates stop moving.  Residual
-    target 1e-14*max(1, |m_target|); a stalled iterate is accepted within
-    1e-12*max(1, |m_target|).
+    one evaluation brackets every coordinate.  Newton runs on |h| from the
+    clipped warm start |h0| (or from lo) with an rtsafe-style safeguard: a
+    step that leaves the closed bracket, or (from the third pass on) is not
+    half the step from two passes earlier, is replaced by the bracket's
+    geometric midpoint.  A step may land on an edge: when pi(lo) is within
+    rounding of 1 the root sits on lo / pi(lo), and every Newton step lands
+    there.  A zero target has the bracket [0, 0] and is done at the first
+    pass; a pure spike (rho = 0) brackets no other target and raises
+    RangeError.  Vectorized over the array m_target; converged coordinates
+    stop moving.  Residual target 1e-14*max(1, |m_target|); a stalled
+    iterate is accepted within 1e-12*max(1, |m_target|).
+
+    The moments are the ScalarMoments of the accepted pass, with the slab
+    mean signed by m_target, so they equal moments(prior, h, E) bit for bit.
     """
     _check_tilt(prior, float(E))
     E = float(E)
-    m_in = np.asarray(m_target, dtype=float)
-    scalar = m_in.ndim == 0
-    m = np.atleast_1d(m_in).astype(float)
-    h = np.zeros_like(m)
-    live = m != 0.0
-    if prior.rho == 0.0:
-        if np.any(live):
-            raise RangeError("pure spike prior has mean identically 0")
-        return float(h[0]) if scalar else h
-    if np.any(live):
-        mt = np.abs(m[live])
-        # slab inverse: mu_slab(lo) = |m| with mu_slab = h * v_slab rounded
-        # as _mixture rounds it
-        lo = mt / _mixture(prior, 0.0, E)[2]
-        pi_lo = _mixture(prior, lo, E)[3]
-        with np.errstate(divide="ignore", over="ignore"):
-            hi = lo / pi_lo
-        if not np.all(np.isfinite(hi)):
-            raise RangeError("mean target not bracketed: inclusion probability underflows")
-        x = lo.copy()
-        if h0 is not None:
-            warm = np.abs(np.atleast_1d(np.asarray(h0, dtype=float))[live])
-            x = np.where(np.isnan(warm), lo, np.clip(warm, lo, hi))
-        tol = 1e-14 * np.maximum(1.0, mt)
-        # no step precedes the first two passes, so only the bracket guards them
-        step = step_old = np.full_like(lo, np.inf)
-        converged = False
-        for _ in range(_INVERT_PASSES):
-            mean, var = _mean_var(prior, x, E)
-            err = mean - mt
-            done = np.abs(err) <= tol
-            if np.all(done):
-                converged = True
-                break
-            lo = np.where(err < 0.0, x, lo)
-            hi = np.where(err > 0.0, x, hi)
-            newton = err / np.maximum(var, 1e-300)
-            xn = x - newton
-            # written so that a NaN step fails the bracket test
-            bisect = ~((xn >= lo) & (xn <= hi)) | (np.abs(newton) > 0.5 * np.abs(step_old))
-            if np.any(bisect):
-                xn = np.where(bisect, np.sqrt(lo) * np.sqrt(hi), xn)
-            xn = np.where(done, x, xn)
-            step_old, step = step, xn - x
-            if not np.any(step):
-                break
-            x = xn
-        if not converged:
-            err = _mean_var(prior, x, E)[0] - mt
-            # accept a stalled iterate only within the contractual tolerance
-            if not np.all(np.abs(err) <= 1e-12 * np.maximum(1.0, mt)):
-                raise NonConvergence(
-                    f"mean inversion stalled, residual {np.abs(err).max():.3e}")
-        h[live] = np.copysign(x, m[live])
-    return float(h[0]) if scalar else h
+    m = np.asarray(m_target, dtype=float)
+    mt = np.abs(m)
+    # slab inverse: mu_slab(lo) = |m| with mu_slab = h * v_slab rounded
+    # as _mixture rounds it
+    lo = mt / _mixture(prior, 0.0, E)[2]
+    pi_lo = _mixture(prior, lo, E)[3]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        hi = np.where(lo > 0.0, lo / pi_lo, lo)
+    if not np.all(np.isfinite(hi)):
+        raise RangeError("mean target not bracketed: inclusion probability underflows")
+    x = lo.copy()
+    if h0 is not None:
+        warm = np.abs(np.asarray(h0, dtype=float))
+        x = np.where(np.isnan(warm), lo, np.clip(warm, lo, hi))
+    tol = 1e-14 * np.maximum(1.0, mt)
+    # no step precedes the first two passes, so only the bracket guards them
+    step = step_old = np.full_like(lo, np.inf)
+    # the last pass only evaluates the iterate the one before it stepped to
+    for left in range(_INVERT_PASSES, -1, -1):
+        ln_zs, mu, s, pi = _mixture(prior, x, E)
+        err = pi * mu - mt
+        done = np.abs(err) <= tol
+        if np.all(done) or not left:
+            break
+        lo = np.where(err < 0.0, x, lo)
+        hi = np.where(err > 0.0, x, hi)
+        newton = err / np.maximum(pi * s + pi * (1.0 - pi) * mu * mu, 1e-300)
+        xn = x - newton
+        # written so that a NaN step fails the bracket test
+        bisect = ~((xn >= lo) & (xn <= hi)) | (np.abs(newton) > 0.5 * np.abs(step_old))
+        if np.any(bisect):
+            xn = np.where(bisect, np.sqrt(lo) * np.sqrt(hi), xn)
+        xn = np.where(done, x, xn)
+        step_old, step = step, xn - x
+        if not np.any(step):
+            break
+        x = xn
+    # accept a stalled iterate only within the contractual tolerance
+    if not np.all(np.abs(err) <= 1e-12 * np.maximum(1.0, mt)):
+        raise NonConvergence(f"mean inversion stalled, residual {np.abs(err).max():.3e}")
+    # the passes ran on |h|; the slab mean is odd in h, and negating it
+    # negates mean and kappa3 exactly
+    return np.copysign(x, m), _scalar_moments(prior, ln_zs, np.copysign(mu, m), s, pi)

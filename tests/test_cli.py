@@ -73,11 +73,12 @@ class TestSynth:
                 assert fa.read() == fb.read()
 
     def test_invalid_config_is_usage_error(self, tmp_path, capsys):
-        rc = main(["synth", "--n", "10", "--alpha", "1", "--rho0", "1.5",
-                   "--sigma-w0-sq", "1", "--sigma-n0-sq", "0.1",
-                   "--out-train", str(tmp_path / "t.csv")])
-        assert rc == 2
-        assert "error:" in capsys.readouterr().err
+        for flags in (["--rho0", "1.5"], ["--rho0", "0.2", "--seed", "-1"]):
+            rc = main(["synth", "--n", "10", "--alpha", "1", *flags,
+                       "--sigma-w0-sq", "1", "--sigma-n0-sq", "0.1",
+                       "--out-train", str(tmp_path / "t.csv")])
+            assert rc == 2, flags
+            assert "error:" in capsys.readouterr().err
 
 
 class TestFit:
@@ -212,10 +213,11 @@ class TestLoocv:
 
     def test_kfold_bounds_are_usage_error(self, tmp_path):
         paths = _synth(tmp_path)
-        rc = main(["loocv", "--data", paths["train"], "--rho", "0.2",
-                   "--sigma-w2", "4", "--beta", "4", "--kfold", "1",
-                   "--out", str(tmp_path / "loo.csv")])
-        assert rc == 2
+        for flags in (["--kfold", "1"], ["--kfold", "3", "--seed", "-1"]):
+            rc = main(["loocv", "--data", paths["train"], "--rho", "0.2",
+                       "--sigma-w2", "4", "--beta", "4", *flags,
+                       "--out", str(tmp_path / "loo.csv")])
+            assert rc == 2, flags
 
 
 class TestSweep:
@@ -299,15 +301,19 @@ class TestCalibrate:
         assert failed[0][6] == "false"
 
     @pytest.mark.parametrize("flags", [
-        ["--sigma-w2", "4", "--beta-grid=-1,4"],
-        ["--sigma-w2", "-4", "--beta-grid", "4"],
+        ["--k-target", "8", "--sigma-w2", "4", "--beta-grid=-1,4"],
+        ["--k-target", "8", "--sigma-w2", "-4", "--beta-grid", "4"],
+        ["--k-target", "0", "--sigma-w2", "4", "--beta-grid", "4"],
+        ["--k-target", "nan", "--sigma-w2", "4", "--beta-grid", "4"],
+        ["--k-target", "8,30", "--sigma-w2", "4", "--beta-grid", "4"],
     ])
     def test_bad_input_is_usage_error(self, tmp_path, capsys, flags):
-        # the same exit code as sweep's, and no table of failed rows
+        # the same exit code as sweep's, and no table of failed rows; the
+        # training set has N = 30 features, so K must lie in (0, 30)
         paths = _synth(tmp_path)
         out_path = tmp_path / "cal.csv"
         rc = main(["calibrate", "--data", paths["train"], "--family", "bg",
-                   "--k-target", "8", *flags, "--out", str(out_path)])
+                   *flags, "--out", str(out_path)])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out_path.exists()
@@ -351,7 +357,8 @@ class TestUsage:
     @pytest.mark.parametrize("command", ["fit", "loocv"])
     @pytest.mark.parametrize("flag,value", [("--sigma-w2", "nan"), ("--sigma-w2", "inf"),
                                             ("--beta", "-1"), ("--beta", "nan"),
-                                            ("--beta", "inf")])
+                                            ("--beta", "inf"), ("--max-outer", "-1"),
+                                            ("--grad-tol", "nan"), ("--step-tol", "-1")])
     def test_bad_hyper_parameter_is_usage_error(self, tmp_path, command, flag, value):
         paths = _synth(tmp_path)
         flags = {"--sigma-w2": "4", "--beta": "4", flag: value}

@@ -35,6 +35,7 @@ from ecreg.core import (
 )
 from ecreg.data_io import SynthConfig, gen_synthetic
 from ecreg.errors import (
+    ConfigError,
     DimensionMismatch,
     DomainError,
     InfeasibleTilt,
@@ -42,7 +43,7 @@ from ecreg.errors import (
     SingularHessian,
     VarianceCollapse,
 )
-from ecreg.priors import _cumulants34, bernoulli_gauss, bernoulli_uniform, invert_mean, moments
+from ecreg.priors import _mixture, bernoulli_gauss, bernoulli_uniform, invert_mean, moments
 
 
 def _random_instance(seed, n, m, rho=0.3, sigma_w2=4.0, noise=0.1):
@@ -429,16 +430,15 @@ class TestSolveTilt:
         m = fit(ds, prior, beta).state.m
 
         def evaluate(E):
-            h = invert_mean(prior, m, E)
-            v = moments(prior, h, E).variance
-            chi = float(np.mean(v))
+            _, mom = invert_mean(prior, m, E)
+            chi = float(np.mean(mom.variance))
             ltil = solve_lambda(spec, beta, chi)
-            return h, v, chi, ltil, 1.0 / chi - beta * ltil - E
+            return mom, chi, ltil, 1.0 / chi - beta * ltil - E
 
         root = solve_tilt(m, prior, beta, spec).E
         for E in (root, 0.5 * root, 2.0 * root):
-            h, v, chi, ltil, _ = evaluate(E)
-            k, b, _, _ = _tilt_slope(m, h, E, v, chi, ltil, prior, beta, spec)
+            mom, chi, ltil, _ = evaluate(E)
+            k, b, _ = _tilt_slope(m, mom, chi, ltil, beta, spec)
             step = 1e-5 * E
             fd = (evaluate(E + step)[-1] - evaluate(E - step)[-1]) / (2.0 * step)
             np.testing.assert_allclose(k * b - 1.0, fd, rtol=1e-8)
@@ -550,7 +550,7 @@ class TestHessian:
         E = result.state.E
 
         def grad_frozen(m_vec):
-            h = invert_mean(prior, m_vec, E)
+            h, _ = invert_mean(prior, m_vec, E)
             return gradient(m_vec, h, E, ds, beta)
 
         m0 = result.state.m
@@ -592,7 +592,7 @@ class TestHessian:
             up[i] += step
             down[i] -= step
             fd[:, i] = (grad_resolved(up) - grad_resolved(down)) / (2.0 * step)
-        a, c = _coupling(m0, tilt, prior, beta, spec)
+        a, c = _coupling(m0, tilt, beta, spec)
         scale = float(np.max(np.abs(fd)))
         exact = result.hessian + c * np.outer(a, a)
         assert float(np.max(np.abs(exact - fd))) <= 1e-5 * scale
@@ -725,43 +725,60 @@ class TestFit:
 
     def test_flat_slab_with_zero_modes_keeps_the_partial_step(self, monkeypatch):
         # the rank-one term is never evaluated there; on a full-rank gram it is
-        calls = []
+        calls = [0]
 
-        def counted(prior, h, E):
-            calls.append(E)
-            return _cumulants34(prior, h, E)
+        def counted(*args):
+            calls[0] += 1
+            return _coupling(*args)
 
-        monkeypatch.setattr("ecreg.core._cumulants34", counted)
+        monkeypatch.setattr("ecreg.core._coupling", counted)
         fit(_random_instance(44, 8, 16), bernoulli_uniform(0.4), 3.0)
-        assert calls
+        assert calls[0]
 
-        def refused(prior, h, E):
+        def refused(*args):
             raise AssertionError("coupling evaluated on a flat slab with zero modes")
 
-        monkeypatch.setattr("ecreg.core._cumulants34", refused)
+        monkeypatch.setattr("ecreg.core._coupling", refused)
         ds = _random_instance(46, 12, 10)
         assert spectrum(ds)[0] == 0.0
         result = fit(ds, bernoulli_uniform(0.3), 2.0)
         assert result.state.iterations > 1
 
-    def test_one_moments_call_per_mean_inversion(self, monkeypatch):
-        # every tilt evaluation inverts the means and evaluates the moments
-        # once; the free energy, the curvature and the result read the
-        # accepted evaluation's TiltResult.moments
-        calls = {"moments": 0, "invert_mean": 0}
+    def test_kernel_runs_only_in_mean_inversions(self, monkeypatch):
+        # a tilt evaluation takes its moments from invert_mean's accepted
+        # pass, and the rank-one term reads them from TiltResult.moments, so
+        # every call of the tilted-prior kernel is one of invert_mean's
+        # passes; _coupling (evaluated on both full-rank grams) makes none
+        callers, within, entered = [], [], {"invert_mean": 0, "_coupling": 0}
 
-        def counted(name, fn):
+        def kernel(*args):
+            callers.append(within[-1] if within else None)
+            return _mixture(*args)
+
+        def inside(name, fn):
             def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
+                entered[name] += 1
+                within.append(name)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    within.pop()
             return wrapper
 
-        monkeypatch.setattr("ecreg.core.moments", counted("moments", moments))
-        monkeypatch.setattr("ecreg.core.invert_mean", counted("invert_mean", invert_mean))
+        monkeypatch.setattr("ecreg.priors._mixture", kernel)
+        monkeypatch.setattr("ecreg.core.invert_mean", inside("invert_mean", invert_mean))
+        monkeypatch.setattr("ecreg.core._coupling", inside("_coupling", _coupling))
         fit(_random_instance(48, 12, 20), bernoulli_gauss(0.3, 4.0), 3.0)
         fit(_random_instance(49, 12, 20), bernoulli_uniform(0.3), 3.0)
-        assert calls["invert_mean"] > 0
-        assert calls["moments"] == calls["invert_mean"]
+        assert entered["_coupling"] > 0
+        assert callers and set(callers) == {"invert_mean"}
+
+    @pytest.mark.parametrize("bad", [dict(grad_tol=np.nan), dict(step_tol=-1e-10),
+                                     dict(grad_tol=np.inf), dict(max_outer=-1),
+                                     dict(max_inner=0)])
+    def test_invalid_settings_rejected(self, bad):
+        with pytest.raises(ConfigError):
+            FitSettings(**bad)
 
     def test_invalid_beta_rejected(self):
         ds = _random_instance(41, 5, 3)

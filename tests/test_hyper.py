@@ -347,6 +347,10 @@ class TestCalibrate:
         (BERNOULLI_GAUSS, [], [4.0], 4.0),
         ("laplace", [8.0], [4.0], 4.0),
         (BERNOULLI_UNIFORM, [8.0], [4.0], 4.0),
+        # K must lie in (0, N) with N = 20
+        (BERNOULLI_GAUSS, [0.0], [4.0], 4.0),
+        (BERNOULLI_GAUSS, [8.0, float("nan")], [4.0], 4.0),
+        (BERNOULLI_GAUSS, [20.0], [4.0], 4.0),
     ])
     def test_bad_input_raises_before_any_fit(self, monkeypatch, family, K_targets,
                                              beta_grid, sigma_w2):

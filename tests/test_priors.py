@@ -14,8 +14,7 @@ import pytest
 from ecreg.errors import ConfigError, IntegrabilityViolation, RangeError
 from ecreg.priors import (
     PriorSpec,
-    _cumulants34,
-    _mean_var,
+    _mixture,
     bernoulli_gauss,
     bernoulli_uniform,
     invert_mean,
@@ -249,16 +248,17 @@ class TestCumulants:
     ], ids=["bg-neg", "bg-small", "bg-large", "bu-small", "bu-mid", "bu-large"])
     def test_match_derivatives_of_the_variance(self, prior, E):
         h = np.linspace(-40.0, 40.0, 161)
-        m, v = _mean_var(prior, h, E)
-        k3, k4 = _cumulants34(prior, h, E)
+        mom = moments(prior, h, E)
+        m, v, k3, k4 = mom.mean, mom.variance, mom.kappa3, mom.kappa4
         assert np.all(np.isfinite(k3)) and np.all(np.isfinite(k4))
         step = 1e-5
-        dv_dh = (_mean_var(prior, h + step, E)[1] - _mean_var(prior, h - step, E)[1]) / (2 * step)
+        dv_dh = (moments(prior, h + step, E).variance
+                 - moments(prior, h - step, E).variance) / (2 * step)
         scale = float(np.max(np.abs(dv_dh)))
         np.testing.assert_allclose(k3, dv_dh, rtol=1e-5, atol=1e-7 * scale)
         step_e = 1e-6 * max(1.0, abs(E))
-        dv_de = (_mean_var(prior, h, E + step_e)[1]
-                 - _mean_var(prior, h, E - step_e)[1]) / (2 * step_e)
+        dv_de = (moments(prior, h, E + step_e).variance
+                 - moments(prior, h, E - step_e).variance) / (2 * step_e)
         v_e = -0.5 * (k4 + 2.0 * v * v + 2.0 * m * k3)
         scale = float(np.max(np.abs(dv_de)))
         np.testing.assert_allclose(v_e, dv_de, rtol=1e-5, atol=1e-7 * scale)
@@ -266,58 +266,79 @@ class TestCumulants:
     def test_vanish_for_the_pure_slab(self):
         h = np.linspace(-40.0, 40.0, 9)
         for prior in (bernoulli_gauss(1.0, 5.0), bernoulli_uniform(1.0)):
-            k3, k4 = _cumulants34(prior, h, 0.5)
-            np.testing.assert_array_equal(k3, 0.0)
-            np.testing.assert_array_equal(k4, 0.0)
+            mom = moments(prior, h, 0.5)
+            np.testing.assert_array_equal(mom.kappa3, 0.0)
+            np.testing.assert_array_equal(mom.kappa4, 0.0)
 
 
 class TestInvertMean:
     def test_zero_target_gives_zero_field(self):
-        assert invert_mean(bernoulli_gauss(0.5, 2.0), 0.0, 1.0) == 0.0
-        assert invert_mean(bernoulli_uniform(0.5), 0.0, 1.0) == 0.0
+        for prior in (bernoulli_gauss(0.5, 2.0), bernoulli_uniform(0.5)):
+            h, mom = invert_mean(prior, np.zeros(3), 1.0)
+            np.testing.assert_array_equal(h, 0.0)
+            np.testing.assert_array_equal(mom.mean, 0.0)
 
     def test_pure_gaussian_linear_inverse(self):
         # rho = 1, sigma_w2 = 1, E = 1: mean = h/2, so m = 1 gives h = 2
-        h = invert_mean(bernoulli_gauss(1.0, 1.0), 1.0, 1.0)
+        h, _ = invert_mean(bernoulli_gauss(1.0, 1.0), np.array([1.0]), 1.0)
         np.testing.assert_allclose(h, 2.0, rtol=1e-12)
 
     def test_frozen_oracle_bernoulli_gauss(self):
-        h = invert_mean(bernoulli_gauss(0.5, 10.0), 0.5, 1.0)
+        h, _ = invert_mean(bernoulli_gauss(0.5, 10.0), np.array([0.5]), 1.0)
         np.testing.assert_allclose(h, 1.3483231631264359, rtol=1e-10)
 
     def test_frozen_oracle_bernoulli_uniform(self):
-        h = invert_mean(bernoulli_uniform(0.3), -1.2, 2.0)
+        h, _ = invert_mean(bernoulli_uniform(0.3), np.array([-1.2]), 2.0)
         np.testing.assert_allclose(h, -2.827903414581056, rtol=1e-10)
 
     def test_residual_contract(self):
         # returned h reproduces the target mean to 1e-12*max(1, |m|)
         prior = bernoulli_gauss(0.3, 10.0)
-        for m_target in (0.5, -2.0, 7.5, 1e-4):
-            h = invert_mean(prior, m_target, 2.0)
-            back = float(moments(prior, h, 2.0).mean)
-            assert abs(back - m_target) <= 1e-12 * max(1.0, abs(m_target))
+        targets = np.array([0.5, -2.0, 7.5, 1e-4])
+        h, _ = invert_mean(prior, targets, 2.0)
+        back = moments(prior, h, 2.0).mean
+        assert np.all(np.abs(back - targets) <= 1e-12 * np.maximum(1.0, np.abs(targets)))
 
     def test_roundtrip_over_field_grid(self):
         h_grid = np.linspace(-20.0, 20.0, 81)
         for prior in (bernoulli_gauss(0.3, 10.0), bernoulli_uniform(0.3)):
             for E in (0.1, 1.0, 10.0):
                 m = moments(prior, h_grid, E).mean
-                h_back = invert_mean(prior, m, E)
+                h_back, _ = invert_mean(prior, m, E)
                 m_back = moments(prior, h_back, E).mean
                 np.testing.assert_allclose(m_back, m, atol=1e-10, rtol=1e-10)
 
     def test_vectorized_targets(self):
         prior = bernoulli_uniform(0.4)
         targets = np.array([-3.0, -0.2, 0.0, 0.4, 5.0])
-        h = invert_mean(prior, targets, 1.5)
+        h, _ = invert_mean(prior, targets, 1.5)
         back = moments(prior, h, 1.5).mean
         np.testing.assert_allclose(back, targets, atol=1e-12, rtol=1e-12)
 
     def test_warm_start_agrees_with_cold(self):
         prior = bernoulli_gauss(0.2, 6.0)
-        cold = invert_mean(prior, 1.25, 0.8)
-        warm = invert_mean(prior, 1.25, 0.8, h0=cold * 1.05)
+        target = np.array([1.25])
+        cold, _ = invert_mean(prior, target, 0.8)
+        warm, _ = invert_mean(prior, target, 0.8, h0=cold * 1.05)
         np.testing.assert_allclose(warm, cold, rtol=1e-10)
+
+    @pytest.mark.parametrize("prior", [bernoulli_gauss(0.2, 4.0), bernoulli_uniform(0.2)],
+                             ids=["bg", "bu"])
+    @pytest.mark.parametrize("start", ["cold", "warm"])
+    def test_moments_are_those_at_the_returned_field(self, prior, start):
+        # the accepted pass's moments, with the odd fields signed by the
+        # target, are moments() at the returned h to the bit, sign bits of
+        # zeros included
+        E = 1.3
+        m = np.array([-2.5, -0.3, -0.0, 0.0, 1e-9, 0.7, 4.0])
+        h0 = None if start == "cold" else np.array([-3.0, 1.0, np.nan, 2.0, 0.0, -1.0, 50.0])
+        h, mom = invert_mean(prior, m, E, h0=h0)
+        expected = moments(prior, h, E)
+        for name in ("log_partition", "mean", "second_moment", "inclusion_prob",
+                     "variance", "kappa3", "kappa4"):
+            got, want = getattr(mom, name), getattr(expected, name)
+            assert np.array_equal(got, want), name
+            assert np.array_equal(np.signbit(got), np.signbit(want)), name
 
     @pytest.mark.parametrize("prior", [bernoulli_gauss(0.2, 4.0), bernoulli_uniform(0.2)],
                              ids=["bg", "bu"])
@@ -326,10 +347,10 @@ class TestInvertMean:
         # Newton that only keeps its iterate inside the bracket cycles on
         # this target for bg, started below the root (h0 = 0 or cold) or
         # above it (h0 = +-1e3 is clipped to the bracket's top)
-        E, m_target = 20.42366241422203, 0.028944513191871957
-        h = invert_mean(prior, m_target, E, h0=h0)
-        assert abs(float(moments(prior, h, E).mean) - m_target) <= 1e-12
-        assert invert_mean(prior, -m_target, E, h0=h0) == -h
+        E, m_target = 20.42366241422203, np.array([0.028944513191871957])
+        h, _ = invert_mean(prior, m_target, E, h0=h0)
+        assert abs(float(moments(prior, h, E).mean[0]) - m_target[0]) <= 1e-12
+        assert invert_mean(prior, -m_target, E, h0=h0)[0] == -h
 
     @pytest.mark.parametrize("h0", [None, "midpoint"])
     def test_root_on_the_bracket_edge_takes_few_passes(self, h0):
@@ -337,29 +358,30 @@ class TestInvertMean:
         # rounding, so every Newton step lands on that edge; a safeguard that
         # rejects such a step (by a strict bracket test, or by a halving test
         # against the initial bracket width) bisects once per pass instead,
-        # 17 or 18 passes
+        # 17 or 18 passes.  Two more kernel calls form the bracket.
         prior = bernoulli_gauss(0.2, 4.0)
-        E, m_target = 16.7585252939308, 1.6822678075976432
+        E, m_target = 16.7585252939308, np.array([1.6822678075976432])
         if h0 == "midpoint":
             lo = m_target * (1.0 + E * 4.0) / 4.0
-            h0 = 0.5 * (lo + lo / float(moments(prior, lo, E).inclusion_prob))
+            h0 = 0.5 * (lo + lo / moments(prior, lo, E).inclusion_prob)
         calls = [0]
 
         def counted(*args):
             calls[0] += 1
-            return _mean_var(*args)
+            return _mixture(*args)
 
-        with mock.patch("ecreg.priors._mean_var", counted):
-            h = invert_mean(prior, m_target, E, h0=h0)
-        assert abs(float(moments(prior, h, E).mean) - m_target) <= 1e-14 * m_target
-        assert calls[0] <= 4
+        with mock.patch("ecreg.priors._mixture", counted):
+            h, _ = invert_mean(prior, m_target, E, h0=h0)
+        assert abs(float(moments(prior, h, E).mean[0]) - m_target[0]) <= 1e-14 * m_target[0]
+        assert calls[0] <= 2 + 4
 
     def test_pure_spike_rejects_nonzero_target(self):
         with pytest.raises(RangeError):
-            invert_mean(bernoulli_gauss(0.0, 1.0), 0.3, 1.0)
-        assert invert_mean(bernoulli_gauss(0.0, 1.0), 0.0, 1.0) == 0.0
+            invert_mean(bernoulli_gauss(0.0, 1.0), np.array([0.3]), 1.0)
+        h, mom = invert_mean(bernoulli_gauss(0.0, 1.0), np.array([0.0]), 1.0)
+        np.testing.assert_array_equal(h, 0.0)
+        np.testing.assert_array_equal(mom.variance, 0.0)
 
     def test_invalid_tilt_rejected(self):
         with pytest.raises(IntegrabilityViolation):
-            invert_mean(bernoulli_uniform(0.5), 0.3, -2.0)
-
+            invert_mean(bernoulli_uniform(0.5), np.array([0.3]), -2.0)
