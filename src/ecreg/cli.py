@@ -34,7 +34,7 @@ from .errors import (
     ParseError,
 )
 from .hyper import SweepGrid, calibrate, sweep
-from .loocv import approx_looe, kfold_cv, literal_loocv
+from .loocv import _check_kfold, approx_looe, kfold_cv, literal_loocv
 from .priors import BERNOULLI_GAUSS, BERNOULLI_UNIFORM, PriorSpec
 
 _FAMILIES = {"bg": BERNOULLI_GAUSS, "bu": BERNOULLI_UNIFORM}
@@ -199,7 +199,13 @@ def _cmd_fit(args):
 def _cmd_loocv(args):
     prior = _prior_from_flags(args)
     settings = _settings_from_flags(args)
+    # k and the seed fail before the fit and the refits; k's upper bound
+    # is the sample count, known once the data is loaded
+    if args.kfold is not None:
+        _check_kfold(args.kfold, args.seed)
     dataset, _ = _load_dataset(args)
+    if args.kfold is not None:
+        _check_kfold(args.kfold, args.seed, dataset.n_samples)
     result = fit(dataset, prior, args.beta, settings=settings)
     report = approx_looe(result, dataset, args.beta)
     print(f"approx: eps_loo={report.eps_loo!r} "

@@ -29,6 +29,13 @@ full step, rises within rounding while the gradient falls; converged means
 the gradient or the undamped step is below tolerance.  FitResult.hessian
 and the LOO formula use H.
 
+A cold fit (no init, no private _tilt) on a wide design (M < N) whose
+prior is not a flat slab first runs _vamp_start: damped VAMP on the thin
+eigendecomposition of X^T X that Dataset caches, whose fixed point is the
+EC fixed point (E = gamma1, h = gamma1*r1), so the Newton loop only
+polishes its point.  When VAMP leaves its domain or runs out of
+iterations the fit starts from m = 0, as it does with init = 0.
+
 For a pure Gaussian prior (rho = 1 slab) this construction is exact: m is the
 ridge posterior mean and Phi equals the exact negative log evidence with zero
 additive constant.
@@ -50,10 +57,7 @@ from .errors import (
     SingularHessian,
     VarianceCollapse,
 )
-# moments is not called here; it stays imported because
-# perfbench/test_perfbench.py::test_uninstall_restores_every_binding asserts
-# that ecreg.core.moments is ecreg.priors.moments
-from .priors import BERNOULLI_UNIFORM, ScalarMoments, invert_mean, moments  # noqa: F401
+from .priors import BERNOULLI_UNIFORM, ScalarMoments, invert_mean, moments
 
 _STEP_FLOOR = 2.0 ** -20  # fit halves a step no further
 _VARIANCE_FLOOR = 1e-12  # a tilted variance below it (or NaN) raises VarianceCollapse
@@ -68,6 +72,10 @@ class Dataset:
 
     Immutable by convention; the gram matrix, X y, and the eigenvalues of
     X X^T are computed lazily once and shared by every fit on the dataset.
+    On a wide design (M < N) the eigenvalues come from the thin M x M
+    eigendecomposition X^T X = W diag(s) W^T, padded with N - M exact zeros,
+    and (s, W) stay cached for fit's VAMP start; no N x M basis is stored.
+    Otherwise they come from eigvalsh of the N x N gram.
     """
 
     def __init__(self, X, y):
@@ -112,13 +120,26 @@ class Dataset:
         return self.X @ self.y
 
     @cached_property
-    def _spectrum(self):
+    def _thin_eigh(self):
+        """(s, W), ascending, with X^T X = W diag(s) W^T; used when M < N."""
         try:
-            # eigenvalues only; they differ from eigh's in the last bits,
-            # which fit's stopping tolerates (see _rounding_rise)
-            lam = np.linalg.eigvalsh(self.gram)
+            return np.linalg.eigh(self.X.T @ self.X)
         except np.linalg.LinAlgError as exc:
             raise DecompositionFailure(str(exc)) from exc
+
+    @cached_property
+    def _spectrum(self):
+        n, m = self.X.shape
+        if m < n:
+            lam = np.concatenate([np.zeros(n - m), self._thin_eigh[0]])
+        else:
+            try:
+                # eigenvalues only; they differ from eigh's in the last bits,
+                # which fit's stopping tolerates (see _rounding_rise)
+                lam = np.linalg.eigvalsh(self.gram)
+            except np.linalg.LinAlgError as exc:
+                raise DecompositionFailure(str(exc)) from exc
+        # the clamp also lifts a rounding-negative s, so lam stays ascending
         lam_max = float(lam[-1]) if lam.size else 0.0
         if lam_max <= 0.0:
             lam = np.zeros_like(lam)
@@ -542,6 +563,59 @@ def _rounding_rise(trial, phi, grad_norm, m, tilt, dataset, beta):
     return floor if float(np.max(np.abs(g))) < grad_norm else None
 
 
+_VAMP_BUDGET = 100  # iterations of _vamp_start before it gives up
+# weight of the new (gamma1, r1) in _vamp_start; a lower one reaches other,
+# metastable fixed points at large beta
+_VAMP_DAMPING = 0.7
+
+
+def _vamp_start(dataset, prior, beta):
+    """(m, E, h) near fit's fixed point on a wide design, or None.
+
+    Damped VAMP (Rangan, Schniter & Fletcher, arXiv:1610.03082), whose fixed
+    point is the EC fixed point fit solves for (Opper & Winther, JMLR 2005),
+    with E = gamma1, h = gamma1*r1 and beta*Ltil = gamma2.  Each iteration
+    takes the tilted prior's moments at (gamma1*r1, gamma1), which set
+    gamma2 = 1/chi1 - gamma1, then the LMMSE step
+    (beta*XX^T + gamma2*I)^{-1} b = (b - X W diag(beta/(beta*s + gamma2)) W^T X^T b)/gamma2
+    on the thin eigendecomposition, with variance chi2 = mean(1/(beta*lambda
+    + gamma2)) over the padded spectrum, which sets gamma1 = 1/chi2 - gamma2.
+    Starts at r1 = 0 and gamma1 at solve_tilt's default origin, and stops
+    when the tilted mean m moves by at most 1e-6*max(1, ||m||_inf).  Returns
+    None when gamma2 <= 0, gamma1 <= E_min, a value is not finite, or
+    _VAMP_BUDGET iterations pass without that.
+    """
+    X, (s, W), lam = dataset.X, dataset._thin_eigh, spectrum(dataset)
+    E_min = prior.min_tilt()
+    g1, r1 = _default_tilt_origin(prior, beta, float(lam.mean())), np.zeros(dataset.n_features)
+    bxy = beta * dataset.xy
+    m = None
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(_VAMP_BUDGET):
+            if not (g1 > E_min and np.all(np.isfinite(r1))):
+                return None
+            mom = moments(prior, g1 * r1, g1)
+            chi1 = float(np.mean(mom.variance))
+            if not (chi1 > 0.0 and np.all(np.isfinite(mom.mean))):
+                return None
+            g2 = 1.0 / chi1 - g1
+            if not 0.0 < g2 < np.inf:
+                return None
+            step = np.inf if m is None else float(np.max(np.abs(mom.mean - m)))
+            m = mom.mean
+            if step <= 1e-6 * max(1.0, float(np.max(np.abs(m)))):
+                return m, g1, g1 * r1
+            r2 = (m / chi1 - g1 * r1) / g2
+            b = bxy + g2 * r2
+            x2 = (b - X @ (W @ ((beta / (beta * s + g2)) * (W.T @ (X.T @ b))))) / g2
+            chi2 = float(np.mean(1.0 / (beta * lam + g2)))
+            g1_new = 1.0 / chi2 - g2
+            r1_new = (x2 / chi2 - g2 * r2) / g1_new
+            g1 = _VAMP_DAMPING * g1_new + (1.0 - _VAMP_DAMPING) * g1
+            r1 = _VAMP_DAMPING * r1_new + (1.0 - _VAMP_DAMPING) * r1
+    return None
+
+
 def fit(dataset, prior, beta, init=None, settings=None, *, _tilt=None):
     """Minimize the free energy by damped Newton; deterministic.
 
@@ -565,6 +639,14 @@ def fit(dataset, prior, beta, init=None, settings=None, *, _tilt=None):
     step, 0.0 for a strict decrease).  The private ``_tilt=(E, h)``
     warm-starts the first tilt solve.  ``FitResult.hessian`` is H, the
     curvature approx_looe uses.
+
+    With ``init=None`` and no ``_tilt``, on a wide design (M < N) whose
+    prior is not a flat slab (whose gram has zero eigenvalues there), the
+    Newton loop starts from _vamp_start's point: VAMP's mean as m and its
+    (E, h) as the first tilt solve's start.  When _vamp_start returns None
+    the loop starts from m = 0, and ``init=None`` then takes the same route
+    as ``init=np.zeros(N)``, bit for bit; otherwise the two routes reach the
+    same fixed point by different iterates.
     """
     cfg = settings or FitSettings()
     if not 0.0 < beta < np.inf:
@@ -581,6 +663,10 @@ def fit(dataset, prior, beta, init=None, settings=None, *, _tilt=None):
     grad_scale = max(1.0, float(np.max(np.abs(beta * dataset.xy))))
 
     E0, h0 = _tilt if _tilt is not None else (None, None)
+    if init is None and _tilt is None and dataset.n_samples < n and not flat_zero_modes:
+        start = _vamp_start(dataset, prior, beta)
+        if start is not None:
+            m, E0, h0 = start
     tilt = solve_tilt(m, prior, beta, lam, E0=E0, h0=h0, max_inner=cfg.max_inner)
     phi = _free_energy_at(m, tilt, dataset, beta)
     step_sizes = []

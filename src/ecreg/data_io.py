@@ -125,17 +125,38 @@ def gen_synthetic(config):
 # ---------------------------------------------------------------------------
 
 
-def _parse_body(body, body_lines, width):
-    """The data rows as floats.  numpy parses cells as float() does, so one
-    call reads a well-formed body; the per-cell loop runs only to name the
-    first bad row or cell."""
-    if all(len(row) == width for row in body):
+def _numbered_rows(lines):
+    """(line number, row) of every row that is neither blank nor a '#'
+    comment.  Without quote characters a line is one row, kept as its text
+    (_cells splits it as csv.reader would); otherwise the rows are
+    csv.reader's lists of cells."""
+    if any('"' in line for line in lines):
+        rows = enumerate(csv.reader(lines), start=1)
+        return [(n, row) for n, row in rows if row and not row[0].lstrip().startswith("#")]
+    return [(n, line) for n, line in enumerate(lines, start=1)
+            if line.rstrip("\r\n") and not line.lstrip().startswith("#")]
+
+
+def _cells(row):
+    """The cells of a row from _numbered_rows."""
+    return row.rstrip("\r\n").split(",") if isinstance(row, str) else row
+
+
+def _parse_body(body, width):
+    """The data rows as floats.  np.loadtxt reads lines that are each one row
+    in one call; the per-cell float() loop parses csv.reader's rows and any
+    body np.loadtxt rejects, and names the first bad row or cell."""
+    if isinstance(body[0][1], str):
         try:
-            return np.array(body, dtype=float)
+            data = np.loadtxt([line for _, line in body], delimiter=",", comments=None,
+                              ndmin=2)
+            if data.shape == (len(body), width):
+                return data
         except ValueError:
             pass
     data = np.empty((len(body), width))
-    for i, (row, lineno) in enumerate(zip(body, body_lines)):
+    for i, (lineno, row) in enumerate(body):
+        row = _cells(row)
         if len(row) != width:
             raise ParseError(f"expected {width} fields, found {len(row)}", row=lineno)
         for j, cell in enumerate(row):
@@ -160,32 +181,26 @@ def load_csv(path, target_column, center=False):
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = []
-            line_numbers = []
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                if not row or (row[0].lstrip().startswith("#")):
-                    continue
-                rows.append(row)
-                line_numbers.append(lineno)
+            rows = _numbered_rows(fh.readlines())
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     if not rows:
         raise ParseError(f"{path} has no header row")
-    header = [name.strip() for name in rows[0]]
+    header = [name.strip() for name in _cells(rows[0][1])]
     if target_column not in header:
         raise MissingTarget(
             f"target column {target_column!r} not in header {header}")
     target_idx = header.index(target_column)
-    body, body_lines = rows[1:], line_numbers[1:]
+    body = rows[1:]
     if not body:
         raise ParseError(f"{path} has no data rows")
 
-    data = _parse_body(body, body_lines, len(header))
+    data = _parse_body(body, len(header))
     bad = np.argwhere(~np.isfinite(data))
     if bad.size:
         i, j = (int(v) for v in bad[0])
-        raise NonNumericCell(
-            f"non-finite cell {body[i][j]!r}", row=body_lines[i], column=j + 1)
+        raise NonNumericCell(f"non-finite cell {_cells(body[i][1])[j]!r}",
+                             row=body[i][0], column=j + 1)
 
     y = data[:, target_idx].copy()
     X = np.delete(data, target_idx, axis=1).T.copy()

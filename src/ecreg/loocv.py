@@ -172,16 +172,23 @@ def literal_loocv(dataset, prior, beta, settings=None):
     return _cross_validate(dataset, prior, beta, folds, "literal", settings)
 
 
+def _check_kfold(k, seed, M=None):
+    """ConfigError unless k is an integer with 2 <= k <= M (no upper bound
+    while the sample count M is not known) and seed a non-negative integer."""
+    # np.array_split would truncate a float k
+    if not isinstance(k, numbers.Integral) or not 2 <= k <= (k if M is None else M):
+        raise ConfigError(f"k must be an integer with 2 <= k <= {'M' if M is None else M}, "
+                          f"got {k}")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+
+
 def kfold_cv(dataset, prior, beta, k, seed=0, settings=None):
     """k-fold CV: seeded permutation, contiguous blocks, remainder spread
     one per leading fold.  eps is (1/2M) times the total held-out squared
     residual, so k = M reproduces literal_loocv exactly.
     """
     M = dataset.n_samples
-    # np.array_split would truncate a float k
-    if not isinstance(k, numbers.Integral) or not 2 <= k <= M:
-        raise ConfigError(f"k must be an integer with 2 <= k <= {M}, got {k}")
-    if not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+    _check_kfold(k, seed, M)
     folds = np.array_split(np.random.default_rng(seed).permutation(M), k)
     return _cross_validate(dataset, prior, beta, folds, f"kfold({k})", settings)

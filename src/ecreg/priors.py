@@ -100,15 +100,21 @@ def _check_tilt(prior, E):
             f"tilted {prior.family} prior needs E > {prior.min_tilt()}, got E = {E}")
 
 
+def _slab_variance(prior, E):
+    """Variance of the slab tilted by exp(-E*w**2/2 + h*w); it does not depend on h."""
+    if prior.family == BERNOULLI_GAUSS:
+        return prior.sigma_w2 / (1.0 + E * prior.sigma_w2)
+    return 1.0 / E
+
+
 def _mixture(prior, h, E):
     """(log partition, mean, variance) of the tilted slab and the inclusion
     probability pi = rho*Z_slab / ((1-rho) + rho*Z_slab), for any rho in [0, 1]."""
+    s = _slab_variance(prior, E)
     if prior.family == BERNOULLI_GAUSS:
-        s2 = prior.sigma_w2
-        a = 1.0 + E * s2
-        ln_zs, mu, s = -0.5 * np.log(a) + h * h * (s2 / (2.0 * a)), h * (s2 / a), s2 / a
+        ln_zs, mu = -0.5 * np.log(1.0 + E * prior.sigma_w2) + h * h * (0.5 * s), h * s
     else:
-        ln_zs, mu, s = 0.5 * np.log(2.0 * np.pi / E) + h * h / (2.0 * E), h / E, 1.0 / E
+        ln_zs, mu = 0.5 * np.log(2.0 * np.pi / E) + h * h / (2.0 * E), h / E
     return ln_zs, mu, s, expit(prior._log_odds + ln_zs)
 
 
@@ -167,7 +173,7 @@ def invert_mean(prior, m_target, E, h0=None):
     mt = np.abs(m)
     # slab inverse: mu_slab(lo) = |m| with mu_slab = h * v_slab rounded
     # as _mixture rounds it
-    lo = mt / _mixture(prior, 0.0, E)[2]
+    lo = mt / _slab_variance(prior, E)
     pi_lo = _mixture(prior, lo, E)[3]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         hi = np.where(lo > 0.0, lo / pi_lo, lo)

@@ -220,6 +220,31 @@ class TestLoocv:
             assert rc == 2, flags
 
 
+    def test_bad_kfold_fails_before_any_fit(self, tmp_path, capsys, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("fit called before --kfold was checked")
+
+        monkeypatch.setattr("ecreg.cli.fit", refused)
+        monkeypatch.setattr("ecreg.loocv.fit", refused)
+        paths = _synth(tmp_path)
+        capsys.readouterr()
+        for data, flags, message in (
+                (paths["train"], ["--kfold", "1"],
+                 "k must be an integer with 2 <= k <= M, got 1"),
+                # the lower bound and the seed are checked before the data is read
+                (str(tmp_path / "absent.csv"), ["--kfold", "3", "--seed", "-1"],
+                 "seed must be a non-negative integer, got -1"),
+                (paths["train"], ["--kfold", "61"],
+                 "k must be an integer with 2 <= k <= 60, got 61")):
+            rc = main(["loocv", "--data", data, "--rho", "0.2", "--sigma-w2", "4",
+                       "--beta", "4", "--literal", *flags,
+                       "--out", str(tmp_path / "loo.csv")])
+            assert rc == 2, flags
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert message in captured.err
+
+
 class TestSweep:
     def test_grid_table(self, tmp_path, capsys):
         paths = _synth(tmp_path)

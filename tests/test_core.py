@@ -25,6 +25,7 @@ from ecreg.core import (
     _rounding_rise,
     _secular_newton,
     _tilt_slope,
+    _vamp_start,
     fit,
     gradient,
     hessian,
@@ -704,7 +705,9 @@ class TestFit:
     def test_iteration_budget_returns_best_state(self):
         ds = _random_instance(40, 40, 20)
         settings = FitSettings(max_outer=2)
-        result = fit(ds, bernoulli_gauss(0.2, 8.0), 10.0, settings=settings)
+        # from zero, not from the VAMP start, which fit polishes in one step
+        result = fit(ds, bernoulli_gauss(0.2, 8.0), 10.0, init=np.zeros(ds.n_features),
+                     settings=settings)
         assert not result.state.converged
         assert result.state.iterations <= 2
         assert np.all(np.isfinite(result.state.m))
@@ -815,7 +818,8 @@ class TestFit:
             return direction
 
         monkeypatch.setattr("ecreg.core._newton_direction", recorded)
-        result = fit(ds, bernoulli_gauss(0.1, 10.0), beta)
+        # from zero: the VAMP start skips the iterates with an indefinite H
+        result = fit(ds, bernoulli_gauss(0.1, 10.0), beta, init=np.zeros(ds.n_features))
         assert any(False in outcomes for outcomes, _ in steps)
         for outcomes, slope in steps:
             assert len(outcomes) <= 2 and outcomes.count(False) <= 1
@@ -884,6 +888,82 @@ class TestFit:
         assert echo["free_energies"][1] == echo["free_energies"][0]
         assert all(r == 0.0 for r in echo["allowed_rises"][1:])
         assert result.state.converged
+
+
+def _criterion_draw(n, seed):
+    """Criterion 1's (N=200) and criterion 2's (N=500) generator."""
+    ds, _, _ = gen_synthetic(SynthConfig(N=n, alpha=0.5, rho0=0.1, sigma_w0_sq=10.0,
+                                         sigma_n0_sq=0.1, seed=seed))
+    return ds
+
+
+def _vamp_calls(monkeypatch):
+    """A list to which each later _vamp_start call appends whether it
+    returned a point."""
+    accepted = []
+
+    def recorded(*args):
+        start = _vamp_start(*args)
+        accepted.append(start is not None)
+        return start
+
+    monkeypatch.setattr("ecreg.core._vamp_start", recorded)
+    return accepted
+
+
+class TestVampStart:
+    @pytest.mark.parametrize("seed", range(200, 210))
+    def test_reaches_the_fixed_point_from_zero(self, seed, monkeypatch):
+        ds = _criterion_draw(200, seed)
+        prior, beta = bernoulli_gauss(0.1, 10.0), 10.0
+        accepted = _vamp_calls(monkeypatch)
+        started = fit(ds, prior, beta)
+        assert len(accepted) == 1
+        cold = fit(ds, prior, beta, init=np.zeros(ds.n_features))
+        assert started.state.converged == cold.state.converged
+        gap = float(np.max(np.abs(started.state.m - cold.state.m)))
+        assert gap <= 1e-6 * float(np.max(np.abs(cold.state.m)))
+
+    def test_fallback_is_the_path_from_zero(self, monkeypatch):
+        # at beta = 100 VAMP leaves its domain and fit starts from zero
+        ds = _criterion_draw(500, 100)
+        prior, beta = bernoulli_gauss(0.1, 10.0), 100.0
+        accepted = _vamp_calls(monkeypatch)
+        started = fit(ds, prior, beta)
+        assert accepted == [False]
+        cold = fit(ds, prior, beta, init=np.zeros(ds.n_features))
+        np.testing.assert_array_equal(started.state.m, cold.state.m)
+        np.testing.assert_array_equal(started.hessian, cold.hessian)
+        assert started.state.free_energy == cold.state.free_energy
+        assert started.state.iterations == cold.state.iterations
+        assert started.settings == cold.settings
+
+    def test_runs_only_on_cold_wide_fits_with_a_curved_slab(self, monkeypatch):
+        accepted = _vamp_calls(monkeypatch)
+        wide = _random_instance(46, 12, 10)
+        assert spectrum(wide)[0] == 0.0
+        fit(wide, bernoulli_uniform(0.3), 2.0)  # flat slab with zero modes
+        fit(_random_instance(51, 12, 12), bernoulli_gauss(0.3, 4.0), 2.0)  # M = N
+        fit(_random_instance(52, 8, 20), bernoulli_gauss(0.3, 4.0), 2.0)  # M > N
+        assert accepted == []
+        prior = bernoulli_gauss(0.3, 4.0)
+        state = fit(wide, prior, 2.0, init=np.zeros(12)).state
+        fit(wide, prior, 2.0, init=state.m, _tilt=(state.E, state.h))
+        assert accepted == []
+        fit(wide, prior, 2.0)
+        assert len(accepted) == 1
+
+    def test_no_newton_step_returns_the_vamp_point(self):
+        ds = _criterion_draw(200, 200)
+        prior, beta = bernoulli_gauss(0.1, 10.0), 10.0
+        m, E, h = _vamp_start(ds, prior, beta)
+        result = fit(ds, prior, beta, settings=FitSettings(max_outer=0))
+        assert result.state.iterations == 0
+        np.testing.assert_array_equal(result.state.m, m)
+        assert np.all(np.isfinite(result.state.m)) and np.isfinite(result.state.free_energy)
+        # the tilt solved at VAMP's mean starts from, and stays near, VAMP's (E, h)
+        assert abs(result.state.E - E) <= 1e-4 * abs(E)
+        assert result.state.grad_norm > 0.0
 
 
 class TestFreeEnergy:

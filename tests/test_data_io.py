@@ -189,6 +189,27 @@ class TestLoadCsv:
         assert info.value.row == 2
         assert info.value.column == 2
 
+    def test_underscore_cell_reads_as_float_does(self, tmp_path):
+        # float() accepts digit separators, so a whole-body parse that
+        # rejects them must not change the result
+        path = self._write(tmp_path / "u.csv", "a,y\n1_0,2\n3,4\n")
+        ds, _ = load_csv(path, "y")
+        np.testing.assert_array_equal(ds.X, [[10.0, 3.0]])
+        np.testing.assert_array_equal(ds.y, [2.0, 4.0])
+
+    def test_hash_inside_a_cell_is_not_a_comment(self, tmp_path):
+        path = self._write(tmp_path / "h.csv", "a,b,y\n1,2,3\n4,1#2,6\n")
+        with pytest.raises(NonNumericCell, match="1#2") as info:
+            load_csv(path, "y")
+        assert info.value.row == 3
+        assert info.value.column == 2
+
+    def test_quoted_cells_parse_as_csv(self, tmp_path):
+        path = self._write(tmp_path / "q.csv", 'a,"y"\n"1.5",2\n# note\n3,"4"\n')
+        ds, _ = load_csv(path, "y")
+        np.testing.assert_array_equal(ds.X, [[1.5, 3.0]])
+        np.testing.assert_array_equal(ds.y, [2.0, 4.0])
+
     def test_empty_and_header_only_rejected(self, tmp_path):
         empty = self._write(tmp_path / "empty.csv", "")
         with pytest.raises(ParseError):

@@ -77,7 +77,8 @@ class TestApproxLooe:
 
     def test_requires_converged_fit(self):
         ds = _instance(7, 25, 20, rho=0.2)
-        result = fit(ds, bernoulli_gauss(0.2, 4.0), 20.0,
+        # from zero, where one Newton step does not reach the fixed point
+        result = fit(ds, bernoulli_gauss(0.2, 4.0), 20.0, init=np.zeros(ds.n_features),
                      settings=FitSettings(max_outer=1))
         assert not result.state.converged
         with pytest.raises(NotConverged):
@@ -184,7 +185,8 @@ class TestLooEstimator:
 
     def test_requires_converged_fit(self):
         ds = _instance(7, 25, 20, rho=0.2)
-        result = fit(ds, bernoulli_gauss(0.2, 4.0), 20.0,
+        # from zero, where one Newton step does not reach the fixed point
+        result = fit(ds, bernoulli_gauss(0.2, 4.0), 20.0, init=np.zeros(ds.n_features),
                      settings=FitSettings(max_outer=1))
         with pytest.raises(NotConverged):
             loo_estimator(result, ds, 20.0, 0)
