@@ -29,11 +29,21 @@ full step, rises within rounding while the gradient falls; converged means
 the gradient or the undamped step is below tolerance.  FitResult.hessian
 and the LOO formula use H.
 
-A cold fit (no init, no private _tilt) on a wide design (M < N) whose
-prior is not a flat slab first runs _vamp_start: damped VAMP on the thin
-eigendecomposition of X^T X that Dataset caches, whose fixed point is the
-EC fixed point (E = gamma1, h = gamma1*r1), so the Newton loop only
-polishes its point.  When VAMP leaves its domain or runs out of
+Each line-search trial at m + s*d is a predictor-corrector continuation
+step of the tilt (Allgower & Georg, Introduction to Numerical Continuation
+Methods, SIAM 2003): its tilt solve starts from the Euler predictor
+(E + s*dE, h + s*dh) of the accepted tilt's tangent along d, which the same
+_tilt_slope evaluation gives (dE/dm = k/(1 - k*b)*a, dh/dm = 1/v at fixed E
+plus dh/dE*dE), and from the accepted Ltil, and solve_tilt's Newton steps
+correct it; a short step often closes in one evaluation.  A flat slab whose
+gram has a zero eigenvalue keeps E and moves h by s*d/v.  A literal refit
+starts its first tilt solve from the full fit's (E, h, Ltil).
+
+A cold fit (no init, no private _tilt) whose prior is not a flat slab
+first runs _vamp_start: damped VAMP on the eigendecomposition of the
+smaller of X^T X and X X^T that Dataset caches, whose fixed point is the EC
+fixed point (E = gamma1, h = gamma1*r1), so the Newton loop only polishes
+its point.  When VAMP leaves its domain, stalls or runs out of
 iterations the fit starts from m = 0, as it does with init = 0.
 
 For a pure Gaussian prior (rho = 1 slab) this construction is exact: m is the
@@ -41,6 +51,7 @@ ridge posterior mean and Phi equals the exact negative log evidence with zero
 additive constant.
 """
 
+import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
@@ -59,6 +70,7 @@ from .errors import (
 )
 from .priors import BERNOULLI_UNIFORM, ScalarMoments, invert_mean, moments
 
+_EPS = float(np.finfo(float).eps)
 _STEP_FLOOR = 2.0 ** -20  # fit halves a step no further
 _VARIANCE_FLOOR = 1e-12  # a tilted variance below it (or NaN) raises VarianceCollapse
 
@@ -75,7 +87,8 @@ class Dataset:
     On a wide design (M < N) the eigenvalues come from the thin M x M
     eigendecomposition X^T X = W diag(s) W^T, padded with N - M exact zeros,
     and (s, W) stay cached for fit's VAMP start; no N x M basis is stored.
-    Otherwise they come from eigvalsh of the N x N gram.
+    Otherwise they come from eigvalsh of the N x N gram, and a cold fit's
+    VAMP start decomposes that gram with eigh.
     """
 
     def __init__(self, X, y):
@@ -121,9 +134,11 @@ class Dataset:
 
     @cached_property
     def _thin_eigh(self):
-        """(s, W), ascending, with X^T X = W diag(s) W^T; used when M < N."""
+        """(s, W), ascending: the eigendecomposition W diag(s) W^T of the
+        smaller gram, X^T X when M < N and X X^T otherwise."""
+        n, m = self.X.shape
         try:
-            return np.linalg.eigh(self.X.T @ self.X)
+            return np.linalg.eigh(self.X.T @ self.X if m < n else self.gram)
         except np.linalg.LinAlgError as exc:
             raise DecompositionFailure(str(exc)) from exc
 
@@ -167,10 +182,10 @@ def _secular_newton(lam, target, L):
     near 1e-150.
     """
     u = 1.0 / (lam + L)
-    r = float(np.mean(u)) - target
+    r = float(u.sum()) / u.size - target
     u_max = float(u.max())
     v = u / u_max
-    return r, L + (r / u_max) / (u_max * float(np.mean(v * v)))
+    return r, L + (r / u_max) / (u_max * (float((v * v).sum()) / v.size))
 
 
 def solve_lambda(lam, beta, chi, *, _start=None):
@@ -202,7 +217,7 @@ def solve_lambda(lam, beta, chi, *, _start=None):
     else:
         hi = 1.0 + lam_min
         for _ in range(2000):
-            if float(np.mean(1.0 / (mu + hi))) <= target:
+            if float((1.0 / (mu + hi)).sum()) / mu.size <= target:
                 break
             hi *= 2.0
         lo = min(1.0 / (mu.size * target), 1.0)
@@ -213,10 +228,10 @@ def solve_lambda(lam, beta, chi, *, _start=None):
             return float(delta - lam_min)
         if dn <= 0.0:
             dn = 0.5 * delta
-        if not np.isfinite(dn) or dn == delta:
+        if not math.isfinite(dn) or dn == delta:
             break
         delta = dn
-    r = float(np.mean(1.0 / (mu + delta))) - target
+    r = float((1.0 / (mu + delta)).sum()) / mu.size - target
     if abs(r) <= 1e-12 * target:
         return float(delta - lam_min)
     raise NonConvergence(f"secular solve stalled, relative residual {abs(r) / target:.3e}")
@@ -250,12 +265,18 @@ def _default_tilt_origin(prior, beta, lam_bar):
     return beta * lam_bar + 1.0
 
 
-def solve_tilt(m, prior, beta, lam, E0=None, h0=None, tol=1e-10, max_inner=60):
+def solve_tilt(m, prior, beta, lam, E0=None, h0=None, tol=1e-10, max_inner=60, *,
+               _ltil0=None):
     """Find (h, E) with tilted means equal to m and E = 1/chi - beta*Ltil.
 
     The scalar consistency r(E) = E_new(E) - E = 0 is solved from E0 (by
     default above the physical root) in at most max_inner evaluations of
-    E_new, each one invert_mean and one solve_lambda.  Each step is Newton's
+    E_new, each one invert_mean from h0 and one solve_lambda from the
+    private _ltil0 (solve_lambda's own start when None).  fit passes the
+    Euler predictor of the tilt at each line-search trial as (E0, h0) and
+    the accepted tilt's Ltil as _ltil0, so this loop is the corrector of a
+    continuation in m and a short step closes at its first evaluation.
+    Each step is Newton's
     on r at fixed m, with the exact slope dr/dE = k*b - 1 of _tilt_slope
     (Nocedal & Wright, Numerical Optimization, ch. 11), and the next
     invert_mean starts from h + (dh/dE)*dE, the tangent of the fixed-m curve
@@ -282,7 +303,7 @@ def solve_tilt(m, prior, beta, lam, E0=None, h0=None, tol=1e-10, max_inner=60):
     if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
     m = np.asarray(m, dtype=float)
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise DomainError("m contains non-finite entries")
     if prior.rho == 0.0:
         raise InfeasibleTilt(
@@ -290,22 +311,23 @@ def solve_tilt(m, prior, beta, lam, E0=None, h0=None, tol=1e-10, max_inner=60):
     E_min = prior.min_tilt()
     q = float(m @ m) / m.size
 
-    E = float(E0) if E0 is not None else _default_tilt_origin(prior, beta, float(lam.mean()))
+    E = (float(E0) if E0 is not None
+         else _default_tilt_origin(prior, beta, float(lam.sum()) / lam.size))
     if E <= E_min:
         E = E_min + max(1e-8, 1e-8 * abs(E_min))
     secant_only = _flat_slab_with_zero_modes(prior, lam)
     h, r, rose = h0, np.nan, False
-    ltil = E_last = r_last = None
+    ltil, E_last, r_last = _ltil0, None, None
     for _ in range(max_inner):
         h, mom = invert_mean(prior, m, E, h0=h)
-        chi = float(np.mean(mom.variance))
+        chi = float(mom.variance.sum()) / m.size
         if not chi > 0.0:
             raise InfeasibleTilt(f"tilted variances vanished at E = {E}")
         ltil = solve_lambda(lam, beta, chi, _start=ltil)
         r = 1.0 / chi - beta * ltil - E
         # 1/chi - beta*Ltil cancels two O(1/chi) terms, so the residual
         # cannot be resolved below a few eps/chi; accept at that floor.
-        if abs(r) <= max(tol * max(1.0, abs(E)), 8.0 * np.finfo(float).eps / chi):
+        if abs(r) <= max(tol * max(1.0, abs(E)), 8.0 * _EPS / chi):
             return TiltResult(h=h, E=float(E), Q=q + chi, q=q, chi=chi,
                               lambda_tilde=ltil, moments=mom)
         rose = rose or r > 0.0
@@ -383,26 +405,28 @@ def _tilt_slope(m, mom, chi, ltil, beta, lam):
     v, k3, k4 = mom.variance, mom.kappa3, mom.kappa4
     f_E = -0.5 * k3 - m * v
     v_E = -0.5 * (k4 + 2.0 * v * v + 2.0 * m * k3)
-    b = float(np.mean(v_E - k3 * f_E / v))
+    b = float((v_E - k3 * f_E / v).sum()) / v.size
     u = 1.0 / (lam + ltil)
     # numpy division: an underflowed mean(u**2) gives k = inf
-    k = -1.0 / (chi * chi) + beta * beta / np.mean(u * u)
+    k = -1.0 / (chi * chi) + beta * beta / ((u * u).sum() / u.size)
     return k, b, f_E
 
 
 def _coupling(m, tilt, beta, lam):
-    """(a, c) with the exact Hessian of Phi equal to H + c*a*a^T at a solved
-    tilt, H being hessian()'s partial curvature.
+    """(a, c, h_E) at a solved tilt: the exact Hessian of Phi is H + c*a*a^T,
+    H being hessian()'s partial curvature, and h_E = -f_E/v is dh/dE at
+    fixed m.
 
     E moves with m through E = 1/chi - beta*Ltil(chi), so dE/dm =
-    k/(1 - k*b) * a with a = kappa3/(N*v) and k, b from _tilt_slope, all read
-    from tilt.moments.  A non-finite k gives a non-finite c, which fit
-    answers with H's step.
+    k/(1 - k*b) * a = (2c/N) * a with a = kappa3/(N*v) and k, b, f_E from
+    _tilt_slope, all read from tilt.moments.  A non-finite k gives a
+    non-finite c, which fit answers with H's step and the old tilt start.
     """
     mom = tilt.moments
-    k, b, _ = _tilt_slope(m, mom, tilt.chi, tilt.lambda_tilde, beta, lam)
+    k, b, f_E = _tilt_slope(m, mom, tilt.chi, tilt.lambda_tilde, beta, lam)
     n = m.size
-    return mom.kappa3 / (n * mom.variance), 0.5 * n * k / (1.0 - k * b)
+    return (mom.kappa3 / (n * mom.variance), 0.5 * n * k / (1.0 - k * b),
+            -f_E / mom.variance)
 
 
 def _free_energy_terms(m, tilt, dataset, beta):
@@ -537,6 +561,32 @@ def _newton_direction(H, d, grad, coupling):
     return -(x - z * c * float(a @ x) / den)
 
 
+def _tilt_tangent(tilt, direction, coupling, h_E):
+    """(dE, dh): the derivative of the solved tilt along m's direction.
+
+    dh/dm = 1/v at fixed E, and E moves as dE/dm = (2c/N)*a, carrying h
+    along h_E = dh/dE; (a, c) = coupling and h_E are _coupling's.  With
+    coupling None (a flat slab with zero modes) E stays and dh = direction/v.
+    """
+    v = tilt.moments.variance
+    if coupling is None:
+        return 0.0, direction / v
+    a, c = coupling
+    dE = 2.0 * c / v.size * float(a @ direction)
+    return dE, direction / v + h_E * dE
+
+
+def _predicted_tilt(tilt, s, tangent, E_min):
+    """(E0, h0) for the tilt solve at m + s*direction: the Euler predictor
+    (E + s*dE, h + s*dh), whose error is O(s**2), or the solved tilt's own
+    (E, h) where E + s*dE is not finite or not above E_min."""
+    dE, dh = tangent
+    E = tilt.E + s * dE
+    if math.isfinite(E) and E > E_min:
+        return E, tilt.h + s * dh
+    return tilt.E, tilt.h
+
+
 def _solve_curvature(H, rhs):
     """H^{-1} rhs for a fitted curvature H: Cholesky, or LU when H is not
     positive definite (a fit that stopped on step_tol can end there)."""
@@ -556,7 +606,7 @@ def _rounding_rise(trial, phi, grad_norm, m, tilt, dataset, beta):
     gradient inf-norm; None otherwise."""
     m_trial, tilt_trial, phi_trial = trial
     terms = _free_energy_terms(m, tilt, dataset, beta)
-    floor = float(8.0 * np.finfo(float).eps * sum(abs(t) for t in terms))
+    floor = float(8.0 * _EPS * sum(abs(t) for t in terms))
     if phi_trial - phi > floor:
         return None
     g = gradient(m_trial, tilt_trial.h, tilt_trial.E, dataset, beta)
@@ -564,51 +614,68 @@ def _rounding_rise(trial, phi, grad_norm, m, tilt, dataset, beta):
 
 
 _VAMP_BUDGET = 100  # iterations of _vamp_start before it gives up
+# _vamp_start also gives up when max|dm| is no smaller than this many
+# iterations before
+_VAMP_WINDOW = 20
 # weight of the new (gamma1, r1) in _vamp_start; a lower one reaches other,
 # metastable fixed points at large beta
 _VAMP_DAMPING = 0.7
 
 
 def _vamp_start(dataset, prior, beta):
-    """(m, E, h) near fit's fixed point on a wide design, or None.
+    """(m, E, h) near fit's fixed point, or None.
 
     Damped VAMP (Rangan, Schniter & Fletcher, arXiv:1610.03082), whose fixed
     point is the EC fixed point fit solves for (Opper & Winther, JMLR 2005),
     with E = gamma1, h = gamma1*r1 and beta*Ltil = gamma2.  Each iteration
     takes the tilted prior's moments at (gamma1*r1, gamma1), which set
-    gamma2 = 1/chi1 - gamma1, then the LMMSE step
+    gamma2 = 1/chi1 - gamma1, then the LMMSE step on the eigendecomposition
+    (s, W) of the smaller gram:
     (beta*XX^T + gamma2*I)^{-1} b = (b - X W diag(beta/(beta*s + gamma2)) W^T X^T b)/gamma2
-    on the thin eigendecomposition, with variance chi2 = mean(1/(beta*lambda
-    + gamma2)) over the padded spectrum, which sets gamma1 = 1/chi2 - gamma2.
+    by Woodbury from X^T X when M < N, and W diag(1/(beta*s + gamma2)) W^T b
+    from X X^T otherwise, with variance chi2 = mean(1/(beta*lambda + gamma2))
+    over the spectrum, which sets gamma1 = 1/chi2 - gamma2.
     Starts at r1 = 0 and gamma1 at solve_tilt's default origin, and stops
     when the tilted mean m moves by at most 1e-6*max(1, ||m||_inf).  Returns
-    None when gamma2 <= 0, gamma1 <= E_min, a value is not finite, or
-    _VAMP_BUDGET iterations pass without that.
+    None when gamma2 <= 0, gamma1 <= E_min, a value is not finite, the move
+    max|dm| is at least what it was _VAMP_WINDOW iterations before, or
+    _VAMP_BUDGET iterations pass without converging.  On criterion 2's grid
+    the move of a run that converged always shrank by at least 2.6x over
+    any such window, and 15 of the 16 runs that spent the whole budget
+    without it stop after 31-78 iterations.
     """
     X, (s, W), lam = dataset.X, dataset._thin_eigh, spectrum(dataset)
     E_min = prior.min_tilt()
-    g1, r1 = _default_tilt_origin(prior, beta, float(lam.mean())), np.zeros(dataset.n_features)
+    n = dataset.n_features
+    wide = dataset.n_samples < n
+    g1, r1 = _default_tilt_origin(prior, beta, float(lam.sum()) / n), np.zeros(n)
     bxy = beta * dataset.xy
-    m = None
+    m, steps = None, []
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for _ in range(_VAMP_BUDGET):
-            if not (g1 > E_min and np.all(np.isfinite(r1))):
+            if not (g1 > E_min and np.isfinite(r1).all()):
                 return None
             mom = moments(prior, g1 * r1, g1)
-            chi1 = float(np.mean(mom.variance))
-            if not (chi1 > 0.0 and np.all(np.isfinite(mom.mean))):
+            chi1 = float(mom.variance.sum()) / n
+            if not (chi1 > 0.0 and np.isfinite(mom.mean).all()):
                 return None
             g2 = 1.0 / chi1 - g1
             if not 0.0 < g2 < np.inf:
                 return None
-            step = np.inf if m is None else float(np.max(np.abs(mom.mean - m)))
+            step = np.inf if m is None else float(np.abs(mom.mean - m).max())
             m = mom.mean
-            if step <= 1e-6 * max(1.0, float(np.max(np.abs(m)))):
+            if step <= 1e-6 * max(1.0, float(np.abs(m).max())):
                 return m, g1, g1 * r1
+            if len(steps) >= _VAMP_WINDOW and step >= steps[-_VAMP_WINDOW]:
+                return None
+            steps.append(step)
             r2 = (m / chi1 - g1 * r1) / g2
             b = bxy + g2 * r2
-            x2 = (b - X @ (W @ ((beta / (beta * s + g2)) * (W.T @ (X.T @ b))))) / g2
-            chi2 = float(np.mean(1.0 / (beta * lam + g2)))
+            if wide:
+                x2 = (b - X @ (W @ ((beta / (beta * s + g2)) * (W.T @ (X.T @ b))))) / g2
+            else:
+                x2 = W @ ((W.T @ b) / (beta * s + g2))
+            chi2 = float((1.0 / (beta * lam + g2)).sum()) / n
             g1_new = 1.0 / chi2 - g2
             r1_new = (x2 / chi2 - g2 * r2) / g1_new
             g1 = _VAMP_DAMPING * g1_new + (1.0 - _VAMP_DAMPING) * g1
@@ -636,13 +703,16 @@ def fit(dataset, prior, beta, init=None, settings=None, *, _tilt=None):
     settings echo records, per step, the free energy reached
     (``free_energies``, which starts at the initial point) and the rise the
     step was allowed (``allowed_rises``: that rounding error for such a full
-    step, 0.0 for a strict decrease).  The private ``_tilt=(E, h)``
-    warm-starts the first tilt solve.  ``FitResult.hessian`` is H, the
-    curvature approx_looe uses.
+    step, 0.0 for a strict decrease).  Each trial's tilt solve starts from
+    the Euler predictor of the accepted tilt along the step (_tilt_tangent,
+    _predicted_tilt), which needs no extra evaluation: its derivatives come
+    from the rank-one term's _tilt_slope.  The private
+    ``_tilt=(E, h, Ltil)`` warm-starts the first tilt solve.
+    ``FitResult.hessian`` is H, the curvature approx_looe uses.
 
-    With ``init=None`` and no ``_tilt``, on a wide design (M < N) whose
-    prior is not a flat slab (whose gram has zero eigenvalues there), the
-    Newton loop starts from _vamp_start's point: VAMP's mean as m and its
+    With ``init=None`` and no ``_tilt``, when the prior is not a flat slab
+    (on a wide design its gram has zero eigenvalues), the Newton loop starts
+    from _vamp_start's point: VAMP's mean as m and its
     (E, h) as the first tilt solve's start.  When _vamp_start returns None
     the loop starts from m = 0, and ``init=None`` then takes the same route
     as ``init=np.zeros(N)``, bit for bit; otherwise the two routes reach the
@@ -662,12 +732,14 @@ def fit(dataset, prior, beta, init=None, settings=None, *, _tilt=None):
     flat_zero_modes = _flat_slab_with_zero_modes(prior, lam)
     grad_scale = max(1.0, float(np.max(np.abs(beta * dataset.xy))))
 
-    E0, h0 = _tilt if _tilt is not None else (None, None)
-    if init is None and _tilt is None and dataset.n_samples < n and not flat_zero_modes:
+    E0, h0, ltil0 = _tilt if _tilt is not None else (None, None, None)
+    if init is None and _tilt is None and prior.family != BERNOULLI_UNIFORM:
         start = _vamp_start(dataset, prior, beta)
         if start is not None:
             m, E0, h0 = start
-    tilt = solve_tilt(m, prior, beta, lam, E0=E0, h0=h0, max_inner=cfg.max_inner)
+    E_min = prior.min_tilt()
+    tilt = solve_tilt(m, prior, beta, lam, E0=E0, h0=h0, max_inner=cfg.max_inner,
+                      _ltil0=ltil0)
     phi = _free_energy_at(m, tilt, dataset, beta)
     step_sizes = []
     free_energies = [phi]
@@ -687,9 +759,14 @@ def fit(dataset, prior, beta, init=None, settings=None, *, _tilt=None):
         H, d = _curvature(tilt.moments.variance, tilt.E, dataset, beta)
         # the exact step steers a flat slab with zero modes away from the
         # spurious near-zero tilt roots that solve_tilt's absolute acceptance
-        # lets through, and its fits then stall; they keep H's step
-        coupling = None if flat_zero_modes else _coupling(m, tilt, beta, lam)
+        # lets through, and its fits then stall; they keep H's step and E
+        if flat_zero_modes:
+            coupling = h_E = None
+        else:
+            a, c, h_E = _coupling(m, tilt, beta, lam)
+            coupling = (a, c)
         direction = _newton_direction(H, d, grad, coupling)
+        tangent = _tilt_tangent(tilt, direction, coupling, h_E)
 
         # Phi sums terms that cancel (|Phi| can be far below its largest
         # summand), so a full step that lowers the gradient may read as a
@@ -697,9 +774,11 @@ def fit(dataset, prior, beta, init=None, settings=None, *, _tilt=None):
         s, rise = 1.0, None
         while s >= _STEP_FLOOR:
             m_trial = m + s * direction
+            E0, h0 = _predicted_tilt(tilt, s, tangent, E_min)
             try:
-                tilt_trial = solve_tilt(m_trial, prior, beta, lam, E0=tilt.E,
-                                        h0=tilt.h, max_inner=cfg.max_inner)
+                tilt_trial = solve_tilt(m_trial, prior, beta, lam, E0=E0, h0=h0,
+                                        max_inner=cfg.max_inner,
+                                        _ltil0=tilt.lambda_tilde)
                 phi_trial = _free_energy_at(m_trial, tilt_trial, dataset, beta)
             except (NonConvergence, InfeasibleTilt):
                 s *= 0.5

@@ -119,7 +119,7 @@ def _fit_fold(dataset, prior, beta, keep_mask, warm, settings):
     sub = Dataset(dataset.X[:, keep_mask], dataset.y[keep_mask])
     try:
         res = fit(sub, prior, beta, init=warm.m, settings=settings,
-                  _tilt=(warm.E, warm.h))
+                  _tilt=(warm.E, warm.h, warm.lambda_tilde))
     except EcregError:
         return warm.m, False
     return res.state.m, res.state.converged

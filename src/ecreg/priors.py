@@ -61,10 +61,16 @@ class PriorSpec:
         return -1.0 / self.sigma_w2
 
     @cached_property
+    def _log_weights(self):
+        """(log(1-rho), log(rho)): -inf at rho = 1 and rho = 0 respectively."""
+        with np.errstate(divide="ignore"):
+            return np.log1p(-self.rho), np.log(self.rho)
+
+    @cached_property
     def _log_odds(self):
         """log(rho/(1-rho)): -inf for the pure spike, +inf for the pure slab."""
-        with np.errstate(divide="ignore"):
-            return np.log(self.rho) - np.log1p(-self.rho)
+        log_spike, log_slab = self._log_weights
+        return log_slab - log_spike
 
 
 def bernoulli_gauss(rho, sigma_w2):
@@ -100,28 +106,30 @@ def _check_tilt(prior, E):
             f"tilted {prior.family} prior needs E > {prior.min_tilt()}, got E = {E}")
 
 
-def _slab_variance(prior, E):
-    """Variance of the slab tilted by exp(-E*w**2/2 + h*w); it does not depend on h."""
+def _slab(prior, E):
+    """The parts of the slab tilted by exp(-E*w**2/2 + h*w) that do not depend
+    on h: its log partition at h = 0 and its variance s."""
     if prior.family == BERNOULLI_GAUSS:
-        return prior.sigma_w2 / (1.0 + E * prior.sigma_w2)
-    return 1.0 / E
+        return -0.5 * np.log(1.0 + E * prior.sigma_w2), prior.sigma_w2 / (1.0 + E * prior.sigma_w2)
+    return 0.5 * np.log(2.0 * np.pi / E), 1.0 / E
 
 
-def _mixture(prior, h, E):
+def _mixture(prior, h, E, slab):
     """(log partition, mean, variance) of the tilted slab and the inclusion
-    probability pi = rho*Z_slab / ((1-rho) + rho*Z_slab), for any rho in [0, 1]."""
-    s = _slab_variance(prior, E)
+    probability pi = rho*Z_slab / ((1-rho) + rho*Z_slab), for any rho in [0, 1];
+    ``slab`` is _slab(prior, E), formed once per E."""
+    ln_z0, s = slab
     if prior.family == BERNOULLI_GAUSS:
-        ln_zs, mu = -0.5 * np.log(1.0 + E * prior.sigma_w2) + h * h * (0.5 * s), h * s
+        ln_zs, mu = ln_z0 + h * h * (0.5 * s), h * s
     else:
-        ln_zs, mu = 0.5 * np.log(2.0 * np.pi / E) + h * h / (2.0 * E), h / E
+        ln_zs, mu = ln_z0 + h * h / (2.0 * E), h / E
     return ln_zs, mu, s, expit(prior._log_odds + ln_zs)
 
 
 def _scalar_moments(prior, ln_zs, mu, s, pi):
     """ScalarMoments from one ``_mixture`` output, with pq = pi*(1-pi)."""
-    with np.errstate(divide="ignore"):
-        log_z = np.logaddexp(np.log1p(-prior.rho), np.log(prior.rho) + ln_zs)
+    log_spike, log_slab = prior._log_weights
+    log_z = np.logaddexp(log_spike, log_slab + ln_zs)
     pq = pi * (1.0 - pi)
     mu2 = mu * mu
     k3 = pq * mu * ((1.0 - 2.0 * pi) * mu2 + 3.0 * s)
@@ -137,8 +145,10 @@ def moments(prior, h, E):
     pi * (v_slab + mu_slab**2), pi = rho*Z_slab / ((1-rho) + rho*Z_slab),
     with Z_slab the tilted slab partition function.
     """
-    _check_tilt(prior, float(E))
-    return _scalar_moments(prior, *_mixture(prior, np.asarray(h, dtype=float), float(E)))
+    E = float(E)
+    _check_tilt(prior, E)
+    return _scalar_moments(prior, *_mixture(prior, np.asarray(h, dtype=float), E,
+                                            _slab(prior, E)))
 
 
 # ---------------------------------------------------------------------------
@@ -167,17 +177,18 @@ def invert_mean(prior, m_target, E, h0=None):
     The moments are the ScalarMoments of the accepted pass, with the slab
     mean signed by m_target, so they equal moments(prior, h, E) bit for bit.
     """
-    _check_tilt(prior, float(E))
     E = float(E)
+    _check_tilt(prior, E)
+    slab = _slab(prior, E)
     m = np.asarray(m_target, dtype=float)
     mt = np.abs(m)
     # slab inverse: mu_slab(lo) = |m| with mu_slab = h * v_slab rounded
     # as _mixture rounds it
-    lo = mt / _slab_variance(prior, E)
-    pi_lo = _mixture(prior, lo, E)[3]
+    lo = mt / slab[1]
+    pi_lo = _mixture(prior, lo, E, slab)[3]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         hi = np.where(lo > 0.0, lo / pi_lo, lo)
-    if not np.all(np.isfinite(hi)):
+    if not np.isfinite(hi).all():
         raise RangeError("mean target not bracketed: inclusion probability underflows")
     x = lo.copy()
     if h0 is not None:
@@ -188,10 +199,10 @@ def invert_mean(prior, m_target, E, h0=None):
     step = step_old = np.full_like(lo, np.inf)
     # the last pass only evaluates the iterate the one before it stepped to
     for left in range(_INVERT_PASSES, -1, -1):
-        ln_zs, mu, s, pi = _mixture(prior, x, E)
+        ln_zs, mu, s, pi = _mixture(prior, x, E, slab)
         err = pi * mu - mt
         done = np.abs(err) <= tol
-        if np.all(done) or not left:
+        if done.all() or not left:
             break
         lo = np.where(err < 0.0, x, lo)
         hi = np.where(err > 0.0, x, hi)
@@ -199,15 +210,15 @@ def invert_mean(prior, m_target, E, h0=None):
         xn = x - newton
         # written so that a NaN step fails the bracket test
         bisect = ~((xn >= lo) & (xn <= hi)) | (np.abs(newton) > 0.5 * np.abs(step_old))
-        if np.any(bisect):
+        if bisect.any():
             xn = np.where(bisect, np.sqrt(lo) * np.sqrt(hi), xn)
         xn = np.where(done, x, xn)
         step_old, step = step, xn - x
-        if not np.any(step):
+        if not step.any():
             break
         x = xn
     # accept a stalled iterate only within the contractual tolerance
-    if not np.all(np.abs(err) <= 1e-12 * np.maximum(1.0, mt)):
+    if not (np.abs(err) <= 1e-12 * np.maximum(1.0, mt)).all():
         raise NonConvergence(f"mean inversion stalled, residual {np.abs(err).max():.3e}")
     # the passes ran on |h|; the slab mean is odd in h, and negating it
     # negates mean and kappa3 exactly

@@ -103,7 +103,7 @@ class TestFit:
         out_path = str(tmp_path / "fit.json")
         rc = main(["fit", "--data", paths["train"], "--family", "bg",
                    "--rho", "0.2", "--sigma-w2", "4", "--beta", "4",
-                   "--max-outer", "1", "--out", out_path])
+                   "--max-outer", "0", "--out", out_path])
         assert rc == 1
         assert "did not converge" in capsys.readouterr().err
         assert load_fit_json(out_path)["converged"] is False

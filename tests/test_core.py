@@ -15,6 +15,7 @@ import pytest
 
 from ecreg import core
 from ecreg.core import (
+    _VAMP_BUDGET,
     Dataset,
     FitSettings,
     _chol_solve_modified,
@@ -22,9 +23,11 @@ from ecreg.core import (
     _free_energy_at,
     _free_energy_terms,
     _newton_direction,
+    _predicted_tilt,
     _rounding_rise,
     _secular_newton,
     _tilt_slope,
+    _tilt_tangent,
     _vamp_start,
     fit,
     gradient,
@@ -593,7 +596,7 @@ class TestHessian:
             up[i] += step
             down[i] -= step
             fd[:, i] = (grad_resolved(up) - grad_resolved(down)) / (2.0 * step)
-        a, c = _coupling(m0, tilt, beta, spec)
+        a, c, _ = _coupling(m0, tilt, beta, spec)
         scale = float(np.max(np.abs(fd)))
         exact = result.hessian + c * np.outer(a, a)
         assert float(np.max(np.abs(exact - fd))) <= 1e-5 * scale
@@ -716,12 +719,12 @@ class TestFit:
         # at calibrate_rho's lowest probe, rho = 1e-8, the gradient stops
         # above grad_tol * scale: its largest entry sits on a coordinate with
         # curvature ~6e8, where the Newton step that would remove it is tiny.
-        # The fit ends converged after 43 iterations because that undamped
-        # step falls below step_tol.
+        # The fit from zero ends converged after 43 iterations because that
+        # undamped step falls below step_tol (the VAMP start avoids the stall)
         ds, _, _ = gen_synthetic(SynthConfig(N=40, alpha=1.5, rho0=0.2, sigma_w0_sq=4.0,
                                              sigma_n0_sq=0.1, seed=5))
         beta = 4.0
-        result = fit(ds, bernoulli_gauss(1e-8, 4.0), beta)
+        result = fit(ds, bernoulli_gauss(1e-8, 4.0), beta, init=np.zeros(40))
         scale = max(1.0, float(np.max(np.abs(beta * ds.xy))))
         assert result.state.grad_norm > FitSettings().grad_tol * scale
         assert result.state.converged
@@ -750,8 +753,9 @@ class TestFit:
     def test_kernel_runs_only_in_mean_inversions(self, monkeypatch):
         # a tilt evaluation takes its moments from invert_mean's accepted
         # pass, and the rank-one term reads them from TiltResult.moments, so
-        # every call of the tilted-prior kernel is one of invert_mean's
-        # passes; _coupling (evaluated on both full-rank grams) makes none
+        # every call of the Newton loop's tilted-prior kernel is one of
+        # invert_mean's passes; _coupling (evaluated on both full-rank grams)
+        # makes none.  Started from zero, no VAMP pass calls moments
         callers, within, entered = [], [], {"invert_mean": 0, "_coupling": 0}
 
         def kernel(*args):
@@ -771,7 +775,7 @@ class TestFit:
         monkeypatch.setattr("ecreg.priors._mixture", kernel)
         monkeypatch.setattr("ecreg.core.invert_mean", inside("invert_mean", invert_mean))
         monkeypatch.setattr("ecreg.core._coupling", inside("_coupling", _coupling))
-        fit(_random_instance(48, 12, 20), bernoulli_gauss(0.3, 4.0), 3.0)
+        fit(_random_instance(48, 12, 20), bernoulli_gauss(0.3, 4.0), 3.0, init=np.zeros(12))
         fit(_random_instance(49, 12, 20), bernoulli_uniform(0.3), 3.0)
         assert entered["_coupling"] > 0
         assert callers and set(callers) == {"invert_mean"}
@@ -938,20 +942,52 @@ class TestVampStart:
         assert started.state.iterations == cold.state.iterations
         assert started.settings == cold.settings
 
-    def test_runs_only_on_cold_wide_fits_with_a_curved_slab(self, monkeypatch):
+    def test_runs_only_on_cold_fits_with_a_curved_slab(self, monkeypatch):
         accepted = _vamp_calls(monkeypatch)
         wide = _random_instance(46, 12, 10)
         assert spectrum(wide)[0] == 0.0
         fit(wide, bernoulli_uniform(0.3), 2.0)  # flat slab with zero modes
-        fit(_random_instance(51, 12, 12), bernoulli_gauss(0.3, 4.0), 2.0)  # M = N
-        fit(_random_instance(52, 8, 20), bernoulli_gauss(0.3, 4.0), 2.0)  # M > N
+        fit(_random_instance(52, 8, 20), bernoulli_uniform(0.3), 2.0)  # flat, full rank
         assert accepted == []
         prior = bernoulli_gauss(0.3, 4.0)
         state = fit(wide, prior, 2.0, init=np.zeros(12)).state
-        fit(wide, prior, 2.0, init=state.m, _tilt=(state.E, state.h))
+        fit(wide, prior, 2.0, init=state.m, _tilt=(state.E, state.h, state.lambda_tilde))
         assert accepted == []
         fit(wide, prior, 2.0)
-        assert len(accepted) == 1
+        fit(_random_instance(51, 12, 12), prior, 2.0)  # M = N
+        fit(_random_instance(52, 8, 20), prior, 2.0)  # M > N
+        assert len(accepted) == 3  # it ran; on the last draw it fell back
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tall_design_reaches_the_fixed_point_from_zero(self, seed, monkeypatch):
+        # criterion 8's generator (N = 80, M = 200): the LMMSE step runs on
+        # the N x N gram's eigendecomposition instead of Woodbury's M x M one
+        ds, _, _ = gen_synthetic(SynthConfig(N=80, alpha=2.5, rho0=0.2, sigma_w0_sq=4.0,
+                                             sigma_n0_sq=0.25, seed=seed))
+        prior, beta = bernoulli_gauss(0.2, 4.0), 8.0
+        accepted = _vamp_calls(monkeypatch)
+        started = fit(ds, prior, beta)
+        assert accepted == [True]
+        cold = fit(ds, prior, beta, init=np.zeros(80))
+        assert started.state.converged and cold.state.converged
+        assert started.state.iterations < cold.state.iterations
+        gap = float(np.max(np.abs(started.state.m - cold.state.m)))
+        assert gap <= 1e-6 * float(np.max(np.abs(cold.state.m)))
+
+    def test_gives_up_when_the_move_stops_shrinking(self, monkeypatch):
+        # criterion 2's seed 100 at beta = 50: VAMP oscillates with
+        # max|dm| near 0.1 and spent its whole budget before the window test
+        ds = _criterion_draw(500, 100)
+        prior = bernoulli_gauss(0.1, 10.0)
+        calls = [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return moments(*args)
+
+        monkeypatch.setattr("ecreg.core.moments", counted)
+        assert _vamp_start(ds, prior, 50.0) is None
+        assert calls[0] < _VAMP_BUDGET // 2
 
     def test_no_newton_step_returns_the_vamp_point(self):
         ds = _criterion_draw(200, 200)
@@ -964,6 +1000,83 @@ class TestVampStart:
         # the tilt solved at VAMP's mean starts from, and stays near, VAMP's (E, h)
         assert abs(result.state.E - E) <= 1e-4 * abs(E)
         assert result.state.grad_norm > 0.0
+
+
+def _criterion_8_fold(mu):
+    """Criterion 8's instance without sample mu, started as literal_loocv
+    starts it: (fold dataset, spectrum, full-fit m, tilt solved at that m for
+    the fold, the fold's first Newton direction and the tilt's tangent along
+    it)."""
+    ds, _, _ = gen_synthetic(SynthConfig(N=80, alpha=2.5, rho0=0.2, sigma_w0_sq=4.0,
+                                         sigma_n0_sq=0.25, seed=4))
+    prior, beta = bernoulli_gauss(0.2, 4.0), 8.0
+    full = fit(ds, prior, beta).state
+    keep = np.arange(ds.n_samples) != mu
+    sub = Dataset(ds.X[:, keep], ds.y[keep])
+    lam = spectrum(sub)
+    tilt = solve_tilt(full.m, prior, beta, lam, E0=full.E, h0=full.h)
+    H, d = core._curvature(tilt.moments.variance, tilt.E, sub, beta)
+    a, c, h_E = _coupling(full.m, tilt, beta, lam)
+    grad = gradient(full.m, tilt.h, tilt.E, sub, beta)
+    direction = _newton_direction(H, d, grad, (a, c))
+    return sub, lam, full.m, tilt, direction, _tilt_tangent(tilt, direction, (a, c), h_E)
+
+
+class TestTiltPredictor:
+    @pytest.mark.parametrize("mu", [0, 1, 2, 3])
+    def test_short_step_closes_in_one_evaluation(self, mu, monkeypatch):
+        # the predictor's error is O(s**2), the accepted tilt's O(s)
+        prior, beta, s = bernoulli_gauss(0.2, 4.0), 8.0, 1e-4
+        sub, lam, m, tilt, direction, tangent = _criterion_8_fold(mu)
+        calls = [0]
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return invert_mean(*args, **kwargs)
+
+        monkeypatch.setattr("ecreg.core.invert_mean", counted)
+        E0, h0 = _predicted_tilt(tilt, s, tangent, prior.min_tilt())
+        predicted = solve_tilt(m + s * direction, prior, beta, lam, E0=E0, h0=h0,
+                               _ltil0=tilt.lambda_tilde)
+        assert calls[0] == 1
+        calls[0] = 0
+        old = solve_tilt(m + s * direction, prior, beta, lam, E0=tilt.E, h0=tilt.h)
+        assert calls[0] >= 2
+        assert abs(predicted.E - old.E) <= 1e-9 * old.E
+
+    def test_tangent_is_the_first_order_term(self):
+        # halving s quarters the predictor's error on E and h
+        prior, beta = bernoulli_gauss(0.2, 4.0), 8.0
+        _, lam, m, tilt, direction, tangent = _criterion_8_fold(0)
+        errors = []
+        for s in (1e-3, 5e-4):
+            E0, h0 = _predicted_tilt(tilt, s, tangent, prior.min_tilt())
+            solved = solve_tilt(m + s * direction, prior, beta, lam, E0=E0, h0=h0, tol=1e-14)
+            errors.append((abs(E0 - solved.E), float(np.max(np.abs(h0 - solved.h)))))
+        for big, small in zip(*errors):
+            assert 3.5 <= big / small <= 4.5
+
+    def test_falls_back_below_the_integrability_edge(self):
+        prior = bernoulli_gauss(0.2, 4.0)
+        _, _, _, tilt, direction, tangent = _criterion_8_fold(0)
+        # a step that would carry E twice its distance below E_min
+        down = (-abs(tangent[0]), tangent[1])
+        s = 2.0 * (tilt.E - prior.min_tilt()) / abs(tangent[0])
+        E0, h0 = _predicted_tilt(tilt, s, down, prior.min_tilt())
+        assert E0 == tilt.E and h0 is tilt.h
+        for bad in (np.nan, np.inf):
+            E0, h0 = _predicted_tilt(tilt, 0.5, (bad, tangent[1]), prior.min_tilt())
+            assert E0 == tilt.E and h0 is tilt.h
+
+    def test_flat_slab_with_zero_modes_keeps_E(self):
+        ds = _random_instance(46, 12, 10)
+        prior, beta = bernoulli_uniform(0.3), 2.0
+        state = fit(ds, prior, beta, settings=FitSettings(max_outer=1)).state
+        tilt = solve_tilt(state.m, prior, beta, spectrum(ds), E0=state.E, h0=state.h)
+        direction = np.linspace(-1.0, 1.0, 12)
+        dE, dh = _tilt_tangent(tilt, direction, None, None)
+        assert dE == 0.0
+        np.testing.assert_array_equal(dh, direction / tilt.moments.variance)
 
 
 class TestFreeEnergy:
