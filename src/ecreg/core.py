@@ -36,15 +36,17 @@ Methods, SIAM 2003): its tilt solve starts from the Euler predictor
 _tilt_slope evaluation gives (dE/dm = k/(1 - k*b)*a, dh/dm = 1/v at fixed E
 plus dh/dE*dE), and from the accepted Ltil, and solve_tilt's Newton steps
 correct it; a short step often closes in one evaluation.  A flat slab whose
-gram has a zero eigenvalue keeps E and moves h by s*d/v.  A literal refit
-starts its first tilt solve from the full fit's (E, h, Ltil).
+gram has a zero eigenvalue keeps E and moves h by s*d/v.  A fit warm-started
+from an earlier fit's state (a literal refit, a calibration probe) is the
+corrector of the same continuation: it starts at that state's m and its
+first tilt solve at that state's (E, h, Ltil).
 
-A cold fit (no init, no private _tilt) whose prior is not a flat slab
-first runs _vamp_start: damped VAMP on the eigendecomposition of the
-smaller of X^T X and X X^T that Dataset caches, whose fixed point is the EC
-fixed point (E = gamma1, h = gamma1*r1), so the Newton loop only polishes
-its point.  When VAMP leaves its domain, stalls or runs out of
-iterations the fit starts from m = 0, as it does with init = 0.
+A cold fit (no warm state) whose prior is not a flat slab first runs
+_vamp_start: damped VAMP on the eigendecomposition of the smaller of X^T X
+and X X^T that Dataset caches, whose fixed point is the EC fixed point
+(E = gamma1, h = gamma1*r1), so the Newton loop only polishes its point.
+When VAMP leaves its domain, stalls or runs out of iterations the fit
+starts from m = 0.
 
 For a pure Gaussian prior (rho = 1 slab) this construction is exact: m is the
 ridge posterior mean and Phi equals the exact negative log evidence with zero
@@ -73,6 +75,7 @@ from .priors import BERNOULLI_UNIFORM, ScalarMoments, invert_mean, moments
 _EPS = float(np.finfo(float).eps)
 _STEP_FLOOR = 2.0 ** -20  # fit halves a step no further
 _VARIANCE_FLOOR = 1e-12  # a tilted variance below it (or NaN) raises VarianceCollapse
+_TILT_TOL = 1e-10  # solve_tilt's relative residual on E above |E| = 1
 
 # ---------------------------------------------------------------------------
 # dataset and spectrum
@@ -265,8 +268,7 @@ def _default_tilt_origin(prior, beta, lam_bar):
     return beta * lam_bar + 1.0
 
 
-def solve_tilt(m, prior, beta, lam, E0=None, h0=None, tol=1e-10, max_inner=60, *,
-               _ltil0=None):
+def solve_tilt(m, prior, beta, lam, E0=None, h0=None, max_inner=60, *, _ltil0=None):
     """Find (h, E) with tilted means equal to m and E = 1/chi - beta*Ltil.
 
     The scalar consistency r(E) = E_new(E) - E = 0 is solved from E0 (by
@@ -287,9 +289,9 @@ def solve_tilt(m, prior, beta, lam, E0=None, h0=None, tol=1e-10, max_inner=60, *
     zero eigenvalue takes that fallback at every step (fit drops the
     rank-one term there too), because Newton's step leaves its consistency
     unclosed within the budget where the secant closes it.  Residual on E
-    <= tol*max(1, |E|); below |E| = 1 that test is absolute, so on a flat
-    slab with zero modes, where r ~ -f0*E near 0 (f0 the zero-mode
-    fraction), any E below tol/f0 passes.
+    <= _TILT_TOL*max(1, |E|); below |E| = 1 that test is absolute, so on a
+    flat slab with zero modes, where r ~ -f0*E near 0 (f0 the zero-mode
+    fraction), any E below _TILT_TOL/f0 passes.
 
     Near E_min, r > 0 for the Gaussian slab (chi -> inf, so E_new ->
     beta*lambda_min >= 0 > -1/sigma_w2) and for the flat slab on a full-rank
@@ -327,7 +329,7 @@ def solve_tilt(m, prior, beta, lam, E0=None, h0=None, tol=1e-10, max_inner=60, *
         r = 1.0 / chi - beta * ltil - E
         # 1/chi - beta*Ltil cancels two O(1/chi) terms, so the residual
         # cannot be resolved below a few eps/chi; accept at that floor.
-        if abs(r) <= max(tol * max(1.0, abs(E)), 8.0 * _EPS / chi):
+        if abs(r) <= max(_TILT_TOL * max(1.0, abs(E)), 8.0 * _EPS / chi):
             return TiltResult(h=h, E=float(E), Q=q + chi, q=q, chi=chi,
                               lambda_tilde=ltil, moments=mom)
         rose = rose or r > 0.0
@@ -683,7 +685,7 @@ def _vamp_start(dataset, prior, beta):
     return None
 
 
-def fit(dataset, prior, beta, init=None, settings=None, *, _tilt=None):
+def fit(dataset, prior, beta, settings=None, *, warm=None):
     """Minimize the free energy by damped Newton; deterministic.
 
     Each step re-solves the tilt at the current m, forms the gradient and
@@ -706,37 +708,36 @@ def fit(dataset, prior, beta, init=None, settings=None, *, _tilt=None):
     step, 0.0 for a strict decrease).  Each trial's tilt solve starts from
     the Euler predictor of the accepted tilt along the step (_tilt_tangent,
     _predicted_tilt), which needs no extra evaluation: its derivatives come
-    from the rank-one term's _tilt_slope.  The private
-    ``_tilt=(E, h, Ltil)`` warm-starts the first tilt solve.
-    ``FitResult.hessian`` is H, the curvature approx_looe uses.
+    from the rank-one term's _tilt_slope.  ``FitResult.hessian`` is H, the
+    curvature approx_looe uses.
 
-    With ``init=None`` and no ``_tilt``, when the prior is not a flat slab
-    (on a wide design its gram has zero eigenvalues), the Newton loop starts
-    from _vamp_start's point: VAMP's mean as m and its
-    (E, h) as the first tilt solve's start.  When _vamp_start returns None
-    the loop starts from m = 0, and ``init=None`` then takes the same route
-    as ``init=np.zeros(N)``, bit for bit; otherwise the two routes reach the
-    same fixed point by different iterates.
+    ``warm``, the ECState of an earlier fit on the same features (under any
+    prior and beta), starts the Newton loop at warm.m and the first tilt
+    solve at (warm.E, warm.h, warm.lambda_tilde); from a fit that met
+    grad_tol under the same prior and beta it normally takes no step.
+    Without it, when the prior is not a flat slab (on a wide design its gram
+    has zero eigenvalues), the loop starts from _vamp_start's point: VAMP's
+    mean as m and its (E, h) as the first tilt solve's start; when
+    _vamp_start returns None, or on a flat slab, from m = 0 and solve_tilt's
+    default start.
     """
     cfg = settings or FitSettings()
     if not 0.0 < beta < np.inf:
         raise DomainError(f"beta must be finite and positive, got {beta}")
     n = dataset.n_features
-    if init is not None:
-        m = np.array(init, dtype=float)
-        if m.shape != (n,):
-            raise DimensionMismatch(f"init has shape {m.shape}, expected ({n},)")
+    if warm is not None:
+        m, E0, h0, ltil0 = np.array(warm.m, dtype=float), warm.E, warm.h, warm.lambda_tilde
+        if m.shape != (n,) or np.shape(h0) != (n,):
+            raise DimensionMismatch(f"warm state's m and h must have shape ({n},)")
     else:
-        m = np.zeros(n)
+        m, E0, h0, ltil0 = np.zeros(n), None, None, None
+        if prior.family != BERNOULLI_UNIFORM:
+            start = _vamp_start(dataset, prior, beta)
+            if start is not None:
+                m, E0, h0 = start
     lam = spectrum(dataset)
     flat_zero_modes = _flat_slab_with_zero_modes(prior, lam)
     grad_scale = max(1.0, float(np.max(np.abs(beta * dataset.xy))))
-
-    E0, h0, ltil0 = _tilt if _tilt is not None else (None, None, None)
-    if init is None and _tilt is None and prior.family != BERNOULLI_UNIFORM:
-        start = _vamp_start(dataset, prior, beta)
-        if start is not None:
-            m, E0, h0 = start
     E_min = prior.min_tilt()
     tilt = solve_tilt(m, prior, beta, lam, E0=E0, h0=h0, max_inner=cfg.max_inner,
                       _ltil0=ltil0)

@@ -48,20 +48,20 @@ class SynthConfig:
     test_samples: int = 0
 
     def __post_init__(self):
-        if self.N < 1:
-            raise ConfigError(f"N must be >= 1, got {self.N}")
+        if not (isinstance(self.N, numbers.Integral) and self.N >= 1):
+            raise ConfigError(f"N must be an integer >= 1, got {self.N}")
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ConfigError(f"alpha must be positive, got {self.alpha}")
         if self.M < 1:
             raise ConfigError(f"round(alpha*N) must be >= 1, got {self.M}")
         if not 0.0 <= self.rho0 <= 1.0:
             raise ConfigError(f"rho0 must lie in [0,1], got {self.rho0}")
-        if not self.sigma_w0_sq > 0.0:
-            raise ConfigError(f"sigma_w0_sq must be positive, got {self.sigma_w0_sq}")
-        if self.sigma_n0_sq < 0.0:
-            raise ConfigError(f"sigma_n0_sq must be non-negative, got {self.sigma_n0_sq}")
-        if self.test_samples < 0:
-            raise ConfigError(f"test_samples must be non-negative, got {self.test_samples}")
+        if not (math.isfinite(self.sigma_w0_sq) and self.sigma_w0_sq > 0.0):
+            raise ConfigError(f"sigma_w0_sq must be finite and > 0, got {self.sigma_w0_sq}")
+        if not (math.isfinite(self.sigma_n0_sq) and self.sigma_n0_sq >= 0.0):
+            raise ConfigError(f"sigma_n0_sq must be finite and >= 0, got {self.sigma_n0_sq}")
+        if not (isinstance(self.test_samples, numbers.Integral) and self.test_samples >= 0):
+            raise ConfigError(f"test_samples must be an integer >= 0, got {self.test_samples}")
         if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
 

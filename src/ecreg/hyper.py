@@ -140,28 +140,28 @@ def calibrate_rho(dataset, beta, K, family, sigma_w2=None, settings=None):
     """Find rho with posterior expected non-zero count sum(pi_i) = K.
 
     Geometric bisection on rho in [1e-8, 1 - 1e-8], at most about 60 probes;
-    each probe refits, warm-started from the previous probe.  The achieved
-    count is monotone increasing in rho on healthy instances; a probe
-    outside the running bracket's counts raises NonMonotoneDetected, and a
-    bracket that can no longer shrink NonConvergence.  Success means
-    |achieved - K| <= 1e-6 * max(1, K).
+    the first probe fits cold and each later one from the previous probe's
+    whole state (m and its tilt, fit's ``warm``), as literal refits start
+    from the full fit's.  The achieved count is monotone increasing in rho
+    on healthy instances; a probe outside the running bracket's counts
+    raises NonMonotoneDetected, and a bracket that can no longer shrink
+    NonConvergence.  Success means |achieved - K| <= 1e-6 * max(1, K).
     """
     n = dataset.n_features
     if not 0.0 < K < n:
         raise DomainError(f"K must lie in (0, {n}), got {K}")
     tol = 1e-6 * max(1.0, K)
     mono_tol = 1e-7 * max(1.0, K)
-    probes = 0
-    warm = {"m": None}
+    probes, warm = 0, None
 
     def achieved(rho):
-        nonlocal probes
+        nonlocal probes, warm
         probes += 1
-        res = fit(dataset, PriorSpec(family, rho, sigma_w2), beta,
-                  init=warm["m"], settings=settings)
+        res = fit(dataset, PriorSpec(family, rho, sigma_w2), beta, settings=settings,
+                  warm=warm)
         if not res.state.converged:
             raise NonConvergence(f"calibration probe at rho={rho:.6g} did not converge")
-        warm["m"] = res.state.m
+        warm = res.state
         return float(np.sum(res.inclusion_probs)), res
 
     lo, hi = 1e-8, 1.0 - 1e-8

@@ -118,8 +118,7 @@ def _fit_fold(dataset, prior, beta, keep_mask, warm, settings):
         return np.zeros(dataset.n_features), True
     sub = Dataset(dataset.X[:, keep_mask], dataset.y[keep_mask])
     try:
-        res = fit(sub, prior, beta, init=warm.m, settings=settings,
-                  _tilt=(warm.E, warm.h, warm.lambda_tilde))
+        res = fit(sub, prior, beta, settings=settings, warm=warm)
     except EcregError:
         return warm.m, False
     return res.state.m, res.state.converged

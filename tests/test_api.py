@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import inspect
 import pathlib
 
 import ecreg
@@ -54,3 +55,16 @@ def test_benchmark_traced_names_resolve():
             (module, name)
     for name in tracing.CHOLESKY:
         assert callable(getattr(ecreg.core.sla, name, None)), name
+
+
+def test_start_and_tolerance_options_are_pinned():
+    # fit has one warm start (a whole earlier state) and solve_tilt one fixed
+    # tolerance; a new start or tolerance option has to change this test
+    def names(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert names(ecreg.fit) == ["dataset", "prior", "beta", "settings", "warm"]
+    assert names(ecreg.core.solve_tilt) == [
+        "m", "prior", "beta", "lam", "E0", "h0", "max_inner", "_ltil0"]
+    assert names(ecreg.calibrate_rho) == [
+        "dataset", "beta", "K", "family", "sigma_w2", "settings"]

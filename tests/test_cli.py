@@ -80,6 +80,16 @@ class TestSynth:
             assert rc == 2, flags
             assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("w0, n0", [("1", "nan"), ("1", "inf"), ("inf", "0.1")])
+    def test_non_finite_variance_is_usage_error(self, tmp_path, capsys, w0, n0):
+        # nan once passed both sign checks and wrote noise-free data
+        rc = main(["synth", "--n", "10", "--alpha", "1", "--rho0", "0.2",
+                   "--sigma-w0-sq", w0, "--sigma-n0-sq", n0,
+                   "--out-train", str(tmp_path / "t.csv")])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
 
 class TestFit:
     def test_writes_fit_json(self, tmp_path, capsys):

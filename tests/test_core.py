@@ -7,6 +7,7 @@ objective, and plain scalar bisection for the tilt consistency.
 """
 
 import contextlib
+import dataclasses
 import types
 from unittest import mock
 
@@ -571,7 +572,7 @@ class TestHessian:
 
 
     @pytest.mark.parametrize("family", ["bg", "bu"])
-    def test_exact_hessian_matches_finite_differences(self, family):
+    def test_exact_hessian_matches_finite_differences(self, family, monkeypatch):
         # with the tilt re-solved at every m, the gradient's m-derivative is
         # the partial curvature plus fit's rank-one term c*a*a^T
         if family == "bg":
@@ -582,11 +583,11 @@ class TestHessian:
         spec = spectrum(ds)
         result = fit(ds, prior, beta)
         m0 = result.state.m
-        tilt = solve_tilt(m0, prior, beta, spec, E0=result.state.E, h0=result.state.h,
-                          tol=1e-14)
+        monkeypatch.setattr("ecreg.core._TILT_TOL", 1e-14)
+        tilt = solve_tilt(m0, prior, beta, spec, E0=result.state.E, h0=result.state.h)
 
         def grad_resolved(m_vec):
-            t = solve_tilt(m_vec, prior, beta, spec, E0=tilt.E, h0=tilt.h, tol=1e-14)
+            t = solve_tilt(m_vec, prior, beta, spec, E0=tilt.E, h0=tilt.h)
             return gradient(m_vec, t.h, t.E, ds, beta)
 
         step = 1e-5
@@ -697,25 +698,39 @@ class TestFit:
         assert a.state.iterations == b.state.iterations
 
     def test_warm_start_reaches_same_answer(self):
-        ds = _random_instance(39, 25, 12)
-        prior = bernoulli_gauss(0.3, 4.0)
-        cold = fit(ds, prior, 5.0)
-        warm = fit(ds, prior, 5.0, init=cold.state.m)
-        assert warm.state.iterations <= cold.state.iterations
-        np.testing.assert_allclose(warm.state.m, cold.state.m,
-                                   atol=1e-8, rtol=1e-8)
+        # the restart's first tilt solve starts at the state's own tilt, so a
+        # fit that met grad_tol meets it again before any Newton step: on
+        # criterion 8's instance, criterion 1's first draw and criterion 6's
+        # flat slab
+        cases = [
+            (SynthConfig(N=80, alpha=2.5, rho0=0.2, sigma_w0_sq=4.0, sigma_n0_sq=0.25,
+                         seed=4), bernoulli_gauss(0.2, 4.0), 8.0),
+            (SynthConfig(N=200, alpha=0.5, rho0=0.1, sigma_w0_sq=10.0, sigma_n0_sq=0.1,
+                         seed=200), bernoulli_gauss(0.1, 10.0), 10.0),
+            (SynthConfig(N=25, alpha=2.0, rho0=0.3, sigma_w0_sq=1.0, sigma_n0_sq=0.2,
+                         seed=4), bernoulli_uniform(0.3), 4.0),
+        ]
+        for config, prior, beta in cases:
+            ds, _, _ = gen_synthetic(config)
+            cold = fit(ds, prior, beta)
+            scale = max(1.0, float(np.max(np.abs(beta * ds.xy))))
+            assert cold.state.grad_norm <= FitSettings().grad_tol * scale
+            warm = fit(ds, prior, beta, warm=cold.state)
+            assert warm.state.iterations == 0 and warm.state.converged
+            np.testing.assert_array_equal(warm.state.m, cold.state.m)
+            assert warm.state.E == cold.state.E
 
-    def test_iteration_budget_returns_best_state(self):
+    def test_iteration_budget_returns_best_state(self, monkeypatch):
         ds = _random_instance(40, 40, 20)
         settings = FitSettings(max_outer=2)
         # from zero, not from the VAMP start, which fit polishes in one step
-        result = fit(ds, bernoulli_gauss(0.2, 8.0), 10.0, init=np.zeros(ds.n_features),
-                     settings=settings)
+        monkeypatch.setattr("ecreg.core._vamp_start", lambda *args: None)
+        result = fit(ds, bernoulli_gauss(0.2, 8.0), 10.0, settings=settings)
         assert not result.state.converged
         assert result.state.iterations <= 2
         assert np.all(np.isfinite(result.state.m))
 
-    def test_stall_at_the_inner_solve_floor_is_converged(self):
+    def test_stall_at_the_inner_solve_floor_is_converged(self, monkeypatch):
         # at calibrate_rho's lowest probe, rho = 1e-8, the gradient stops
         # above grad_tol * scale: its largest entry sits on a coordinate with
         # curvature ~6e8, where the Newton step that would remove it is tiny.
@@ -724,7 +739,8 @@ class TestFit:
         ds, _, _ = gen_synthetic(SynthConfig(N=40, alpha=1.5, rho0=0.2, sigma_w0_sq=4.0,
                                              sigma_n0_sq=0.1, seed=5))
         beta = 4.0
-        result = fit(ds, bernoulli_gauss(1e-8, 4.0), beta, init=np.zeros(40))
+        monkeypatch.setattr("ecreg.core._vamp_start", lambda *args: None)
+        result = fit(ds, bernoulli_gauss(1e-8, 4.0), beta)
         scale = max(1.0, float(np.max(np.abs(beta * ds.xy))))
         assert result.state.grad_norm > FitSettings().grad_tol * scale
         assert result.state.converged
@@ -775,7 +791,8 @@ class TestFit:
         monkeypatch.setattr("ecreg.priors._mixture", kernel)
         monkeypatch.setattr("ecreg.core.invert_mean", inside("invert_mean", invert_mean))
         monkeypatch.setattr("ecreg.core._coupling", inside("_coupling", _coupling))
-        fit(_random_instance(48, 12, 20), bernoulli_gauss(0.3, 4.0), 3.0, init=np.zeros(12))
+        monkeypatch.setattr("ecreg.core._vamp_start", lambda *args: None)
+        fit(_random_instance(48, 12, 20), bernoulli_gauss(0.3, 4.0), 3.0)
         fit(_random_instance(49, 12, 20), bernoulli_uniform(0.3), 3.0)
         assert entered["_coupling"] > 0
         assert callers and set(callers) == {"invert_mean"}
@@ -793,10 +810,13 @@ class TestFit:
             with pytest.raises(DomainError):
                 fit(ds, bernoulli_gauss(0.5, 1.0), beta)
 
-    def test_init_shape_checked(self):
-        ds = _random_instance(42, 5, 3)
+    def test_warm_state_length_checked(self):
+        ds, prior = _random_instance(42, 4, 3), bernoulli_gauss(0.5, 1.0)
+        state = fit(ds, prior, 1.0).state
         with pytest.raises(DimensionMismatch):
-            fit(ds, bernoulli_gauss(0.5, 1.0), 1.0, init=np.zeros(4))
+            fit(_random_instance(42, 5, 3), prior, 1.0, warm=state)
+        with pytest.raises(DimensionMismatch):
+            fit(ds, prior, 1.0, warm=dataclasses.replace(state, h=state.h[:3]))
 
     def test_settings_echo(self):
         ds = _random_instance(43, 10, 6)
@@ -823,7 +843,8 @@ class TestFit:
 
         monkeypatch.setattr("ecreg.core._newton_direction", recorded)
         # from zero: the VAMP start skips the iterates with an indefinite H
-        result = fit(ds, bernoulli_gauss(0.1, 10.0), beta, init=np.zeros(ds.n_features))
+        monkeypatch.setattr("ecreg.core._vamp_start", lambda *args: None)
+        result = fit(ds, bernoulli_gauss(0.1, 10.0), beta)
         assert any(False in outcomes for outcomes, _ in steps)
         for outcomes, slope in steps:
             assert len(outcomes) <= 2 and outcomes.count(False) <= 1
@@ -923,7 +944,8 @@ class TestVampStart:
         accepted = _vamp_calls(monkeypatch)
         started = fit(ds, prior, beta)
         assert len(accepted) == 1
-        cold = fit(ds, prior, beta, init=np.zeros(ds.n_features))
+        monkeypatch.setattr("ecreg.core._vamp_start", lambda *args: None)
+        cold = fit(ds, prior, beta)
         assert started.state.converged == cold.state.converged
         gap = float(np.max(np.abs(started.state.m - cold.state.m)))
         assert gap <= 1e-6 * float(np.max(np.abs(cold.state.m)))
@@ -935,7 +957,10 @@ class TestVampStart:
         accepted = _vamp_calls(monkeypatch)
         started = fit(ds, prior, beta)
         assert accepted == [False]
-        cold = fit(ds, prior, beta, init=np.zeros(ds.n_features))
+        assert started.settings["free_energies"][0] == objective(ds, prior, beta,
+                                                                 np.zeros(ds.n_features))
+        monkeypatch.setattr("ecreg.core._vamp_start", lambda *args: None)
+        cold = fit(ds, prior, beta)
         np.testing.assert_array_equal(started.state.m, cold.state.m)
         np.testing.assert_array_equal(started.hessian, cold.hessian)
         assert started.state.free_energy == cold.state.free_energy
@@ -950,10 +975,11 @@ class TestVampStart:
         fit(_random_instance(52, 8, 20), bernoulli_uniform(0.3), 2.0)  # flat, full rank
         assert accepted == []
         prior = bernoulli_gauss(0.3, 4.0)
-        state = fit(wide, prior, 2.0, init=np.zeros(12)).state
-        fit(wide, prior, 2.0, init=state.m, _tilt=(state.E, state.h, state.lambda_tilde))
-        assert accepted == []
-        fit(wide, prior, 2.0)
+        state = fit(wide, prior, 2.0).state
+        assert len(accepted) == 1
+        fit(wide, prior, 2.0, warm=state)
+        fit(wide, bernoulli_gauss(0.1, 4.0), 3.0, warm=state)
+        assert len(accepted) == 1
         fit(_random_instance(51, 12, 12), prior, 2.0)  # M = N
         fit(_random_instance(52, 8, 20), prior, 2.0)  # M > N
         assert len(accepted) == 3  # it ran; on the last draw it fell back
@@ -968,7 +994,8 @@ class TestVampStart:
         accepted = _vamp_calls(monkeypatch)
         started = fit(ds, prior, beta)
         assert accepted == [True]
-        cold = fit(ds, prior, beta, init=np.zeros(80))
+        monkeypatch.setattr("ecreg.core._vamp_start", lambda *args: None)
+        cold = fit(ds, prior, beta)
         assert started.state.converged and cold.state.converged
         assert started.state.iterations < cold.state.iterations
         gap = float(np.max(np.abs(started.state.m - cold.state.m)))
@@ -1044,14 +1071,15 @@ class TestTiltPredictor:
         assert calls[0] >= 2
         assert abs(predicted.E - old.E) <= 1e-9 * old.E
 
-    def test_tangent_is_the_first_order_term(self):
+    def test_tangent_is_the_first_order_term(self, monkeypatch):
         # halving s quarters the predictor's error on E and h
         prior, beta = bernoulli_gauss(0.2, 4.0), 8.0
         _, lam, m, tilt, direction, tangent = _criterion_8_fold(0)
+        monkeypatch.setattr("ecreg.core._TILT_TOL", 1e-14)
         errors = []
         for s in (1e-3, 5e-4):
             E0, h0 = _predicted_tilt(tilt, s, tangent, prior.min_tilt())
-            solved = solve_tilt(m + s * direction, prior, beta, lam, E0=E0, h0=h0, tol=1e-14)
+            solved = solve_tilt(m + s * direction, prior, beta, lam, E0=E0, h0=h0)
             errors.append((abs(E0 - solved.E), float(np.max(np.abs(h0 - solved.h)))))
         for big, small in zip(*errors):
             assert 3.5 <= big / small <= 4.5

@@ -46,7 +46,12 @@ class TestSynthConfig:
         for bad in (dict(N=0), dict(alpha=0.0), dict(alpha=-1.0),
                     dict(N=1, alpha=0.3), dict(rho0=-0.1), dict(rho0=1.5),
                     dict(sigma_w0_sq=0.0), dict(sigma_n0_sq=-0.5),
-                    dict(test_samples=-1), dict(seed=-1)):
+                    dict(test_samples=-1), dict(seed=-1),
+                    # non-finite variances and non-integer sizes
+                    dict(sigma_w0_sq=np.inf), dict(sigma_w0_sq=np.nan),
+                    dict(sigma_n0_sq=np.inf), dict(sigma_n0_sq=np.nan),
+                    dict(N=10.5), dict(N=10.0), dict(test_samples=2.5),
+                    dict(test_samples=np.nan)):
             with pytest.raises(ConfigError):
                 SynthConfig(**{**good, **bad})
 

@@ -219,7 +219,7 @@ class TestCalibrateRho:
         ds = _instance(49, 8, 12)
         calls = {"n": 0}
 
-        def fake_fit(dataset, prior, beta, init=None, settings=None):
+        def fake_fit(dataset, prior, beta, settings=None, *, warm=None):
             calls["n"] += 1
             k = {1: 1.0, 2: 5.0}.get(calls["n"], 99.0)
             return SimpleNamespace(
@@ -238,7 +238,7 @@ class TestCalibrateRho:
         ds = _instance(49, 8, 12)
         calls = {"n": 0}
 
-        def fake_fit(dataset, prior, beta, init=None, settings=None):
+        def fake_fit(dataset, prior, beta, settings=None, *, warm=None):
             calls["n"] += 1
             return SimpleNamespace(
                 state=SimpleNamespace(converged=True, m=np.zeros(8)),
@@ -248,6 +248,22 @@ class TestCalibrateRho:
         with pytest.raises(NonConvergence, match="cannot shrink"):
             calibrate_rho(ds, 5.0, 3.0, BERNOULLI_GAUSS, sigma_w2=4.0)
         assert calls["n"] <= 60
+
+    def test_each_probe_restarts_from_the_previous_state(self, monkeypatch):
+        # as literal refits restart from the full fit: m, E, h and Ltil
+        starts, probes = [], []
+
+        def recording_fit(*args, warm=None, **kwargs):
+            starts.append(warm)
+            probes.append(fit(*args, warm=warm, **kwargs))
+            return probes[-1]
+
+        monkeypatch.setattr("ecreg.hyper.fit", recording_fit)
+        result = calibrate_rho(_instance(43, 20, 40), 10.0, 8.0, BERNOULLI_GAUSS,
+                               sigma_w2=4.0)
+        assert result.iterations == len(probes) > 3
+        assert starts[0] is None
+        assert all(start is probe.state for start, probe in zip(starts[1:], probes))
 
     def test_converged_probes_are_stationary(self, monkeypatch):
         # near rho = 1e-8 on this input the gradient stalls above grad_tol;

@@ -76,11 +76,11 @@ class TestApproxLooe:
         assert report.leverage[4] == 0.0
         assert report.residual_loo[4] == report.residual_full[4] == y[4]
 
-    def test_requires_converged_fit(self):
+    def test_requires_converged_fit(self, monkeypatch):
         ds = _instance(7, 25, 20, rho=0.2)
         # from zero, where one Newton step does not reach the fixed point
-        result = fit(ds, bernoulli_gauss(0.2, 4.0), 20.0, init=np.zeros(ds.n_features),
-                     settings=FitSettings(max_outer=1))
+        monkeypatch.setattr("ecreg.core._vamp_start", lambda *args: None)
+        result = fit(ds, bernoulli_gauss(0.2, 4.0), 20.0, settings=FitSettings(max_outer=1))
         assert not result.state.converged
         with pytest.raises(NotConverged):
             approx_looe(result, ds, 20.0)
@@ -184,11 +184,11 @@ class TestLooEstimator:
         with pytest.raises(RankOneSingularity):
             loo_estimator(result, ds, 10.0, 0)
 
-    def test_requires_converged_fit(self):
+    def test_requires_converged_fit(self, monkeypatch):
         ds = _instance(7, 25, 20, rho=0.2)
         # from zero, where one Newton step does not reach the fixed point
-        result = fit(ds, bernoulli_gauss(0.2, 4.0), 20.0, init=np.zeros(ds.n_features),
-                     settings=FitSettings(max_outer=1))
+        monkeypatch.setattr("ecreg.core._vamp_start", lambda *args: None)
+        result = fit(ds, bernoulli_gauss(0.2, 4.0), 20.0, settings=FitSettings(max_outer=1))
         with pytest.raises(NotConverged):
             loo_estimator(result, ds, 20.0, 0)
 
@@ -305,8 +305,7 @@ class TestKfoldCv:
             keep = np.ones(12, dtype=bool)
             keep[test_idx] = False
             sub = Dataset(ds.X[:, keep], ds.y[keep])
-            res = fit(sub, prior, beta, init=full.m,
-                      _tilt=(full.E, full.h, full.lambda_tilde))
+            res = fit(sub, prior, beta, warm=full)
             for mu in test_idx:
                 expected[mu] = ds.y[mu] - ds.X[:, mu] @ res.state.m
 
