@@ -1,18 +1,19 @@
 """Command-line front end: synthesize, fit, LOO-CV, sweep, calibrate.
 
 Every subcommand is a thin composition of library calls; outputs are CSV and
-JSON files whose '#' header lines echo the resolved settings so any run can
-be reproduced from its artifacts alone.  Exit codes: 0 success, 1 numerical
-failure, 2 usage error.
+JSON files whose headers echo the version, data, prior and grid flags they
+ran with, so any run can be reproduced from its artifacts alone (fit's
+bounds are the fixed FitSettings constants).  Exit codes: 0 success, 1
+numerical failure, 2 usage error.
 """
 
 import argparse
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 from . import __version__
-from .core import FitSettings, fit
+from .core import fit
 from .data_io import (
     SynthConfig,
     _write_json,
@@ -77,21 +78,6 @@ def _add_prior_flags(p):
                    help="slab variance (bg family only)")
 
 
-def _add_tolerance_flags(p):
-    p.add_argument("--grad-tol", type=float, help="gradient tolerance override")
-    p.add_argument("--step-tol", type=float, help="step-size tolerance override")
-    p.add_argument("--max-outer", type=int, help="outer iteration cap override")
-
-
-def _settings_from_flags(args):
-    overrides = {}
-    for name in ("grad_tol", "step_tol", "max_outer"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    return FitSettings(**overrides) if overrides else None
-
-
 def _family_from_flags(args, sigma, sigma_flag):
     """The prior family; the slab-variance flag must be given exactly when the
     family has a Gaussian slab."""
@@ -114,11 +100,6 @@ def _load_dataset(args):
     return load_csv(args.data, args.target, center=args.center)
 
 
-def _tolerance_lines(settings):
-    cfg = settings if settings is not None else FitSettings()
-    return ["settings: " + " ".join(f"{k}={v}" for k, v in asdict(cfg).items())]
-
-
 def _prior_lines(prior, beta):
     parts = [f"family={prior.family}", f"rho={prior.rho!r}"]
     if prior.sigma_w2 is not None:
@@ -137,13 +118,12 @@ def _data_lines(args):
 
 
 def _cmd_synth(args):
-    test_samples = args.test_samples
-    if test_samples is None:
-        test_samples = int(round(args.alpha * args.n))
     config = SynthConfig(N=args.n, alpha=args.alpha, rho0=args.rho0,
                          sigma_w0_sq=args.sigma_w0_sq,
                          sigma_n0_sq=args.sigma_n0_sq, seed=args.seed,
-                         test_samples=test_samples)
+                         test_samples=args.test_samples or 0)
+    if args.test_samples is None:
+        config = replace(config, test_samples=config.M)
     train, truth, heldout = gen_synthetic(config)
     header = [
         f"ecreg {__version__} synth",
@@ -167,9 +147,8 @@ def _cmd_synth(args):
 
 def _cmd_fit(args):
     prior = _prior_from_flags(args)
-    settings = _settings_from_flags(args)
     dataset, record = _load_dataset(args)
-    result = fit(dataset, prior, args.beta, settings=settings)
+    result = fit(dataset, prior, args.beta)
     summary = error_summary(result.state.m, dataset)
     extra = {
         "command": "fit",
@@ -198,7 +177,6 @@ def _cmd_fit(args):
 
 def _cmd_loocv(args):
     prior = _prior_from_flags(args)
-    settings = _settings_from_flags(args)
     # k and the seed fail before the fit and the refits; k's upper bound
     # is the sample count, known once the data is loaded
     if args.kfold is not None:
@@ -206,24 +184,23 @@ def _cmd_loocv(args):
     dataset, _ = _load_dataset(args)
     if args.kfold is not None:
         _check_kfold(args.kfold, args.seed, dataset.n_samples)
-    result = fit(dataset, prior, args.beta, settings=settings)
+    result = fit(dataset, prior, args.beta)
     report = approx_looe(result, dataset, args.beta)
     print(f"approx: eps_loo={report.eps_loo!r} "
           f"flagged={len(report.flagged)} wall={report.wall_time:.3f}s")
     literal = None
     if args.literal:
-        literal = literal_loocv(dataset, prior, args.beta, settings=settings)
+        literal = literal_loocv(dataset, prior, args.beta)
         rel = abs(report.eps_loo - literal.eps_loo) / max(literal.eps_loo, 1e-300)
         print(f"literal: eps_loo={literal.eps_loo!r} "
               f"flagged={len(literal.flagged)} wall={literal.wall_time:.3f}s "
               f"relative_gap={rel:.3e}")
     if args.kfold is not None:
-        kreport = kfold_cv(dataset, prior, args.beta, args.kfold,
-                           seed=args.seed, settings=settings)
+        kreport = kfold_cv(dataset, prior, args.beta, args.kfold, seed=args.seed)
         print(f"kfold({args.kfold}): eps={kreport.eps_loo!r} "
               f"wall={kreport.wall_time:.3f}s")
     header = ([f"ecreg {__version__} loocv"] + _data_lines(args)
-              + _prior_lines(prior, args.beta) + _tolerance_lines(settings)
+              + _prior_lines(prior, args.beta)
               + [f"seed={args.seed}",
                  f"eps_loo_approx={report.eps_loo!r}"])
     if literal is not None:
@@ -235,11 +212,10 @@ def _cmd_loocv(args):
 
 def _cmd_sweep(args):
     family = _family_from_flags(args, args.sigma_w2_grid, "--sigma-w2-grid")
-    settings = _settings_from_flags(args)
     dataset, _ = _load_dataset(args)
     grid = SweepGrid(beta_values=args.beta_grid, rho_values=args.rho_grid,
                      sigma_w2_values=args.sigma_w2_grid)
-    result = sweep(dataset, family, grid, settings=settings)
+    result = sweep(dataset, family, grid)
     for p in result.points:
         print(f"point beta={p.beta!r} rho={p.rho!r} sigma_w2={p.sigma_w2!r} "
               f"eps={p.eps!r} eps_loo={p.eps_loo!r} converged={p.converged}"
@@ -250,7 +226,6 @@ def _cmd_sweep(args):
     header = ([f"ecreg {__version__} sweep"] + _data_lines(args)
               + [f"family={family} beta_grid={args.beta_grid} "
                  f"rho_grid={args.rho_grid} sigma_w2_grid={args.sigma_w2_grid}"]
-              + _tolerance_lines(settings)
               + [f"best: beta={best.beta!r} rho={best.rho!r} "
                  f"sigma_w2={best.sigma_w2!r} eps_loo={best.eps_loo!r}"])
     save_sweep_csv(args.out, result.points, header_lines=header)
@@ -260,10 +235,9 @@ def _cmd_sweep(args):
 
 def _cmd_calibrate(args):
     family = _family_from_flags(args, args.sigma_w2, "--sigma-w2")
-    settings = _settings_from_flags(args)
     dataset, _ = _load_dataset(args)
     rows = calibrate(dataset, family, args.k_target, args.beta_grid,
-                     sigma_w2=args.sigma_w2, settings=settings)
+                     sigma_w2=args.sigma_w2)
     per_k = len(args.beta_grid)
     for start in range(0, len(rows), per_k):
         group = rows[start:start + per_k]
@@ -282,8 +256,7 @@ def _cmd_calibrate(args):
             print(f"K={group[0]['K']!r}: no successful grid point", file=sys.stderr)
     header = ([f"ecreg {__version__} calibrate"] + _data_lines(args)
               + [f"family={family} sigma_w2={args.sigma_w2!r} "
-                 f"k_targets={args.k_target} beta_grid={args.beta_grid}"]
-              + _tolerance_lines(settings))
+                 f"k_targets={args.k_target} beta_grid={args.beta_grid}"])
     save_calibration_csv(args.out, rows, header_lines=header)
     print(f"wrote {args.out}")
     return 0
@@ -327,7 +300,6 @@ def build_parser():
     _add_prior_flags(p)
     p.add_argument("--beta", type=_positive_float, required=True,
                    help="inverse temperature (inverse noise variance)")
-    _add_tolerance_flags(p)
     p.add_argument("--out", default="fit.json")
     p.set_defaults(func=_cmd_fit)
 
@@ -336,7 +308,6 @@ def build_parser():
     _add_data_flags(p)
     _add_prior_flags(p)
     p.add_argument("--beta", type=_positive_float, required=True)
-    _add_tolerance_flags(p)
     p.add_argument("--literal", action="store_true",
                    help="also run literal refit-per-sample CV for comparison")
     p.add_argument("--kfold", type=int, default=None, metavar="K",
@@ -354,7 +325,6 @@ def build_parser():
                    help="comma-separated rho values")
     p.add_argument("--sigma-w2-grid", type=_float_list, default=None,
                    help="comma-separated slab variances (bg family)")
-    _add_tolerance_flags(p)
     p.add_argument("--out", default="sweep.csv")
     p.set_defaults(func=_cmd_sweep)
 
@@ -368,7 +338,6 @@ def build_parser():
     p.add_argument("--k-target", type=_float_list, required=True,
                    help="comma-separated expected non-zero counts")
     p.add_argument("--beta-grid", type=_float_list, required=True)
-    _add_tolerance_flags(p)
     p.add_argument("--out", default="calibrate.csv")
     p.set_defaults(func=_cmd_calibrate)
 

@@ -54,14 +54,13 @@ additive constant.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy import linalg as sla
 
 from .errors import (
-    ConfigError,
     DecompositionFailure,
     DimensionMismatch,
     DomainError,
@@ -268,17 +267,17 @@ def _default_tilt_origin(prior, beta, lam_bar):
     return beta * lam_bar + 1.0
 
 
-def solve_tilt(m, prior, beta, lam, E0=None, h0=None, max_inner=60, *, _ltil0=None):
+def solve_tilt(m, prior, beta, lam, E0=None, h0=None, *, _ltil0=None):
     """Find (h, E) with tilted means equal to m and E = 1/chi - beta*Ltil.
 
     The scalar consistency r(E) = E_new(E) - E = 0 is solved from E0 (by
-    default above the physical root) in at most max_inner evaluations of
-    E_new, each one invert_mean from h0 and one solve_lambda from the
-    private _ltil0 (solve_lambda's own start when None).  fit passes the
-    Euler predictor of the tilt at each line-search trial as (E0, h0) and
-    the accepted tilt's Ltil as _ltil0, so this loop is the corrector of a
-    continuation in m and a short step closes at its first evaluation.
-    Each step is Newton's
+    default above the physical root) in at most FitSettings.max_inner
+    evaluations of E_new, each one invert_mean from h0 and one solve_lambda
+    from the private _ltil0 (solve_lambda's own start when None).  fit
+    passes the Euler predictor of the tilt at each line-search trial as
+    (E0, h0) and the accepted tilt's Ltil as _ltil0, so this loop is the
+    corrector of a continuation in m and a short step closes at its first
+    evaluation.  Each step is Newton's
     on r at fixed m, with the exact slope dr/dE = k*b - 1 of _tilt_slope
     (Nocedal & Wright, Numerical Optimization, ch. 11), and the next
     invert_mean starts from h + (dh/dE)*dE, the tangent of the fixed-m curve
@@ -311,6 +310,7 @@ def solve_tilt(m, prior, beta, lam, E0=None, h0=None, max_inner=60, *, _ltil0=No
         raise InfeasibleTilt(
             "pure spike prior has zero tilted variance; the tilt system is undefined")
     E_min = prior.min_tilt()
+    max_inner = FitSettings.max_inner
     q = float(m @ m) / m.size
 
     E = (float(E0) if E0 is not None
@@ -478,24 +478,18 @@ def objective(dataset, prior, beta, m, E0=None, h0=None):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class FitSettings:
-    """Bounds of fit: it stops once the gradient inf-norm is at most
+    """Fixed bounds of fit: it stops once the gradient inf-norm is at most
     grad_tol*max(1, ||beta*X y||_inf) or the undamped Newton step at most
     step_tol*max(1, ||m||_inf), after at most max_outer Newton steps.  Each
-    tilt solve makes at most max_inner evaluations.  The tolerances must be
-    finite and >= 0, max_outer >= 0 and max_inner >= 1."""
+    tilt solve makes at most max_inner evaluations.  The one-fit LOO formula
+    holds only at a stationary fit, so these are constants, read at call
+    time; FitSettings() takes no arguments."""
 
-    grad_tol: float = 1e-8
-    step_tol: float = 1e-10
-    max_outer: int = 500
-    max_inner: int = 60
-
-    def __post_init__(self):
-        if not (0.0 <= self.grad_tol < np.inf and 0.0 <= self.step_tol < np.inf
-                and self.max_outer >= 0 and self.max_inner >= 1):
-            raise ConfigError("fit settings need finite tolerances >= 0, max_outer >= 0 "
-                              f"and max_inner >= 1, got {self}")
+    grad_tol = 1e-8
+    step_tol = 1e-10
+    max_outer = 500
+    max_inner = 60
 
 
 @dataclass(frozen=True)
@@ -685,7 +679,7 @@ def _vamp_start(dataset, prior, beta):
     return None
 
 
-def fit(dataset, prior, beta, settings=None, *, warm=None):
+def fit(dataset, prior, beta, *, warm=None):
     """Minimize the free energy by damped Newton; deterministic.
 
     Each step re-solves the tilt at the current m, forms the gradient and
@@ -701,8 +695,9 @@ def fit(dataset, prior, beta, settings=None, *, warm=None):
     summands and lowers the gradient infinity-norm.  converged=True means
     that norm is at most grad_tol*max(1, ||beta*X y||_inf) or the undamped
     Newton step at most step_tol*max(1, ||m||_inf); a fit whose line search
-    accepts no trial, or that runs out of max_outer steps, ends there.  The
-    settings echo records, per step, the free energy reached
+    accepts no trial, or that runs out of max_outer steps, ends there (the
+    bounds are FitSettings' constants).  The settings echo records, per
+    step, the free energy reached
     (``free_energies``, which starts at the initial point) and the rise the
     step was allowed (``allowed_rises``: that rounding error for such a full
     step, 0.0 for a strict decrease).  Each trial's tilt solve starts from
@@ -721,7 +716,6 @@ def fit(dataset, prior, beta, settings=None, *, warm=None):
     _vamp_start returns None, or on a flat slab, from m = 0 and solve_tilt's
     default start.
     """
-    cfg = settings or FitSettings()
     if not 0.0 < beta < np.inf:
         raise DomainError(f"beta must be finite and positive, got {beta}")
     n = dataset.n_features
@@ -739,8 +733,7 @@ def fit(dataset, prior, beta, settings=None, *, warm=None):
     flat_zero_modes = _flat_slab_with_zero_modes(prior, lam)
     grad_scale = max(1.0, float(np.max(np.abs(beta * dataset.xy))))
     E_min = prior.min_tilt()
-    tilt = solve_tilt(m, prior, beta, lam, E0=E0, h0=h0, max_inner=cfg.max_inner,
-                      _ltil0=ltil0)
+    tilt = solve_tilt(m, prior, beta, lam, E0=E0, h0=h0, _ltil0=ltil0)
     phi = _free_energy_at(m, tilt, dataset, beta)
     step_sizes = []
     free_energies = [phi]
@@ -749,13 +742,14 @@ def fit(dataset, prior, beta, settings=None, *, warm=None):
     iterations = 0
 
     def negligible(step, m):
-        return float(np.max(np.abs(step))) <= cfg.step_tol * max(1.0, float(np.max(np.abs(m))))
+        return (float(np.max(np.abs(step)))
+                <= FitSettings.step_tol * max(1.0, float(np.max(np.abs(m)))))
 
     grad = gradient(m, tilt.h, tilt.E, dataset, beta)
     grad_norm = float(np.max(np.abs(grad)))
-    for outer in range(cfg.max_outer):
+    for outer in range(FitSettings.max_outer):
         iterations = outer
-        if grad_norm <= cfg.grad_tol * grad_scale:
+        if grad_norm <= FitSettings.grad_tol * grad_scale:
             break
         H, d = _curvature(tilt.moments.variance, tilt.E, dataset, beta)
         # the exact step steers a flat slab with zero modes away from the
@@ -778,7 +772,6 @@ def fit(dataset, prior, beta, settings=None, *, warm=None):
             E0, h0 = _predicted_tilt(tilt, s, tangent, E_min)
             try:
                 tilt_trial = solve_tilt(m_trial, prior, beta, lam, E0=E0, h0=h0,
-                                        max_inner=cfg.max_inner,
                                         _ltil0=tilt.lambda_tilde)
                 phi_trial = _free_energy_at(m_trial, tilt_trial, dataset, beta)
             except (NonConvergence, InfeasibleTilt):
@@ -809,16 +802,14 @@ def fit(dataset, prior, beta, settings=None, *, warm=None):
             converged = True
             break
 
-    if grad_norm <= cfg.grad_tol * grad_scale:
+    if grad_norm <= FitSettings.grad_tol * grad_scale:
         converged = True
     H = hessian(tilt.moments.variance, tilt.E, dataset, beta)
 
     state = ECState(m=m, h=tilt.h, E=tilt.E, Mi=tilt.moments.second_moment, Q=tilt.Q,
                     q=tilt.q, chi=tilt.chi, lambda_tilde=tilt.lambda_tilde, free_energy=phi,
                     grad_norm=grad_norm, iterations=iterations, converged=converged)
-    echo = asdict(cfg)
-    echo["step_sizes"] = step_sizes
-    echo["free_energies"] = free_energies
-    echo["allowed_rises"] = allowed_rises
+    echo = {"step_sizes": step_sizes, "free_energies": free_energies,
+            "allowed_rises": allowed_rises}
     return FitResult(state=state, hessian=H, inclusion_probs=tilt.moments.inclusion_prob,
                      settings=echo)

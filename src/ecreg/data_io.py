@@ -52,6 +52,8 @@ class SynthConfig:
             raise ConfigError(f"N must be an integer >= 1, got {self.N}")
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ConfigError(f"alpha must be positive, got {self.alpha}")
+        if not math.isfinite(self.alpha * self.N):
+            raise ConfigError(f"alpha*N must be finite, got {self.alpha}*{self.N}")
         if self.M < 1:
             raise ConfigError(f"round(alpha*N) must be >= 1, got {self.M}")
         if not 0.0 <= self.rho0 <= 1.0:

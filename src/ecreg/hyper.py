@@ -103,10 +103,10 @@ def _score(res, dataset, beta, rho, sigma_w2):
                       res.state.free_energy, True, None), report
 
 
-def _evaluate_point(dataset, family, beta, rho, sigma_w2, settings):
+def _evaluate_point(dataset, family, beta, rho, sigma_w2):
     prior = PriorSpec(family, rho, sigma_w2)  # a bad family or slab raises, not a row
     try:
-        res = fit(dataset, prior, beta, settings=settings)
+        res = fit(dataset, prior, beta)
         return _score(res, dataset, beta, rho, sigma_w2)
     except EcregError as exc:
         return SweepPoint(beta, rho, sigma_w2, math.nan, math.nan,
@@ -123,7 +123,7 @@ def _argmin_point(points):
                                       p.sigma_w2 if p.sigma_w2 is not None else 0.0))
 
 
-def sweep(dataset, family, grid, settings=None):
+def sweep(dataset, family, grid):
     """Evaluate fit/eps/eps_loo/free-energy on every grid point.
 
     Failed points stay in the table with their failure reason and are excluded
@@ -131,12 +131,12 @@ def sweep(dataset, family, grid, settings=None):
     order.
     """
     sigmas = grid.sigma_w2_values if grid.sigma_w2_values is not None else (None,)
-    points = [_evaluate_point(dataset, family, b, r, s, settings)[0]
+    points = [_evaluate_point(dataset, family, b, r, s)[0]
               for b in grid.beta_values for r in grid.rho_values for s in sigmas]
     return SweepResult(points=points, best=_argmin_point(points))
 
 
-def calibrate_rho(dataset, beta, K, family, sigma_w2=None, settings=None):
+def calibrate_rho(dataset, beta, K, family, sigma_w2=None):
     """Find rho with posterior expected non-zero count sum(pi_i) = K.
 
     Geometric bisection on rho in [1e-8, 1 - 1e-8], at most about 60 probes;
@@ -157,8 +157,7 @@ def calibrate_rho(dataset, beta, K, family, sigma_w2=None, settings=None):
     def achieved(rho):
         nonlocal probes, warm
         probes += 1
-        res = fit(dataset, PriorSpec(family, rho, sigma_w2), beta, settings=settings,
-                  warm=warm)
+        res = fit(dataset, PriorSpec(family, rho, sigma_w2), beta, warm=warm)
         if not res.state.converged:
             raise NonConvergence(f"calibration probe at rho={rho:.6g} did not converge")
         warm = res.state
@@ -190,7 +189,7 @@ def calibrate_rho(dataset, beta, K, family, sigma_w2=None, settings=None):
             hi, k_hi = mid, k_mid
 
 
-def calibrate(dataset, family, K_targets, beta_grid, sigma_w2=None, settings=None):
+def calibrate(dataset, family, K_targets, beta_grid, sigma_w2=None):
     """Calibrate rho at every (K, beta) pair, then select a beta for each K.
 
     Returns one row per pair, K-major in the given orders: a dict with K,
@@ -218,8 +217,7 @@ def calibrate(dataset, family, K_targets, beta_grid, sigma_w2=None, settings=Non
             row = {"K": K, "beta": beta, "rho": None, "achieved_K": None, "eps": None,
                    "eps_loo": None, "selected": False, "error": None}
             try:
-                cal = calibrate_rho(dataset, beta, K, family, sigma_w2=sigma_w2,
-                                    settings=settings)
+                cal = calibrate_rho(dataset, beta, K, family, sigma_w2=sigma_w2)
                 point, _ = _score(cal.fit, dataset, beta, cal.rho, sigma_w2)
                 row.update(rho=cal.rho, achieved_K=cal.achieved_K, eps=point.eps,
                            eps_loo=point.eps_loo)
@@ -239,7 +237,7 @@ def calibrate(dataset, family, K_targets, beta_grid, sigma_w2=None, settings=Non
     return rows
 
 
-def select_beta(dataset, prior, beta_grid, settings=None):
+def select_beta(dataset, prior, beta_grid):
     """Pick the beta minimizing the approximate LOO error over a grid.
 
     Returns the winning beta, its LOO report, and the full per-beta table,
@@ -247,7 +245,7 @@ def select_beta(dataset, prior, beta_grid, settings=None):
     (smallest beta wins ties), so the result is invariant under permutation
     of the grid.
     """
-    evaluated = [_evaluate_point(dataset, prior.family, b, prior.rho, prior.sigma_w2, settings)
+    evaluated = [_evaluate_point(dataset, prior.family, b, prior.rho, prior.sigma_w2)
                  for b in _positive_list("beta_grid", beta_grid)]
     points = [point for point, _ in evaluated]
     reports = {point.beta: report for point, report in evaluated if report is not None}

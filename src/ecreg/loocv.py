@@ -110,7 +110,7 @@ def loo_estimator(fit_result, dataset, beta, mu):
     return m - (beta * residual / denom) * w
 
 
-def _fit_fold(dataset, prior, beta, keep_mask, warm, settings):
+def _fit_fold(dataset, prior, beta, keep_mask, warm):
     """Fit on a sample subset from the full fit's state ``warm``; returns
     (m, converged), with warm.m as m when the refit raises."""
     if not np.any(keep_mask):
@@ -118,13 +118,13 @@ def _fit_fold(dataset, prior, beta, keep_mask, warm, settings):
         return np.zeros(dataset.n_features), True
     sub = Dataset(dataset.X[:, keep_mask], dataset.y[keep_mask])
     try:
-        res = fit(sub, prior, beta, settings=settings, warm=warm)
+        res = fit(sub, prior, beta, warm=warm)
     except EcregError:
         return warm.m, False
     return res.state.m, res.state.converged
 
 
-def _cross_validate(dataset, prior, beta, folds, method, settings):
+def _cross_validate(dataset, prior, beta, folds, method):
     """Refit once per fold of held-out sample indices, warm-started from the
     full fit's estimator and tilt, and report every sample's held-out residual.
 
@@ -134,7 +134,7 @@ def _cross_validate(dataset, prior, beta, folds, method, settings):
     """
     t0 = time.perf_counter()
     M = dataset.n_samples
-    warm = fit(dataset, prior, beta, settings=settings).state
+    warm = fit(dataset, prior, beta).state
 
     residuals = np.empty(M)
     flagged = []
@@ -142,7 +142,7 @@ def _cross_validate(dataset, prior, beta, folds, method, settings):
     for test_idx in folds:
         keep = np.ones(M, dtype=bool)
         keep[test_idx] = False
-        m_fold, ok = _fit_fold(dataset, prior, beta, keep, warm, settings)
+        m_fold, ok = _fit_fold(dataset, prior, beta, keep, warm)
         for mu in test_idx:
             # per-sample dot, not a batched product: the accumulation order
             # does not depend on the fold layout, so k = M matches the
@@ -160,7 +160,7 @@ def _cross_validate(dataset, prior, beta, folds, method, settings):
                      method=method, wall_time=time.perf_counter() - t0)
 
 
-def literal_loocv(dataset, prior, beta, settings=None):
+def literal_loocv(dataset, prior, beta):
     """LOO by M refits, each warm-started from the full fit.
 
     Folds run serially in index order.  A fold whose refit fails keeps the
@@ -168,7 +168,7 @@ def literal_loocv(dataset, prior, beta, settings=None):
     5% of folds fail.
     """
     folds = [[mu] for mu in range(dataset.n_samples)]
-    return _cross_validate(dataset, prior, beta, folds, "literal", settings)
+    return _cross_validate(dataset, prior, beta, folds, "literal")
 
 
 def _check_kfold(k, seed, M=None):
@@ -182,7 +182,7 @@ def _check_kfold(k, seed, M=None):
         raise ConfigError(f"seed must be a non-negative integer, got {seed}")
 
 
-def kfold_cv(dataset, prior, beta, k, seed=0, settings=None):
+def kfold_cv(dataset, prior, beta, k, seed=0):
     """k-fold CV: seeded permutation, contiguous blocks, remainder spread
     one per leading fold.  eps is (1/2M) times the total held-out squared
     residual, so k = M reproduces literal_loocv exactly.
@@ -190,4 +190,4 @@ def kfold_cv(dataset, prior, beta, k, seed=0, settings=None):
     M = dataset.n_samples
     _check_kfold(k, seed, M)
     folds = np.array_split(np.random.default_rng(seed).permutation(M), k)
-    return _cross_validate(dataset, prior, beta, folds, f"kfold({k})", settings)
+    return _cross_validate(dataset, prior, beta, folds, f"kfold({k})")

@@ -1,5 +1,6 @@
 """The package's top-level API, exactly these names, and the names the benchmark traces."""
 
+import argparse
 import importlib
 import importlib.util
 import inspect
@@ -7,6 +8,8 @@ import pathlib
 
 import ecreg
 import ecreg.core
+import ecreg.hyper
+from ecreg.cli import build_parser
 
 PUBLIC = {
     "__version__",
@@ -58,13 +61,29 @@ def test_benchmark_traced_names_resolve():
 
 
 def test_start_and_tolerance_options_are_pinned():
-    # fit has one warm start (a whole earlier state) and solve_tilt one fixed
-    # tolerance; a new start or tolerance option has to change this test
+    # fit has one warm start (a whole earlier state) and fixed bounds, which
+    # no entry point, CLI flag or FitSettings argument overrides; a new start
+    # or tolerance option has to change this test
     def names(fn):
         return list(inspect.signature(fn).parameters)
 
-    assert names(ecreg.fit) == ["dataset", "prior", "beta", "settings", "warm"]
-    assert names(ecreg.core.solve_tilt) == [
-        "m", "prior", "beta", "lam", "E0", "h0", "max_inner", "_ltil0"]
-    assert names(ecreg.calibrate_rho) == [
-        "dataset", "beta", "K", "family", "sigma_w2", "settings"]
+    assert names(ecreg.fit) == ["dataset", "prior", "beta", "warm"]
+    assert names(ecreg.core.solve_tilt) == ["m", "prior", "beta", "lam", "E0", "h0", "_ltil0"]
+    assert names(ecreg.sweep) == ["dataset", "family", "grid"]
+    assert names(ecreg.calibrate_rho) == ["dataset", "beta", "K", "family", "sigma_w2"]
+    assert names(ecreg.hyper.calibrate) == [
+        "dataset", "family", "K_targets", "beta_grid", "sigma_w2"]
+    assert names(ecreg.select_beta) == ["dataset", "prior", "beta_grid"]
+    assert names(ecreg.literal_loocv) == ["dataset", "prior", "beta"]
+    assert names(ecreg.kfold_cv) == ["dataset", "prior", "beta", "k", "seed"]
+
+    assert names(ecreg.FitSettings) == []
+    bounds = ecreg.FitSettings()
+    assert (bounds.grad_tol, bounds.step_tol, bounds.max_outer, bounds.max_inner) == (
+        1e-8, 1e-10, 500, 60)
+
+    subcommands = next(a for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction))
+    flags = {flag for p in subcommands.choices.values() for a in p._actions
+             for flag in a.option_strings}
+    assert not {f for f in flags if "tol" in f or "max" in f}

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from ecreg.cli import build_parser, main
+from ecreg.core import FitSettings
 from ecreg.data_io import load_csv, load_fit_json
 
 
@@ -73,7 +74,10 @@ class TestSynth:
                 assert fa.read() == fb.read()
 
     def test_invalid_config_is_usage_error(self, tmp_path, capsys):
-        for flags in (["--rho0", "1.5"], ["--rho0", "0.2", "--seed", "-1"]):
+        # the last --alpha wins; a non-finite alpha*n fails as a usage error
+        # before the default test-sample count is derived from it
+        bad_alpha = [["--rho0", "0.2", "--alpha", a] for a in ("nan", "inf", "1e308")]
+        for flags in (["--rho0", "1.5"], ["--rho0", "0.2", "--seed", "-1"], *bad_alpha):
             rc = main(["synth", "--n", "10", "--alpha", "1", *flags,
                        "--sigma-w0-sq", "1", "--sigma-n0-sq", "0.1",
                        "--out-train", str(tmp_path / "t.csv")])
@@ -108,12 +112,13 @@ class TestFit:
         assert np.all((payload["inclusion_probs"] >= 0.0)
                       & (payload["inclusion_probs"] <= 1.0))
 
-    def test_unconverged_is_numerical_failure(self, tmp_path, capsys):
+    def test_unconverged_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
         paths = _synth(tmp_path)
         out_path = str(tmp_path / "fit.json")
+        monkeypatch.setattr(FitSettings, "max_outer", 0)
         rc = main(["fit", "--data", paths["train"], "--family", "bg",
                    "--rho", "0.2", "--sigma-w2", "4", "--beta", "4",
-                   "--max-outer", "0", "--out", out_path])
+                   "--out", out_path])
         assert rc == 1
         assert "did not converge" in capsys.readouterr().err
         assert load_fit_json(out_path)["converged"] is False
@@ -392,8 +397,7 @@ class TestUsage:
     @pytest.mark.parametrize("command", ["fit", "loocv"])
     @pytest.mark.parametrize("flag,value", [("--sigma-w2", "nan"), ("--sigma-w2", "inf"),
                                             ("--beta", "-1"), ("--beta", "nan"),
-                                            ("--beta", "inf"), ("--max-outer", "-1"),
-                                            ("--grad-tol", "nan"), ("--step-tol", "-1")])
+                                            ("--beta", "inf")])
     def test_bad_hyper_parameter_is_usage_error(self, tmp_path, command, flag, value):
         paths = _synth(tmp_path)
         flags = {"--sigma-w2": "4", "--beta": "4", flag: value}

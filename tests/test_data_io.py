@@ -51,7 +51,9 @@ class TestSynthConfig:
                     dict(sigma_w0_sq=np.inf), dict(sigma_w0_sq=np.nan),
                     dict(sigma_n0_sq=np.inf), dict(sigma_n0_sq=np.nan),
                     dict(N=10.5), dict(N=10.0), dict(test_samples=2.5),
-                    dict(test_samples=np.nan)):
+                    dict(test_samples=np.nan),
+                    # a sample count alpha*N that is not finite
+                    dict(alpha=np.nan), dict(alpha=np.inf), dict(alpha=1e308)):
             with pytest.raises(ConfigError):
                 SynthConfig(**{**good, **bad})
 
@@ -362,10 +364,10 @@ class TestTableCsv:
         # residuals, and its failed fold's sample flagged
         fit_fold = ecreg.loocv._fit_fold
 
-        def failing_at_sample_2(dataset, prior, beta, keep_mask, warm, settings):
+        def failing_at_sample_2(dataset, prior, beta, keep_mask, warm):
             if not keep_mask[2]:
                 return warm.m, False
-            return fit_fold(dataset, prior, beta, keep_mask, warm, settings)
+            return fit_fold(dataset, prior, beta, keep_mask, warm)
 
         monkeypatch.setattr("ecreg.loocv._fit_fold", failing_at_sample_2)
         rng = np.random.default_rng(13)

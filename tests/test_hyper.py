@@ -116,8 +116,8 @@ class TestSweep:
         ds = _instance(47, 25, 20)
         grid = SweepGrid(beta_values=[30.0], rho_values=[1.0, 0.05],
                          sigma_w2_values=[4.0])
-        result = sweep(ds, BERNOULLI_GAUSS, grid,
-                       settings=FitSettings(max_outer=3))
+        monkeypatch.setattr(FitSettings, "max_outer", 3)
+        result = sweep(ds, BERNOULLI_GAUSS, grid)
         by_rho = {p.rho: p for p in result.points}
         assert len(result.points) == 2
         assert by_rho[1.0].converged and by_rho[1.0].error is None
@@ -133,8 +133,9 @@ class TestSweep:
         ds = _instance(47, 25, 20)
         grid = SweepGrid(beta_values=[30.0], rho_values=[0.05],
                          sigma_w2_values=[4.0])
+        monkeypatch.setattr(FitSettings, "max_outer", 3)
         with pytest.raises(AllPointsFailed):
-            sweep(ds, BERNOULLI_GAUSS, grid, settings=FitSettings(max_outer=3))
+            sweep(ds, BERNOULLI_GAUSS, grid)
 
     def test_tie_breaks_toward_smallest_beta(self):
         # with a zero response every fit is exact and every eps_loo is zero
@@ -219,7 +220,7 @@ class TestCalibrateRho:
         ds = _instance(49, 8, 12)
         calls = {"n": 0}
 
-        def fake_fit(dataset, prior, beta, settings=None, *, warm=None):
+        def fake_fit(dataset, prior, beta, *, warm=None):
             calls["n"] += 1
             k = {1: 1.0, 2: 5.0}.get(calls["n"], 99.0)
             return SimpleNamespace(
@@ -238,7 +239,7 @@ class TestCalibrateRho:
         ds = _instance(49, 8, 12)
         calls = {"n": 0}
 
-        def fake_fit(dataset, prior, beta, settings=None, *, warm=None):
+        def fake_fit(dataset, prior, beta, *, warm=None):
             calls["n"] += 1
             return SimpleNamespace(
                 state=SimpleNamespace(converged=True, m=np.zeros(8)),

@@ -15,6 +15,8 @@ Needs the optional test dependency hypothesis (``pip install .[test]``);
 the module is skipped without it.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -71,7 +73,9 @@ def test_predicted_start_reaches_the_same_tilt(case):
     prior, beta, dataset, outer, direction, s = case
     lam = spectrum(dataset)
     try:
-        state = fit(dataset, prior, beta, settings=FitSettings(max_outer=outer)).state
+        # patched in the body: hypothesis rejects function-scoped fixtures
+        with mock.patch.object(FitSettings, "max_outer", outer):
+            state = fit(dataset, prior, beta).state
         tilt = solve_tilt(state.m, prior, beta, lam, E0=state.E, h0=state.h)
     except EcregError:
         hypothesis.assume(False)
