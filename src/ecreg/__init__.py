@@ -47,7 +47,6 @@ from .errors import (
     NotConverged,
     ParseError,
     RangeError,
-    RankOneSingularity,
     SingularHessian,
     VarianceCollapse,
 )
@@ -106,7 +105,6 @@ __all__ = [
     "ParseError",
     "PriorSpec",
     "RangeError",
-    "RankOneSingularity",
     "SingularHessian",
     "SweepGrid",
     "SweepPoint",

@@ -583,19 +583,6 @@ def _predicted_tilt(tilt, s, tangent, E_min):
     return tilt.E, tilt.h
 
 
-def _solve_curvature(H, rhs):
-    """H^{-1} rhs for a fitted curvature H: Cholesky, or LU when H is not
-    positive definite (a fit that stopped on step_tol can end there)."""
-    try:
-        cf = sla.cho_factor(H, lower=True, check_finite=False)
-        return sla.cho_solve(cf, rhs, check_finite=False)
-    except np.linalg.LinAlgError:
-        try:
-            return np.linalg.solve(H, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularHessian(str(exc)) from exc
-
-
 def _rounding_rise(trial, phi, grad_norm, m, tilt, dataset, beta):
     """The rounding error 8*eps*sum|summands| of Phi at (m, tilt) when the
     trial (m, tilt, phi) raises Phi by no more than it and lowers the

@@ -64,6 +64,11 @@ class SynthConfig:
             raise ConfigError(f"sigma_n0_sq must be finite and >= 0, got {self.sigma_n0_sq}")
         if not (isinstance(self.test_samples, numbers.Integral) and self.test_samples >= 0):
             raise ConfigError(f"test_samples must be an integer >= 0, got {self.test_samples}")
+        for name, count in (("M", self.M), ("test_samples", self.test_samples)):
+            # numpy rejects an N x count float64 array above this many bytes
+            if self.N * count * 8 > np.iinfo(np.intp).max:
+                raise ConfigError(f"an N x {name} array ({self.N} x {count:.3g}) exceeds "
+                                  "numpy's size limit")
         if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
 

@@ -46,10 +46,6 @@ class NotConverged(EcregError):
     """Operation requires a converged fit but got an unconverged one."""
 
 
-class RankOneSingularity(EcregError):
-    """Rank-one downdate denominator fell below the floor."""
-
-
 class AllPointsFailed(EcregError):
     """Every grid point of a hyper-parameter search failed."""
 

@@ -2,10 +2,12 @@
 
 The semi-analytic route computes every held-out residual from the full fit:
 residual_loo = residual_full / (1 - leverage) with leverage =
-beta * x_mu^T H^{-1} x_mu from the full-data curvature H.  One solve of H
-against X replaces M refits.  The literal and k-fold harnesses actually
-refit and exist to validate that formula.  Each returns a LooReport: one
-table of per-sample arrays in sample order.
+beta * x_mu^T H^{-1} x_mu from the full-data curvature H.  By
+Sherman-Morrison this is y_mu - x_mu^T m_loo for the estimator without
+sample mu, m_loo = m - (H - beta x_mu x_mu^T)^{-1} beta residual_full x_mu.
+One solve of H against X replaces M refits.  The literal and k-fold
+harnesses actually refit and exist to validate that formula.  Each returns a
+LooReport: one table of per-sample arrays in sample order.
 """
 
 import numbers
@@ -13,16 +15,10 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
-from .core import Dataset, _solve_curvature, fit
-from .errors import (
-    ConfigError,
-    EcregError,
-    NonConvergence,
-    NotConverged,
-    RankOneSingularity,
-    SingularHessian,
-)
+from .core import Dataset, fit
+from .errors import ConfigError, EcregError, NonConvergence, NotConverged, SingularHessian
 
 # residual_loo is singular at leverage 1; denominators below this floor are
 # clipped and the sample flagged rather than dropped.
@@ -69,8 +65,17 @@ def approx_looe(fit_result, dataset, beta):
     t0 = time.perf_counter()
     if not fit_result.state.converged:
         raise NotConverged("approximate LOO requires a converged fit")
-    X = dataset.X
-    w = _solve_curvature(fit_result.hessian, X)
+    X, H = dataset.X, fit_result.hessian
+    # Cholesky, or LU when H is not positive definite (a fit that stopped on
+    # step_tol can end there)
+    try:
+        w = sla.cho_solve(sla.cho_factor(H, lower=True, check_finite=False), X,
+                          check_finite=False)
+    except np.linalg.LinAlgError:
+        try:
+            w = np.linalg.solve(H, X)
+        except np.linalg.LinAlgError as exc:
+            raise SingularHessian(str(exc)) from exc
     if not np.all(np.isfinite(w)):
         raise SingularHessian("curvature solve gave non-finite entries")
     leverage = beta * np.einsum("im,im->m", X, w)
@@ -87,27 +92,6 @@ def approx_looe(fit_result, dataset, beta):
                      residual_full=residual_full, residual_loo=residual_loo,
                      leverage=leverage, flagged=flagged, method="approx",
                      wall_time=time.perf_counter() - t0)
-
-
-def loo_estimator(fit_result, dataset, beta, mu):
-    """Estimator with sample mu removed, via a rank-one Hessian downdate.
-
-    The deleted sample's field contribution is delta_h = beta * x_mu *
-    residual_mu; by Sherman-Morrison, (H - beta x_mu x_mu^T)^{-1} delta_h is
-    (beta * residual_mu / (1 - beta x_mu.w)) * w with w = H^{-1} x_mu.
-    Diagnostic companion to approx_looe, not used in its hot path.
-    """
-    if not fit_result.state.converged:
-        raise NotConverged("loo estimator requires a converged fit")
-    x = dataset.X[:, mu]
-    m = fit_result.state.m
-    w = _solve_curvature(fit_result.hessian, x)
-    denom = 1.0 - beta * float(x @ w)
-    if abs(denom) < DENOMINATOR_FLOOR:
-        raise RankOneSingularity(
-            f"downdate denominator {denom:.3e} below floor at sample {mu}")
-    residual = float(dataset.y[mu] - x @ m)
-    return m - (beta * residual / denom) * w
 
 
 def _fit_fold(dataset, prior, beta, keep_mask, warm):

@@ -74,10 +74,11 @@ class TestSynth:
                 assert fa.read() == fb.read()
 
     def test_invalid_config_is_usage_error(self, tmp_path, capsys):
-        # the last --alpha wins; a non-finite alpha*n fails as a usage error
-        # before the default test-sample count is derived from it
-        bad_alpha = [["--rho0", "0.2", "--alpha", a] for a in ("nan", "inf", "1e308")]
-        for flags in (["--rho0", "1.5"], ["--rho0", "0.2", "--seed", "-1"], *bad_alpha):
+        # the last --alpha wins; a non-finite or oversized alpha*n fails as a
+        # usage error before the default test-sample count is derived from it
+        bad_alpha = [["--rho0", "0.2", "--alpha", a] for a in ("nan", "inf", "1e308", "1e300")]
+        for flags in (["--rho0", "1.5"], ["--rho0", "0.2", "--seed", "-1"], *bad_alpha,
+                      ["--rho0", "0.2", "--test-samples", str(2**62)]):
             rc = main(["synth", "--n", "10", "--alpha", "1", *flags,
                        "--sigma-w0-sq", "1", "--sigma-n0-sq", "0.1",
                        "--out-train", str(tmp_path / "t.csv")])
@@ -397,14 +398,31 @@ class TestUsage:
     @pytest.mark.parametrize("command", ["fit", "loocv"])
     @pytest.mark.parametrize("flag,value", [("--sigma-w2", "nan"), ("--sigma-w2", "inf"),
                                             ("--beta", "-1"), ("--beta", "nan"),
-                                            ("--beta", "inf")])
-    def test_bad_hyper_parameter_is_usage_error(self, tmp_path, command, flag, value):
+                                            ("--beta", "inf"), ("--beta", "abc")])
+    def test_bad_hyper_parameter_is_usage_error(self, tmp_path, capsys, command, flag,
+                                                value):
         paths = _synth(tmp_path)
         flags = {"--sigma-w2": "4", "--beta": "4", flag: value}
         rc = main([command, "--data", paths["train"], "--family", "bg", "--rho", "0.2",
                    *(token for item in flags.items() for token in item),
                    "--out", str(tmp_path / "out")])
         assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flags, message", [
+        pytest.param("sweep", ["--beta-grid", ",", "--rho-grid", "0.3"], "empty list: ','",
+                     id="sweep-empty-list"),
+        pytest.param("calibrate", ["--beta-grid", ",", "--k-target", "4", "--sigma-w2", "4"],
+                     "empty list: ','", id="calibrate-empty-list"),
+        *(pytest.param(command, ["--sigma-w2", "4", "--beta", "4"],
+                       "error: --rho is required for this command", id=f"{command}-no-rho")
+          for command in ("fit", "loocv")),
+    ])
+    def test_usage_error_names_its_cause(self, tmp_path, capsys, command, flags, message):
+        paths = _synth(tmp_path)
+        rc = main([command, "--data", paths["train"], *flags, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
 
     def test_version_exits_cleanly(self, capsys):
         assert main(["--version"]) == 0

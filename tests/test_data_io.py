@@ -53,7 +53,10 @@ class TestSynthConfig:
                     dict(N=10.5), dict(N=10.0), dict(test_samples=2.5),
                     dict(test_samples=np.nan),
                     # a sample count alpha*N that is not finite
-                    dict(alpha=np.nan), dict(alpha=np.inf), dict(alpha=1e308)):
+                    dict(alpha=np.nan), dict(alpha=np.inf), dict(alpha=1e308),
+                    # finite sizes whose N x M or N x test_samples array numpy
+                    # cannot index
+                    dict(alpha=1e300), dict(test_samples=2**62)):
             with pytest.raises(ConfigError):
                 SynthConfig(**{**good, **bad})
 

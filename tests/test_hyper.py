@@ -16,6 +16,7 @@ from ecreg.errors import (
     AllPointsFailed,
     ConfigError,
     DomainError,
+    InfeasibleTilt,
     NonConvergence,
     NonMonotoneDetected,
     RangeError,
@@ -127,6 +128,23 @@ class TestSweep:
         assert np.isnan(failed.eps_loo)
         assert np.isfinite(failed.eps)
         assert result.best.rho == 1.0
+
+    def test_point_whose_fit_raises_stays_in_table(self, monkeypatch):
+        def fit_raising_at_small_rho(dataset, prior, beta, *, warm=None):
+            if prior.rho == 0.05:
+                raise InfeasibleTilt("no tilt reaches the means")
+            return fit(dataset, prior, beta, warm=warm)
+
+        monkeypatch.setattr("ecreg.hyper.fit", fit_raising_at_small_rho)
+        grid = SweepGrid(beta_values=[30.0], rho_values=[0.05, 1.0],
+                         sigma_w2_values=[4.0])
+        result = sweep(_instance(47, 25, 20), BERNOULLI_GAUSS, grid)
+        failed, kept = result.points
+        assert (failed.rho, failed.converged) == (0.05, False)
+        assert failed.error == "no tilt reaches the means"
+        assert np.isnan(failed.eps) and np.isnan(failed.eps_loo)
+        assert kept.converged and kept.error is None
+        assert result.best == kept
 
     def test_all_points_failed(self, monkeypatch):
         monkeypatch.setattr("ecreg.core._vamp_start", lambda *args: None)
@@ -249,6 +267,21 @@ class TestCalibrateRho:
         with pytest.raises(NonConvergence, match="cannot shrink"):
             calibrate_rho(ds, 5.0, 3.0, BERNOULLI_GAUSS, sigma_w2=4.0)
         assert calls["n"] <= 60
+
+    def test_unconverged_probe_raises(self, monkeypatch):
+        ds = _instance(49, 8, 12)
+        calls = {"n": 0}
+
+        def fake_fit(dataset, prior, beta, *, warm=None):
+            calls["n"] += 1
+            return SimpleNamespace(
+                state=SimpleNamespace(converged=calls["n"] == 1, m=np.zeros(8)),
+                inclusion_probs=np.array([1.0]))
+
+        monkeypatch.setattr("ecreg.hyper.fit", fake_fit)
+        with pytest.raises(NonConvergence, match="probe at rho=1 did not converge"):
+            calibrate_rho(ds, 5.0, 3.0, BERNOULLI_GAUSS, sigma_w2=4.0)
+        assert calls["n"] == 2  # the bracket's top end
 
     def test_each_probe_restarts_from_the_previous_state(self, monkeypatch):
         # as literal refits restart from the full fit: m, E, h and Ltil

@@ -3,8 +3,8 @@
 The main oracle is classical ridge regression: with the pure Gaussian prior
 the fit is a ridge solve, and held-out residuals can be computed exactly by
 deleting a sample and re-solving the normal equations directly.  The
-semi-analytic formula, the rank-one downdate, and the literal harnesses must
-all agree with those refits.
+semi-analytic formula and the literal harnesses must both agree with those
+refits, and the formula with a direct rank-one downdate of the curvature.
 """
 
 from functools import partial
@@ -14,19 +14,8 @@ import pytest
 
 from ecreg.core import Dataset, ECState, FitResult, FitSettings, fit, solve_tilt
 from ecreg.data_io import SynthConfig, gen_synthetic
-from ecreg.errors import (
-    ConfigError,
-    NonConvergence,
-    NotConverged,
-    RankOneSingularity,
-)
-from ecreg.loocv import (
-    DENOMINATOR_FLOOR,
-    approx_looe,
-    kfold_cv,
-    literal_loocv,
-    loo_estimator,
-)
+from ecreg.errors import ConfigError, NonConvergence, NotConverged
+from ecreg.loocv import DENOMINATOR_FLOOR, approx_looe, kfold_cv, literal_loocv
 from ecreg.priors import bernoulli_gauss, bernoulli_uniform, invert_mean
 
 
@@ -148,51 +137,20 @@ class TestApproxLooe:
 
 class TestLooEstimator:
     def test_two_path_identity(self):
-        # y_mu - x_mu @ m_loo equals residual_full/(1 - leverage) in exact
-        # arithmetic; each path makes its own Cholesky solve of the curvature
+        # approx_looe's residual_loo[mu] equals y_mu - x_mu @ m_direct in exact
+        # arithmetic, where m_direct is the estimator without sample mu from a
+        # dense solve with the downdated curvature H - beta x_mu x_mu^T
         ds = _instance(11, 20, 28, rho=0.4)
         beta = 9.0
         result = fit(ds, bernoulli_gauss(0.4, 5.0), beta)
         report = approx_looe(result, ds, beta)
+        m, H = result.state.m, result.hessian
         for mu in range(ds.n_samples):
-            m_loo = loo_estimator(result, ds, beta, mu)
-            direct = ds.y[mu] - ds.X[:, mu] @ m_loo
-            np.testing.assert_allclose(
-                direct, report.residual_loo[mu],
-                rtol=1e-10, atol=1e-10)
-
-    def test_matches_direct_downdated_solve(self):
-        ds = _instance(13, 30, 40, rho=0.3)
-        beta = 7.0
-        result = fit(ds, bernoulli_gauss(0.3, 4.0), beta)
-        H = result.hessian
-        for mu in (0, 17, 39):
             x = ds.X[:, mu]
-            r = float(ds.y[mu] - x @ result.state.m)
-            delta_h = beta * r * x
-            direct = result.state.m - np.linalg.solve(
-                H - beta * np.outer(x, x), delta_h)
-            np.testing.assert_allclose(loo_estimator(result, ds, beta, mu),
-                                       direct, atol=1e-8, rtol=1e-8)
-
-    def test_singular_downdate_rejected(self):
-        X = np.zeros((3, 3))
-        X[0, 0] = 1.0
-        X[1, 1] = 0.01
-        X[2, 2] = 0.01
-        ds = Dataset(X, np.array([1.0, 2.0, 3.0]))
-        result = fit(ds, bernoulli_gauss(1.0, 1e8), 10.0)
-        with pytest.raises(RankOneSingularity):
-            loo_estimator(result, ds, 10.0, 0)
-
-    def test_requires_converged_fit(self, monkeypatch):
-        ds = _instance(7, 25, 20, rho=0.2)
-        # from zero, where one Newton step does not reach the fixed point
-        monkeypatch.setattr("ecreg.core._vamp_start", lambda *args: None)
-        monkeypatch.setattr(FitSettings, "max_outer", 1)
-        result = fit(ds, bernoulli_gauss(0.2, 4.0), 20.0)
-        with pytest.raises(NotConverged):
-            loo_estimator(result, ds, 20.0, 0)
+            residual = float(ds.y[mu] - x @ m)
+            m_direct = m - np.linalg.solve(H - beta * np.outer(x, x), beta * residual * x)
+            np.testing.assert_allclose(report.residual_loo[mu], ds.y[mu] - x @ m_direct,
+                                       rtol=1e-10, atol=1e-10)
 
 
 class TestLiteralLoocv:
@@ -293,6 +251,29 @@ class TestLiteralLoocv:
         monkeypatch.setattr(FitSettings, "max_outer", 1)
         with pytest.raises(NonConvergence):
             cross_validate(ds, bernoulli_gauss(0.2, 4.0), 20.0)
+
+
+    def test_a_fold_that_raises_keeps_the_full_fit(self, monkeypatch):
+        # one raising fold of 20 is within the 5% allowance: it is flagged and
+        # its sample keeps the full fit's prediction; the others are unchanged
+        ds = _instance(33, 9, 20)
+        prior, beta = bernoulli_gauss(0.4, 3.0), 5.0
+        clean = literal_loocv(ds, prior, beta)
+        calls = {"n": 0}
+
+        def fit_failing_fold_7(dataset, prior, beta, *, warm=None):
+            calls["n"] += 1
+            if calls["n"] == 1 + 7 + 1:  # the full fit, then folds 0..7
+                raise NonConvergence("fold refit failed")
+            return fit(dataset, prior, beta, warm=warm)
+
+        monkeypatch.setattr("ecreg.loocv.fit", fit_failing_fold_7)
+        report = literal_loocv(ds, prior, beta)
+        assert report.flagged == [7]
+        full_m = fit(ds, prior, beta).state.m
+        assert report.residual_loo[7] == ds.y[7] - ds.X[:, 7] @ full_m
+        others = np.arange(20) != 7
+        assert np.array_equal(report.residual_loo[others], clean.residual_loo[others])
 
 
 class TestKfoldCv:
