@@ -152,6 +152,25 @@ class TestLooEstimator:
             np.testing.assert_allclose(report.residual_loo[mu], ds.y[mu] - x @ m_direct,
                                        rtol=1e-10, atol=1e-10)
 
+    def test_matches_direct_downdated_solve(self):
+        # the held-out residual and leverage of approx_looe against a dense
+        # solve with the downdated curvature, on a wider instance
+        ds = _instance(13, 30, 40, rho=0.3)
+        beta = 7.0
+        result = fit(ds, bernoulli_gauss(0.3, 4.0), beta)
+        report = approx_looe(result, ds, beta)
+        H = result.hessian
+        for mu in (0, 17, 39):
+            x = ds.X[:, mu]
+            r = float(ds.y[mu] - x @ result.state.m)
+            direct = result.state.m - np.linalg.solve(
+                H - beta * np.outer(x, x), beta * r * x)
+            np.testing.assert_allclose(report.residual_loo[mu], ds.y[mu] - x @ direct,
+                                       atol=1e-8, rtol=1e-8)
+            np.testing.assert_allclose(report.leverage[mu],
+                                       beta * x @ np.linalg.solve(H, x),
+                                       atol=1e-8, rtol=1e-8)
+
 
 class TestLiteralLoocv:
     def test_single_sample_prior_mean_fold(self):
