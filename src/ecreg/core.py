@@ -26,8 +26,8 @@ H's Cholesky factor by Sherman-Morrison.  A flat slab whose gram has a zero
 eigenvalue steps with H alone, and an indefinite H with H's diagonal term
 replaced by its absolute value.  Steps backtrack until Phi falls or, for a
 full step, rises within rounding while the gradient falls; converged means
-the gradient or the undamped step is below tolerance.  FitResult.hessian
-and the LOO formula use H.
+the gradient or the undamped step is below tolerance.  The fitted state
+keeps the tilted variances, from which the LOO formula forms H.
 
 Each line-search trial at m + s*d is a predictor-corrector continuation
 step of the tilt (Allgower & Georg, Introduction to Numerical Continuation
@@ -377,17 +377,21 @@ def gradient(m, h, E, dataset, beta):
 
 def hessian(variances, E, dataset, beta):
     """Curvature beta*XX^T + diag(1/variances - E), with the tilted variances
-    of a solved tilt (TiltResult.moments.variance)."""
+    of a solved tilt (TiltResult.moments.variance, ECState.variance)."""
     return _curvature(variances, E, dataset, beta)[0]
+
+
+def _checked_variances(v):
+    """The array v; VarianceCollapse when an entry is NaN or below the floor."""
+    idx = int(np.argmin(v))
+    if not v[idx] >= _VARIANCE_FLOOR:
+        raise VarianceCollapse(idx, v[idx])
+    return v
 
 
 def _curvature(variances, E, dataset, beta):
     """hessian() and its diagonal term d = 1/variances - E."""
-    v = np.asarray(variances, dtype=float)
-    idx = int(np.argmin(v))
-    if not v[idx] >= _VARIANCE_FLOOR:
-        raise VarianceCollapse(idx, v[idx])
-    d = 1.0 / v - E
+    d = 1.0 / _checked_variances(np.asarray(variances, dtype=float)) - E
     H = beta * dataset.gram
     H[np.diag_indices_from(H)] += d
     return H, d
@@ -497,7 +501,7 @@ class ECState:
     m: np.ndarray
     h: np.ndarray
     E: float
-    Mi: np.ndarray
+    variance: np.ndarray
     Q: float
     q: float
     chi: float
@@ -511,7 +515,6 @@ class ECState:
 @dataclass(frozen=True)
 class FitResult:
     state: ECState
-    hessian: np.ndarray
     inclusion_probs: np.ndarray
     settings: dict
 
@@ -669,29 +672,21 @@ def _vamp_start(dataset, prior, beta):
 def fit(dataset, prior, beta, *, warm=None):
     """Minimize the free energy by damped Newton; deterministic.
 
-    Each step re-solves the tilt at the current m, forms the gradient and
-    the exact Hessian of the free energy (the partial curvature H of
-    ``hessian`` plus a rank-one term, applied by Sherman-Morrison to H's
-    Cholesky factor) and backtracks along the Newton step.  The step uses H
-    alone when the exact Hessian is not positive definite and for a flat
-    slab whose gram has a zero eigenvalue, and _chol_solve_modified's
-    positive definite H when H is indefinite (one failed and one successful
-    factorization).  The line search halves s from 1 down to 2**-20 and
-    accepts the first trial that strictly lowers the free energy, or the
-    full step when it raises it by no more than the rounding error of its
-    summands and lowers the gradient infinity-norm.  converged=True means
-    that norm is at most grad_tol*max(1, ||beta*X y||_inf) or the undamped
-    Newton step at most step_tol*max(1, ||m||_inf); a fit whose line search
-    accepts no trial, or that runs out of max_outer steps, ends there (the
-    bounds are FitSettings' constants).  The settings echo records, per
-    step, the free energy reached
-    (``free_energies``, which starts at the initial point) and the rise the
-    step was allowed (``allowed_rises``: that rounding error for such a full
-    step, 0.0 for a strict decrease).  Each trial's tilt solve starts from
-    the Euler predictor of the accepted tilt along the step (_tilt_tangent,
-    _predicted_tilt), which needs no extra evaluation: its derivatives come
-    from the rank-one term's _tilt_slope.  ``FitResult.hessian`` is H, the
-    curvature approx_looe uses.
+    Each step follows the module docstring: it re-solves the tilt at m,
+    steps with the exact Hessian (H plus the rank-one term) or with H or its
+    positive definite modification, and starts trials at the predictor.  The
+    line search halves s from 1 down to 2**-20 and accepts the first trial
+    that strictly lowers the free energy, or the full step when it raises it
+    by no more than the rounding error of its summands and lowers the
+    gradient infinity-norm.  converged=True means one of FitSettings'
+    stopping tests held (on the undamped step, not a damped one); a fit
+    whose line search accepts no trial, or that runs out of max_outer steps,
+    ends there.  The settings echo records, per step, the free energy
+    reached (``free_energies``, which starts at the initial point) and the
+    rise the step was allowed (``allowed_rises``: that rounding error for
+    such a full step, 0.0 for a strict decrease).  The state keeps the
+    tilted variances (VarianceCollapse if one is NaN or below the floor),
+    from which approx_looe forms H.
 
     ``warm``, the ECState of an earlier fit on the same features (under any
     prior and beta), starts the Newton loop at warm.m and the first tilt
@@ -791,12 +786,11 @@ def fit(dataset, prior, beta, *, warm=None):
 
     if grad_norm <= FitSettings.grad_tol * grad_scale:
         converged = True
-    H = hessian(tilt.moments.variance, tilt.E, dataset, beta)
 
-    state = ECState(m=m, h=tilt.h, E=tilt.E, Mi=tilt.moments.second_moment, Q=tilt.Q,
-                    q=tilt.q, chi=tilt.chi, lambda_tilde=tilt.lambda_tilde, free_energy=phi,
-                    grad_norm=grad_norm, iterations=iterations, converged=converged)
+    state = ECState(m=m, h=tilt.h, E=tilt.E, variance=_checked_variances(tilt.moments.variance),
+                    Q=tilt.Q, q=tilt.q, chi=tilt.chi, lambda_tilde=tilt.lambda_tilde,
+                    free_energy=phi, grad_norm=grad_norm, iterations=iterations,
+                    converged=converged)
     echo = {"step_sizes": step_sizes, "free_energies": free_energies,
             "allowed_rises": allowed_rises}
-    return FitResult(state=state, hessian=H, inclusion_probs=tilt.moments.inclusion_prob,
-                     settings=echo)
+    return FitResult(state=state, inclusion_probs=tilt.moments.inclusion_prob, settings=echo)

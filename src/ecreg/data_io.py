@@ -296,7 +296,7 @@ def save_fit_json(path, fit_result, extra=None):
         "m": state.m,
         "E": float(state.E),
         "h": state.h,
-        "Mi": state.Mi,
+        "variance": state.variance,
         "inclusion_probs": fit_result.inclusion_probs,
         "free_energy": float(state.free_energy),
         "converged": bool(state.converged),
@@ -306,12 +306,17 @@ def save_fit_json(path, fit_result, extra=None):
 
 
 def load_fit_json(path):
+    """A fit JSON's payload with its vectors as arrays; ParseError if malformed."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-    for key in ("m", "h", "Mi", "inclusion_probs"):
+    except ValueError as exc:
+        raise ParseError(f"{path} is not JSON: {exc}") from exc
+    for key in ("m", "h", "variance", "inclusion_probs"):
+        if not isinstance(payload, dict) or key not in payload:
+            raise ParseError(f"{path} has no {key!r} key")
         payload[key] = np.asarray(payload[key], dtype=float)
     return payload
 

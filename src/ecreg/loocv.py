@@ -5,9 +5,9 @@ residual_loo = residual_full / (1 - leverage) with leverage =
 beta * x_mu^T H^{-1} x_mu from the full-data curvature H.  By
 Sherman-Morrison this is y_mu - x_mu^T m_loo for the estimator without
 sample mu, m_loo = m - (H - beta x_mu x_mu^T)^{-1} beta residual_full x_mu.
-One solve of H against X replaces M refits.  The literal and k-fold
-harnesses actually refit and exist to validate that formula.  Each returns a
-LooReport: one table of per-sample arrays in sample order.
+One factorization of H and one triangular solve replace M refits.  The literal
+and k-fold harnesses actually refit and exist to validate that formula.  Each
+returns a LooReport: one table of per-sample arrays in sample order.
 """
 
 import numbers
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .core import Dataset, fit
+from .core import Dataset, fit, hessian
 from .errors import ConfigError, EcregError, NonConvergence, NotConverged, SingularHessian
 
 # residual_loo is singular at leverage 1; denominators below this floor are
@@ -57,29 +57,30 @@ def _loo_eps(residuals, m_samples):
 def approx_looe(fit_result, dataset, beta):
     """Semi-analytic LOO error from the full fit; no refits.
 
-    Requires a converged fit.  Cost is one Cholesky solve of the fitted
-    curvature against X; samples whose |1 - leverage| falls below the floor
-    are clipped to the floor and flagged, and samples with leverage above 1
-    are flagged unclipped.
+    Requires a converged fit.  Cost is forming the fitted curvature, one
+    Cholesky factorization in place and one triangular solve against X;
+    samples whose |1 - leverage| falls below the floor are clipped to it
+    and flagged, and samples with leverage above 1 are flagged unclipped.
     """
     t0 = time.perf_counter()
     if not fit_result.state.converged:
         raise NotConverged("approximate LOO requires a converged fit")
-    X, H = dataset.X, fit_result.hessian
-    # Cholesky, or LU when H is not positive definite (a fit that stopped on
-    # step_tol can end there)
+    X, state = dataset.X, fit_result.state
+    H = hessian(state.variance, state.E, dataset, beta)
     try:
-        w = sla.cho_solve(sla.cho_factor(H, lower=True, check_finite=False), X,
-                          check_finite=False)
+        # in place: H is symmetric, and LAPACK overwrites its Fortran view H.T
+        L = sla.cho_factor(H.T, lower=True, overwrite_a=True, check_finite=False)[0]
+        u = w = sla.solve_triangular(L, X, lower=True, check_finite=False)
     except np.linalg.LinAlgError:
+        # not positive definite (a step_tol stop can end there): LU on a rebuilt H
         try:
-            w = np.linalg.solve(H, X)
+            u, w = X, np.linalg.solve(hessian(state.variance, state.E, dataset, beta), X)
         except np.linalg.LinAlgError as exc:
             raise SingularHessian(str(exc)) from exc
     if not np.all(np.isfinite(w)):
         raise SingularHessian("curvature solve gave non-finite entries")
-    leverage = beta * np.einsum("im,im->m", X, w)
-    residual_full = dataset.y - X.T @ fit_result.state.m
+    leverage = beta * np.einsum("im,im->m", u, w)  # beta*||L^{-1} x_mu||^2 with H = L L^T
+    residual_full = dataset.y - X.T @ state.m
     denom = 1.0 - leverage
     small = np.abs(denom) < DENOMINATOR_FLOOR
     # leverage above 1 means the curvature without sample mu is not positive

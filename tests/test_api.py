@@ -1,6 +1,7 @@
 """The package's top-level API, exactly these names, and the names the benchmark traces."""
 
 import argparse
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -96,3 +97,15 @@ def test_start_and_tolerance_options_are_pinned():
     flags = {flag for p in subcommands.choices.values() for a in p._actions
              for flag in a.option_strings}
     assert not {f for f in flags if "tol" in f or "max" in f}
+
+
+def test_fit_returns_its_state_only():
+    # fit returns the state the one-fit LOO needs, not the curvature built
+    # from it: approx_looe forms H from state.variance, so a field that
+    # carries H (or the second moments beside the variances) has to change
+    # this test
+    fields = [f.name for f in dataclasses.fields(ecreg.FitResult)]
+    assert fields == ["state", "inclusion_probs", "settings"]
+    state_fields = {f.name for f in dataclasses.fields(ecreg.ECState)}
+    assert "variance" in state_fields
+    assert "Mi" not in state_fields

@@ -525,12 +525,13 @@ class TestHessian:
         s2, beta = 2.0, 4.0
         result = fit(ds, bernoulli_gauss(1.0, s2), beta)
         expected = beta * ds.gram + np.eye(10) / s2
-        np.testing.assert_allclose(result.hessian, expected, rtol=1e-8)
+        np.testing.assert_allclose(hessian(result.state.variance, result.state.E, ds, beta),
+                                   expected, rtol=1e-8)
 
     def test_symmetric_positive_definite_at_convergence(self):
         ds = _random_instance(25, 30, 15)
         result = fit(ds, bernoulli_gauss(0.3, 4.0), 5.0)
-        H = result.hessian
+        H = hessian(result.state.variance, result.state.E, ds, 5.0)
         np.testing.assert_allclose(H, H.T, rtol=1e-10)
         assert np.linalg.eigvalsh(H).min() > 0.0
 
@@ -558,7 +559,7 @@ class TestHessian:
             return gradient(m_vec, h, E, ds, beta)
 
         m0 = result.state.m
-        H = result.hessian
+        H = hessian(result.state.variance, E, ds, beta)
         step = 1e-6
         fd = np.empty((8, 8))
         for i in range(8):
@@ -598,9 +599,10 @@ class TestHessian:
             fd[:, i] = (grad_resolved(up) - grad_resolved(down)) / (2.0 * step)
         a, c, _ = _coupling(m0, tilt, beta, spec)
         scale = float(np.max(np.abs(fd)))
-        exact = result.hessian + c * np.outer(a, a)
+        H = hessian(result.state.variance, result.state.E, ds, beta)
+        exact = H + c * np.outer(a, a)
         assert float(np.max(np.abs(exact - fd))) <= 1e-5 * scale
-        assert float(np.max(np.abs(result.hessian - fd))) > 1e-3 * scale
+        assert float(np.max(np.abs(H - fd))) > 1e-3 * scale
 
 
 class TestModifiedSolve:
@@ -692,7 +694,8 @@ class TestFit:
         a = fit(ds, prior, 6.0)
         b = fit(ds, prior, 6.0)
         np.testing.assert_array_equal(a.state.m, b.state.m)
-        np.testing.assert_array_equal(a.hessian, b.hessian)
+        np.testing.assert_array_equal(hessian(a.state.variance, a.state.E, ds, 6.0),
+                                      hessian(b.state.variance, b.state.E, ds, 6.0))
         assert a.state.free_energy == b.state.free_energy
         assert a.state.iterations == b.state.iterations
 
@@ -718,6 +721,26 @@ class TestFit:
             assert warm.state.iterations == 0 and warm.state.converged
             np.testing.assert_array_equal(warm.state.m, cold.state.m)
             assert warm.state.E == cold.state.E
+
+    def test_warm_fit_without_a_step_forms_no_curvature(self, monkeypatch):
+        # the state carries the tilted variances, from which approx_looe forms
+        # H, so a fit that takes no Newton step builds no N x N matrix
+        ds, _, _ = gen_synthetic(SynthConfig(N=25, alpha=2.0, rho0=0.3, sigma_w0_sq=1.0,
+                                             sigma_n0_sq=0.2, seed=4))
+        prior, beta = bernoulli_uniform(0.3), 4.0
+        cold = fit(ds, prior, beta)
+        calls = []
+        curvature = core._curvature
+        monkeypatch.setattr("ecreg.core._curvature",
+                            lambda *args: calls.append(args) or curvature(*args))
+        warm = fit(ds, prior, beta, warm=cold.state)
+        assert warm.state.iterations == 0 and calls == []
+        np.testing.assert_array_equal(warm.state.variance, cold.state.variance)
+        # the final state's variances are checked as the curvature checks them
+        monkeypatch.setattr("ecreg.core._VARIANCE_FLOOR", 1e10)
+        with pytest.raises(VarianceCollapse):
+            fit(ds, prior, beta, warm=cold.state)
+        assert calls == []
 
     def test_iteration_budget_returns_best_state(self, monkeypatch):
         ds = _random_instance(40, 40, 20)
@@ -961,7 +984,8 @@ class TestVampStart:
         monkeypatch.setattr("ecreg.core._vamp_start", lambda *args: None)
         cold = fit(ds, prior, beta)
         np.testing.assert_array_equal(started.state.m, cold.state.m)
-        np.testing.assert_array_equal(started.hessian, cold.hessian)
+        np.testing.assert_array_equal(hessian(started.state.variance, started.state.E, ds, beta),
+                                      hessian(cold.state.variance, cold.state.E, ds, beta))
         assert started.state.free_energy == cold.state.free_energy
         assert started.state.iterations == cold.state.iterations
         assert started.settings == cold.settings

@@ -273,7 +273,7 @@ class TestFitJson:
         payload = load_fit_json(path)
         np.testing.assert_array_equal(payload["m"], result.state.m)
         np.testing.assert_array_equal(payload["h"], result.state.h)
-        np.testing.assert_array_equal(payload["Mi"], result.state.Mi)
+        np.testing.assert_array_equal(payload["variance"], result.state.variance)
         np.testing.assert_array_equal(payload["inclusion_probs"],
                                       result.inclusion_probs)
         assert payload["E"] == result.state.E
@@ -291,6 +291,24 @@ class TestFitJson:
     def test_read_error(self, tmp_path):
         with pytest.raises(IoError):
             load_fit_json(tmp_path / "absent.json")
+
+    def test_text_that_is_not_json_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "fit.json"
+        path.write_text("not json", encoding="utf-8")
+        with pytest.raises(ParseError, match="is not JSON"):
+            load_fit_json(path)
+
+    @pytest.mark.parametrize("text,key", [
+        ('{"m": [1]}', "'h'"),
+        # a file written before the variances replaced the second moments
+        ('{"m": [1], "h": [0], "Mi": [1], "inclusion_probs": [1]}', "'variance'"),
+        ("[1, 2]", "'m'"),
+    ], ids=["no-h", "Mi-not-variance", "not-an-object"])
+    def test_missing_key_is_a_parse_error_naming_it(self, tmp_path, text, key):
+        path = tmp_path / "fit.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match=f"has no {key} key"):
+            load_fit_json(path)
 
 
 class TestTableCsv:

@@ -12,9 +12,9 @@ from functools import partial
 import numpy as np
 import pytest
 
-from ecreg.core import Dataset, ECState, FitResult, FitSettings, fit, solve_tilt
+from ecreg.core import Dataset, ECState, FitResult, FitSettings, fit, hessian, solve_tilt
 from ecreg.data_io import SynthConfig, gen_synthetic
-from ecreg.errors import ConfigError, NonConvergence, NotConverged
+from ecreg.errors import ConfigError, NonConvergence, NotConverged, SingularHessian
 from ecreg.loocv import DENOMINATOR_FLOOR, approx_looe, kfold_cv, literal_loocv
 from ecreg.priors import bernoulli_gauss, bernoulli_uniform, invert_mean
 
@@ -25,6 +25,16 @@ def _instance(seed, n, m, rho=0.3, sigma_w2=4.0, noise=0.1):
     w = np.where(rng.random(n) < rho, rng.normal(0.0, np.sqrt(sigma_w2), n), 0.0)
     y = X.T @ w + rng.normal(0.0, noise, m)
     return Dataset(X, y)
+
+
+def _hand_built_fit(m, E, variance):
+    """A converged FitResult with the given estimator and tilt, whose
+    curvature is beta*XX^T + diag(1/variance - E)."""
+    z = np.zeros(len(m))
+    state = ECState(m=np.asarray(m, dtype=float), h=z, E=E, variance=np.asarray(variance),
+                    Q=1.0, q=0.0, chi=1.0, lambda_tilde=1.0, free_energy=0.0,
+                    grad_norm=0.0, iterations=1, converged=True)
+    return FitResult(state=state, inclusion_probs=np.ones(len(m)), settings={})
 
 
 def _deleted_ridge_residuals(dataset, beta, sigma_w2):
@@ -92,23 +102,35 @@ class TestApproxLooe:
         assert np.isfinite(report.eps_loo)
 
     def test_leverage_above_one_is_flagged_not_clipped(self):
-        # hand-built fit: X = I and beta = 8, so the leverages are 8 times
-        # the diagonal of the Hessian inverse, 2 and 0.5; powers of two keep
-        # the Cholesky solve exact
+        # hand-built fit: X = I and beta = 8, and E = 8 with variances 1/4
+        # and 1/16 give the curvature diag(4, 16), so the leverages are 2 and
+        # 0.5; powers of two keep the Cholesky solve exact
         ds = Dataset(np.eye(2), np.array([1.0, 3.0]))
-        m = np.array([0.5, 1.0])
-        z = np.zeros(2)
-        state = ECState(m=m, h=z, E=1.0, Mi=z, Q=1.0, q=0.0, chi=1.0,
-                        lambda_tilde=1.0, free_energy=0.0, grad_norm=0.0,
-                        iterations=1, converged=True)
-        result = FitResult(state=state, hessian=np.diag([4.0, 16.0]),
-                           inclusion_probs=np.ones(2), settings={})
+        result = _hand_built_fit([0.5, 1.0], 8.0, [0.25, 0.0625])
         report = approx_looe(result, ds, 8.0)
         assert report.flagged == [0]
         assert report.leverage.tolist() == [2.0, 0.5]
         # the residual keeps the formula's value: 0.5 / (1 - 2) and 2 / 0.5
         assert report.residual_loo.tolist() == [-0.5, 4.0]
         assert report.eps_loo == (0.25 + 16.0) / 4.0
+
+    def test_indefinite_curvature_falls_back_to_lu(self):
+        # X = I, beta = 1, E = 3 and variances 1/4 and 1: the curvature is
+        # diag(2, -1), whose Cholesky factorization fails at the second pivot
+        # after overwriting the first; LU on the curvature gives the leverages
+        # 1/2 and -1
+        ds = Dataset(np.eye(2), np.array([1.0, 3.0]))
+        report = approx_looe(_hand_built_fit([0.5, 1.0], 3.0, [0.25, 1.0]), ds, 1.0)
+        assert report.leverage.tolist() == [0.5, -1.0]
+        assert report.flagged == []
+        assert report.residual_loo.tolist() == [1.0, 1.0]
+
+    def test_zero_curvature_raises_singular_hessian(self):
+        # E = 3 with variances 1/2 makes the curvature I + diag(2 - 3) = 0,
+        # which neither Cholesky nor LU can solve
+        ds = Dataset(np.eye(2), np.array([1.0, 3.0]))
+        with pytest.raises(SingularHessian):
+            approx_looe(_hand_built_fit([0.5, 1.0], 3.0, [0.5, 0.5]), ds, 1.0)
 
     @pytest.mark.parametrize("prior", [bernoulli_gauss(0.3, 4.0), bernoulli_uniform(0.3)],
                              ids=["bg", "bu"])
@@ -117,7 +139,7 @@ class TestApproxLooe:
         beta = 6.0
         result = fit(ds, prior, beta)
         assert result.state.converged
-        h_inv = np.linalg.inv(result.hessian)
+        h_inv = np.linalg.inv(hessian(result.state.variance, result.state.E, ds, beta))
         expected = beta * np.diag(ds.X.T @ h_inv @ ds.X)
         got = approx_looe(result, ds, beta).leverage
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
@@ -144,7 +166,7 @@ class TestLooEstimator:
         beta = 9.0
         result = fit(ds, bernoulli_gauss(0.4, 5.0), beta)
         report = approx_looe(result, ds, beta)
-        m, H = result.state.m, result.hessian
+        m, H = result.state.m, hessian(result.state.variance, result.state.E, ds, beta)
         for mu in range(ds.n_samples):
             x = ds.X[:, mu]
             residual = float(ds.y[mu] - x @ m)
@@ -159,7 +181,7 @@ class TestLooEstimator:
         beta = 7.0
         result = fit(ds, bernoulli_gauss(0.3, 4.0), beta)
         report = approx_looe(result, ds, beta)
-        H = result.hessian
+        H = hessian(result.state.variance, result.state.E, ds, beta)
         for mu in (0, 17, 39):
             x = ds.X[:, mu]
             r = float(ds.y[mu] - x @ result.state.m)

@@ -12,7 +12,7 @@ the module is skipped without it.
 import numpy as np
 import pytest
 
-from ecreg.core import Dataset, fit
+from ecreg.core import Dataset, fit, hessian
 from ecreg.errors import EcregError
 from ecreg.loocv import approx_looe
 from ecreg.priors import bernoulli_gauss, bernoulli_uniform
@@ -69,7 +69,7 @@ def _relabelling_gaps(prior, beta, dataset, relabelled, samples):
         # an interpolating fit flags every sample and its eps_loo is
         # rounding noise, so there is nothing to compare
         return None
-    cond = np.linalg.cond(result.hessian)
+    cond = np.linalg.cond(hessian(result.state.variance, result.state.E, dataset, beta))
 
     def gap(x, y):
         return float(np.max(np.abs(x - y) / np.maximum(1.0, np.abs(x)))) / cond
