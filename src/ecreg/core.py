@@ -41,7 +41,7 @@ from an earlier fit's state (a literal refit, a calibration probe) is the
 corrector of the same continuation: it starts at that state's m and its
 first tilt solve at that state's (E, h, Ltil).
 
-A cold fit (no warm state) whose prior is not a flat slab first runs
+Every cold fit (no warm state), whatever the prior, first runs
 _vamp_start: damped VAMP on the eigendecomposition of the smaller of X^T X
 and X X^T that Dataset caches, whose fixed point is the EC fixed point
 (E = gamma1, h = gamma1*r1), so the Newton loop only polishes its point.
@@ -203,8 +203,11 @@ def solve_lambda(lam, beta, chi, *, _start=None):
     in the domain lands at or below the root and from there climbs
     monotonically to it; a step out of the domain goes halfway to the pole
     instead.  Starts at ``_start`` (solve_tilt's previous root) when it lies
-    in the domain, else midway between a point near the pole and one where
-    s <= beta*chi.  Relative residual <= 1e-12, else NonConvergence.
+    in the domain, else at delta = 1/(N*beta*chi): s(delta) >= 1/(N*delta)
+    and s(1/(beta*chi)) <= beta*chi, so that start lies at or below the root
+    and within a factor N of it, and Newton climbs in about log2(N) steps.
+    NonConvergence when that start overflows, or unless the relative
+    residual reaches 1e-12.
     """
     if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
@@ -217,13 +220,10 @@ def solve_lambda(lam, beta, chi, *, _start=None):
     if _start is not None and 0.0 < _start + lam_min < np.inf:
         delta = _start + lam_min
     else:
-        hi = 1.0 + lam_min
-        for _ in range(2000):
-            if float((1.0 / (mu + hi)).sum()) / mu.size <= target:
-                break
-            hi *= 2.0
-        lo = min(1.0 / (mu.size * target), 1.0)
-        delta = 0.5 * (lo + hi)
+        n_target = mu.size * target
+        delta = 1.0 / n_target if n_target > 0.0 else math.inf
+        if delta == math.inf:
+            raise NonConvergence(f"secular root overflows at beta*chi = {target:.3e}")
     for _ in range(200):
         r, dn = _secular_newton(mu, target, delta)
         if abs(r) <= 1e-13 * target:
@@ -692,11 +692,9 @@ def fit(dataset, prior, beta, *, warm=None):
     prior and beta), starts the Newton loop at warm.m and the first tilt
     solve at (warm.E, warm.h, warm.lambda_tilde); from a fit that met
     grad_tol under the same prior and beta it normally takes no step.
-    Without it, when the prior is not a flat slab (on a wide design its gram
-    has zero eigenvalues), the loop starts from _vamp_start's point: VAMP's
-    mean as m and its (E, h) as the first tilt solve's start; when
-    _vamp_start returns None, or on a flat slab, from m = 0 and solve_tilt's
-    default start.
+    Without it, whatever the prior, the loop starts from _vamp_start's
+    point: VAMP's mean as m and its (E, h) as the first tilt solve's start;
+    when _vamp_start returns None, from m = 0 and solve_tilt's default start.
     """
     if not 0.0 < beta < np.inf:
         raise DomainError(f"beta must be finite and positive, got {beta}")
@@ -707,10 +705,9 @@ def fit(dataset, prior, beta, *, warm=None):
             raise DimensionMismatch(f"warm state's m and h must have shape ({n},)")
     else:
         m, E0, h0, ltil0 = np.zeros(n), None, None, None
-        if prior.family != BERNOULLI_UNIFORM:
-            start = _vamp_start(dataset, prior, beta)
-            if start is not None:
-                m, E0, h0 = start
+        start = _vamp_start(dataset, prior, beta)
+        if start is not None:
+            m, E0, h0 = start
     lam = spectrum(dataset)
     flat_zero_modes = _flat_slab_with_zero_modes(prior, lam)
     grad_scale = max(1.0, float(np.max(np.abs(beta * dataset.xy))))

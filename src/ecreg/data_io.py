@@ -317,7 +317,10 @@ def load_fit_json(path):
     for key in ("m", "h", "variance", "inclusion_probs"):
         if not isinstance(payload, dict) or key not in payload:
             raise ParseError(f"{path} has no {key!r} key")
-        payload[key] = np.asarray(payload[key], dtype=float)
+        vector = payload[key]
+        if not (isinstance(vector, list) and all(type(x) in (int, float) for x in vector)):
+            raise ParseError(f"{path}: {key!r} is not a flat list of numbers")
+        payload[key] = np.array(vector, dtype=float)
     return payload
 
 

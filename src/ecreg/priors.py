@@ -85,15 +85,14 @@ def bernoulli_uniform(rho):
 class ScalarMoments:
     """Moments of the tilted prior; entries are scalars or arrays over h.
 
-    ``variance`` equals second_moment - mean**2 evaluated in the
-    cancellation-free form pi*v_slab + pi*(1-pi)*mu_slab**2.  ``kappa3`` and
+    ``variance`` is the tilted variance in the cancellation-free form
+    pi*v_slab + pi*(1-pi)*mu_slab**2.  ``kappa3`` and
     ``kappa4`` are the third and fourth cumulants, dv/dh and d2v/dh2, in
     cancellation-free mixture forms; both vanish at rho = 1.
     """
 
     log_partition: np.ndarray
     mean: np.ndarray
-    second_moment: np.ndarray
     inclusion_prob: np.ndarray
     variance: np.ndarray
     kappa3: np.ndarray
@@ -134,16 +133,16 @@ def _scalar_moments(prior, ln_zs, mu, s, pi):
     mu2 = mu * mu
     k3 = pq * mu * ((1.0 - 2.0 * pi) * mu2 + 3.0 * s)
     k4 = pq * ((1.0 - 6.0 * pq) * mu2 * mu2 + 6.0 * (1.0 - 2.0 * pi) * mu2 * s + 3.0 * s * s)
-    return ScalarMoments(log_z, pi * mu, pi * (s + mu2), pi, pi * s + pq * mu * mu, k3, k4)
+    return ScalarMoments(log_z, pi * mu, pi, pi * s + pq * mu * mu, k3, k4)
 
 
 def moments(prior, h, E):
     """Moments of the prior tilted by exp(-E*w**2/2 + h*w).
 
     ``h`` may be a scalar or an array; ``E`` is a shared scalar.  Returns
-    exact closed-form values: mean = pi * mu_slab, second moment =
-    pi * (v_slab + mu_slab**2), pi = rho*Z_slab / ((1-rho) + rho*Z_slab),
-    with Z_slab the tilted slab partition function.
+    exact closed-form values: mean = pi * mu_slab, variance =
+    pi * v_slab + pi * (1-pi) * mu_slab**2, pi = rho*Z_slab / ((1-rho) +
+    rho*Z_slab), with Z_slab the tilted slab partition function.
     """
     E = float(E)
     _check_tilt(prior, E)

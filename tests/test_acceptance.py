@@ -176,7 +176,7 @@ def test_criterion_4_prior_moments_match_quadrature():
                     diff = max(
                         abs(log_z - float(exact.log_partition[i])),
                         abs(mean - float(exact.mean[i])),
-                        abs(second - float(exact.second_moment[i])),
+                        abs(second - float(exact.variance[i] + exact.mean[i] ** 2)),
                         abs(pi - float(exact.inclusion_prob[i])),
                     )
                     worst = max(worst, diff)

@@ -47,7 +47,15 @@ from ecreg.errors import (
     SingularHessian,
     VarianceCollapse,
 )
-from ecreg.priors import _mixture, bernoulli_gauss, bernoulli_uniform, invert_mean, moments
+from ecreg.loocv import approx_looe
+from ecreg.priors import (
+    BERNOULLI_UNIFORM,
+    _mixture,
+    bernoulli_gauss,
+    bernoulli_uniform,
+    invert_mean,
+    moments,
+)
 
 
 def _random_instance(seed, n, m, rho=0.3, sigma_w2=4.0, noise=0.1):
@@ -294,6 +302,27 @@ class TestSolveLambda:
         delta = steps[-1][0]
         assert abs(1.0 / delta - 100.0) <= 1e-12 * 100.0
         assert lam == delta - 1e4  # the float nearest the root -9999.99
+
+    @pytest.mark.parametrize("target", [1e-200, 1e-60, 1.0, 1e60, 1e200])
+    @pytest.mark.parametrize("zeros", [10, 5, 0], ids=["all-zero", "half-zero", "full-rank"])
+    def test_cold_start_reaches_the_root_at_any_scale(self, zeros, target):
+        # the cold start 1/(N*beta*chi) lies at or below the root and within
+        # a factor N of it; a root within 1e-60 of the pole is resolved only
+        # on delta = L + lambda_min, so the residual is taken there
+        lam = np.concatenate([np.zeros(zeros), np.geomspace(0.1, 10.0, 10 - zeros)])
+        with _newton_steps() as steps:
+            root = solve_lambda(lam, 1.0, target)
+        delta = steps[-1][0]
+        assert root == delta - lam[0]
+        lhs = float(np.mean(1.0 / (lam - lam[0] + delta)))
+        assert abs(lhs - target) <= 1e-12 * target
+
+    def test_overflowing_cold_start_is_nonconvergence(self):
+        # beta*chi underflows to 0, or N*beta*chi to a subnormal whose
+        # inverse overflows: the root is not a float
+        for beta, chi in ((1e-200, 1e-200), (1.0, 5e-324)):
+            with pytest.raises(NonConvergence, match="overflows"):
+                solve_lambda(np.zeros(10), beta, chi)
 
     def test_domain_errors(self):
         sp = spectrum(_random_instance(8, 5, 3))
@@ -959,13 +988,21 @@ def _vamp_calls(monkeypatch):
 
 
 class TestVampStart:
-    @pytest.mark.parametrize("seed", range(200, 210))
-    def test_reaches_the_fixed_point_from_zero(self, seed, monkeypatch):
+    # criterion 1's draws with its prior, and one with a flat slab on which
+    # VAMP and the path from zero reach the same fixed point
+    @pytest.mark.parametrize("seed, prior", [
+        *(pytest.param(seed, bernoulli_gauss(0.1, 10.0), id=str(seed))
+          for seed in range(200, 210)),
+        pytest.param(201, bernoulli_uniform(0.1), id="bu-201"),
+    ])
+    def test_reaches_the_fixed_point_from_zero(self, seed, prior, monkeypatch):
         ds = _criterion_draw(200, seed)
-        prior, beta = bernoulli_gauss(0.1, 10.0), 10.0
+        beta = 10.0
         accepted = _vamp_calls(monkeypatch)
         started = fit(ds, prior, beta)
         assert len(accepted) == 1
+        if prior.family == BERNOULLI_UNIFORM:
+            assert accepted == [True]
         monkeypatch.setattr("ecreg.core._vamp_start", lambda *args: None)
         cold = fit(ds, prior, beta)
         assert started.state.converged == cold.state.converged
@@ -973,39 +1010,51 @@ class TestVampStart:
         assert gap <= 1e-6 * float(np.max(np.abs(cold.state.m)))
 
     def test_fallback_is_the_path_from_zero(self, monkeypatch):
-        # at beta = 100 VAMP leaves its domain and fit starts from zero
-        ds = _criterion_draw(500, 100)
-        prior, beta = bernoulli_gauss(0.1, 10.0), 100.0
-        accepted = _vamp_calls(monkeypatch)
-        started = fit(ds, prior, beta)
-        assert accepted == [False]
-        assert started.settings["free_energies"][0] == objective(ds, prior, beta,
-                                                                 np.zeros(ds.n_features))
-        monkeypatch.setattr("ecreg.core._vamp_start", lambda *args: None)
-        cold = fit(ds, prior, beta)
-        np.testing.assert_array_equal(started.state.m, cold.state.m)
-        np.testing.assert_array_equal(hessian(started.state.variance, started.state.E, ds, beta),
-                                      hessian(cold.state.variance, cold.state.E, ds, beta))
-        assert started.state.free_energy == cold.state.free_energy
-        assert started.state.iterations == cold.state.iterations
-        assert started.settings == cold.settings
+        # VAMP leaves its domain, and fit starts from zero: at beta = 100 on
+        # criterion 2's first draw, and on criterion 1's first with a flat slab
+        cases = [(_criterion_draw(500, 100), bernoulli_gauss(0.1, 10.0), 100.0),
+                 (_criterion_draw(200, 200), bernoulli_uniform(0.1), 10.0)]
+        for ds, prior, beta in cases:
+            with monkeypatch.context() as patch:
+                accepted = _vamp_calls(patch)
+                started = fit(ds, prior, beta)
+            assert accepted == [False]
+            assert started.settings["free_energies"][0] == objective(
+                ds, prior, beta, np.zeros(ds.n_features))
+            with monkeypatch.context() as patch:
+                patch.setattr("ecreg.core._vamp_start", lambda *args: None)
+                cold = fit(ds, prior, beta)
+            np.testing.assert_array_equal(started.state.m, cold.state.m)
+            np.testing.assert_array_equal(
+                hessian(started.state.variance, started.state.E, ds, beta),
+                hessian(cold.state.variance, cold.state.E, ds, beta))
+            assert started.state.free_energy == cold.state.free_energy
+            assert started.state.iterations == cold.state.iterations
+            assert started.settings == cold.settings
 
-    def test_runs_only_on_cold_fits_with_a_curved_slab(self, monkeypatch):
+    def test_runs_on_every_cold_fit_and_no_warm_fit(self, monkeypatch):
         accepted = _vamp_calls(monkeypatch)
         wide = _random_instance(46, 12, 10)
         assert spectrum(wide)[0] == 0.0
-        fit(wide, bernoulli_uniform(0.3), 2.0)  # flat slab with zero modes
-        fit(_random_instance(52, 8, 20), bernoulli_uniform(0.3), 2.0)  # flat, full rank
-        assert accepted == []
-        prior = bernoulli_gauss(0.3, 4.0)
-        state = fit(wide, prior, 2.0).state
-        assert len(accepted) == 1
-        fit(wide, prior, 2.0, warm=state)
-        fit(wide, bernoulli_gauss(0.1, 4.0), 3.0, warm=state)
-        assert len(accepted) == 1
-        fit(_random_instance(51, 12, 12), prior, 2.0)  # M = N
-        fit(_random_instance(52, 8, 20), prior, 2.0)  # M > N
-        assert len(accepted) == 3  # it ran; on the last draw it fell back
+        designs = [wide, _random_instance(51, 12, 12), _random_instance(52, 8, 20)]
+        for prior in (bernoulli_uniform(0.3), bernoulli_gauss(0.3, 4.0)):
+            for ds in designs:  # M < N, M = N and M > N
+                fit(ds, prior, 2.0)
+        assert len(accepted) == 6
+        state = fit(wide, bernoulli_gauss(0.3, 4.0), 2.0).state
+        fit(wide, bernoulli_gauss(0.3, 4.0), 2.0, warm=state)
+        fit(wide, bernoulli_uniform(0.3), 3.0, warm=state)
+        assert len(accepted) == 7
+
+    def test_flat_slab_leaves_the_spurious_root(self):
+        # criterion 2's seed 103: from zero the fit stopped at E ~ 1.9e-10,
+        # where solve_tilt's absolute acceptance lets a spurious root pass,
+        # with eps ~ 1e-29 and all 250 samples flagged; from VAMP's point it
+        # converges at E = 1.65 and flags none
+        ds = _criterion_draw(500, 103)
+        result = fit(ds, bernoulli_uniform(0.05), 10.0)
+        assert result.state.converged and result.state.E > 1.0
+        assert approx_looe(result, ds, 10.0).flagged == []
 
     @pytest.mark.parametrize("seed", range(4))
     def test_tall_design_reaches_the_fixed_point_from_zero(self, seed, monkeypatch):

@@ -310,6 +310,17 @@ class TestFitJson:
         with pytest.raises(ParseError, match=f"has no {key} key"):
             load_fit_json(path)
 
+    @pytest.mark.parametrize("vector", ['["a"]', "[[1], [1, 2]]", "[[1], [2]]",
+                                        '[{"x": 1}]', "null", "1.5", "[true]"],
+                             ids=["string", "ragged", "nested", "object", "null",
+                                  "scalar", "boolean"])
+    def test_vector_not_a_flat_list_of_numbers_is_a_parse_error(self, tmp_path, vector):
+        path = tmp_path / "fit.json"
+        path.write_text(f'{{"m": [1], "h": [0], "variance": {vector}, '
+                        '"inclusion_probs": [1]}', encoding="utf-8")
+        with pytest.raises(ParseError, match="'variance' is not a flat list of numbers"):
+            load_fit_json(path)
+
 
 class TestTableCsv:
     def test_sweep_schema(self, tmp_path):
