@@ -235,8 +235,7 @@ def save_dataset_csv(path, dataset, feature_names=None, target_name="y",
         f"x{i + 1:04d}" for i in range(n)]
     if len(names) != n:
         raise DimensionMismatch(f"{len(names)} names for {n} features")
-    rows = ([repr(float(v)) for v in dataset.X[:, mu]] + [repr(float(dataset.y[mu]))]
-            for mu in range(dataset.n_samples))
+    rows = (map(repr, x.tolist() + [t]) for x, t in zip(dataset.X.T, dataset.y.tolist()))
     _write_table(path, names + [target_name], rows, header_lines)
 
 
@@ -325,14 +324,20 @@ def load_fit_json(path):
 
 
 def _write_table(path, columns, rows, header_lines):
-    """Write '# ' comment lines, the column names, then the data rows."""
+    """Write '# ' comment lines, the column names, then the data rows.
+
+    Comment lines end in '\\n'; the header and data rows end in '\\r\\n', as
+    in csv's default dialect.  csv.writer writes the header, whose names may
+    need quoting.  Data cells are repr floats, true/false, integers or empty
+    strings, none of which csv.writer would quote, so each data row is its
+    cells joined by commas: the same bytes without csv's per-cell checks.
+    """
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             for line in header_lines:
                 fh.write(f"# {line}\n")
-            writer = csv.writer(fh)
-            writer.writerow(columns)
-            writer.writerows(rows)
+            csv.writer(fh).writerow(columns)
+            fh.writelines(",".join(cells) + "\r\n" for cells in rows)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 

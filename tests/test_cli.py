@@ -6,6 +6,7 @@ Commands run in-process through main(argv), which returns the exit code:
 
 import argparse
 import csv
+import hashlib
 import importlib
 import json
 import pathlib
@@ -72,6 +73,22 @@ class TestSynth:
         for key in ("train", "test", "truth"):
             with open(a[key], "rb") as fa, open(b[key], "rb") as fb:
                 assert fa.read() == fb.read()
+
+    def test_csv_bytes_are_pinned(self, tmp_path):
+        # digests of the files as written when every row went through
+        # csv.writer; the '# ecreg 0.1.0 synth' line puts the version in them
+        paths = {name: str(tmp_path / f"{name}.csv") for name in ("train", "test")}
+        rc = main(["synth", "--n", "20", "--alpha", "1.5", "--rho0", "0.2",
+                   "--sigma-w0-sq", "4", "--sigma-n0-sq", "0.1", "--seed", "5",
+                   "--out-train", paths["train"], "--out-test", paths["test"],
+                   "--out-truth", ""])
+        assert rc == 0
+        digests = {name: hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
+                   for name, path in paths.items()}
+        assert digests == {
+            "train": "acf2a668c1ddc1376f53a49b213c8180a7ccf945674cfbe07914ffc5356258c8",
+            "test": "e16b4141004a28461b883440da80ba0e5f0f5a90d5375f43f4ae6937fa749656",
+        }
 
     def test_invalid_config_is_usage_error(self, tmp_path, capsys):
         # the last --alpha wins; a non-finite or oversized alpha*n fails as a

@@ -220,6 +220,16 @@ class TestLoadCsv:
         np.testing.assert_array_equal(ds.X, [[1.5, 3.0]])
         np.testing.assert_array_equal(ds.y, [2.0, 4.0])
 
+    def test_quoted_first_cell_starting_with_hash_is_a_comment(self, tmp_path):
+        # the line's quote sends the whole file to csv.reader, which reads
+        # '"#c"' as the cell #c: a comment whether or not the body is quoted
+        for body in ("1,2\n", '1,"2"\n'):
+            path = self._write(tmp_path / "c.csv", '"#c",z\na,y\n' + body)
+            ds, record = load_csv(path, "y")
+            assert record.feature_names == ("a",)
+            np.testing.assert_array_equal(ds.X, [[1.0]])
+            np.testing.assert_array_equal(ds.y, [2.0])
+
     def test_empty_and_header_only_rejected(self, tmp_path):
         empty = self._write(tmp_path / "empty.csv", "")
         with pytest.raises(ParseError):

@@ -21,6 +21,7 @@ from ecreg import (
     gen_synthetic,
     literal_loocv,
 )
+from ecreg.core import solve_lambda
 from ecreg.errors import EcregError, NonConvergence
 
 
@@ -63,6 +64,16 @@ def test_flat_slab_sweep_point_is_not_reported_converged():
     except EcregError:
         return  # a fit that raises (InfeasibleTilt) does not report converged either
     assert not result.state.converged
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="CHANGES.md FOUND: solve_lambda converges on delta = Ltil + "
+                          "lambda_min but returns Ltil = delta - lambda_min, which rounds "
+                          "to exactly -lambda_min for a root within half an ulp of the pole")
+def test_solve_lambda_keeps_lambda_plus_ltil_positive_near_the_pole():
+    # at beta*chi = 1e60 the root lies about 1e-61 from the pole at -0.1
+    lam = np.geomspace(0.1, 10.0, 10)
+    assert lam.min() + solve_lambda(lam, 1.0, 1e60) > 0.0
 
 
 def test_n30_flat_slab_at_rho_1e8_does_not_stall():
