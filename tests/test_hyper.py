@@ -198,6 +198,20 @@ def _assert_converged_probes_stationary(probes, ds, beta):
                 <= cfg.step_tol * max(1.0, float(np.max(np.abs(p.state.m)))))
 
 
+def _criterion_7_design(ordering=None):
+    """Criterion 7's design, or its copy under a seeded sample/feature
+    permutation and sign flip, as the benchmark's repetitions pose it."""
+    base, _, _ = gen_synthetic(SynthConfig(N=276, alpha=0.5, rho0=0.05, sigma_w0_sq=1.0,
+                                           sigma_n0_sq=0.5, seed=0))
+    if ordering is None:
+        return base
+    rng = np.random.default_rng(np.random.SeedSequence(list(ordering)))
+    features = rng.permutation(base.n_features)
+    samples = rng.permutation(base.n_samples)
+    signs = rng.choice([-1.0, 1.0], size=base.n_features)
+    return Dataset((base.X * signs[:, None])[features][:, samples], base.y[samples])
+
+
 class TestCalibrateRho:
     def test_reaches_target_count(self):
         ds = _instance(43, 20, 40)
@@ -283,8 +297,12 @@ class TestCalibrateRho:
             calibrate_rho(ds, 5.0, 3.0, BERNOULLI_GAUSS, sigma_w2=4.0)
         assert calls["n"] == 2  # the bracket's top end
 
-    def test_each_probe_restarts_from_the_previous_state(self, monkeypatch):
-        # as literal refits restart from the full fit: m, E, h and Ltil
+    def test_top_end_seeds_no_probe(self, monkeypatch):
+        # probes restart from an earlier probe's whole state (m, E, h and
+        # Ltil), as literal refits restart from the full fit's.  The top end
+        # (rho near 1) is a dense near-ridge fit and seeds no probe: the first
+        # midpoint starts from the bottom end's state, later ones from the
+        # previous probe's
         starts, probes = [], []
 
         def recording_fit(*args, warm=None, **kwargs):
@@ -297,7 +315,9 @@ class TestCalibrateRho:
                                sigma_w2=4.0)
         assert result.iterations == len(probes) > 3
         assert starts[0] is None
-        assert all(start is probe.state for start, probe in zip(starts[1:], probes))
+        assert starts[1] is probes[0].state
+        assert starts[2] is probes[0].state
+        assert all(start is probe.state for start, probe in zip(starts[3:], probes[2:]))
 
     def test_converged_probes_are_stationary(self, monkeypatch):
         # near rho = 1e-8 on this input the gradient stalls above grad_tol;
@@ -332,14 +352,7 @@ class TestCalibrateRho:
             return probes[-1]
 
         monkeypatch.setattr("ecreg.hyper.fit", recording_fit)
-        base, _, _ = gen_synthetic(SynthConfig(N=276, alpha=0.5, rho0=0.05,
-                                               sigma_w0_sq=1.0, sigma_n0_sq=0.5,
-                                               seed=0))
-        rng = np.random.default_rng(np.random.SeedSequence([seed, rep]))
-        features = rng.permutation(base.n_features)
-        samples = rng.permutation(base.n_samples)
-        signs = rng.choice([-1.0, 1.0], size=base.n_features)
-        ds = Dataset((base.X * signs[:, None])[features][:, samples], base.y[samples])
+        ds = _criterion_7_design((seed, rep))
         result = calibrate_rho(ds, 2.0, 4.0, BERNOULLI_GAUSS, sigma_w2=1.0)
         assert result.fit.state.converged
         assert abs(result.rho - 0.013628260259863944) <= 1e-6 * 0.013628260259863944
@@ -348,6 +361,28 @@ class TestCalibrateRho:
         for p, r in zip(probes, rises):
             assert np.all(np.diff(p.settings["free_energies"]) <= r)
         _assert_converged_probes_stationary(probes, ds, 2.0)
+
+    @pytest.mark.parametrize("ordering", [None, (1, 1), (3, 3), (10, 2)],
+                             ids=["canonical", "1-1", "3-3", "10-2"])
+    def test_no_probe_crawls_on_criterion_7_design(self, ordering, monkeypatch):
+        # when the first midpoint (rho ~ 1e-4) started from the dense top
+        # end's fit, it took 26-33 Newton iterations, mostly damped steps, on
+        # the canonical design and on all 48 of the benchmark's orderings
+        # (seeds 0-11 x reps 0-3), at beta 2 and 4; started from the bottom
+        # end, no probe took more than 9.  The bound lies halfway between.
+        newton = []
+
+        def recording_fit(*args, **kwargs):
+            res = fit(*args, **kwargs)
+            newton.append(res.state.iterations)
+            return res
+
+        monkeypatch.setattr("ecreg.hyper.fit", recording_fit)
+        ds = _criterion_7_design(ordering)
+        for beta in (2.0, 4.0):
+            newton.clear()
+            calibrate_rho(ds, beta, 4.0, BERNOULLI_GAUSS, sigma_w2=1.0)
+            assert max(newton) <= 17, (beta, newton)
 
     def test_determinism(self):
         ds = _instance(43, 20, 40)
