@@ -36,17 +36,18 @@ Methods, SIAM 2003): its tilt solve starts from the Euler predictor
 _tilt_slope evaluation gives (dE/dm = k/(1 - k*b)*a, dh/dm = 1/v at fixed E
 plus dh/dE*dE), and from the accepted Ltil, and solve_tilt's Newton steps
 correct it; a short step often closes in one evaluation.  A flat slab whose
-gram has a zero eigenvalue keeps E and moves h by s*d/v.  A fit warm-started
-from an earlier fit's state (a literal refit, a calibration probe) is the
-corrector of the same continuation: it starts at that state's m and its
-first tilt solve at that state's (E, h, Ltil).
+gram has a zero eigenvalue keeps E and moves h by s*d/v.
 
-Every cold fit (no warm state), whatever the prior, first runs
-_vamp_start: damped VAMP on the eigendecomposition of the smaller of X^T X
-and X X^T that Dataset caches, whose fixed point is the EC fixed point
-(E = gamma1, h = gamma1*r1), so the Newton loop only polishes its point.
-When VAMP leaves its domain, stalls or runs out of iterations the fit
-starts from m = 0.
+Every fit, whatever the prior, first runs _vamp_start: damped VAMP on the
+eigendecomposition of the smaller of X^T X and X X^T that Dataset caches,
+whose fixed point is the EC fixed point (E = gamma1, h = gamma1*r1).  A fit
+warm-started from an earlier fit's state (a literal refit, a calibration
+probe) seeds VAMP at that state's tilt.  VAMP's point normally meets the
+gradient tolerance, so the Newton loop stops before its first step and
+forms no curvature.  When VAMP leaves its domain, stalls or runs out of
+iterations, Newton solves the fit: from m = 0, or from the warm state's m
+with its first tilt solve at that state's (E, h, Ltil), the corrector of
+the same continuation.
 
 For a pure Gaussian prior (rho = 1 slab) this construction is exact: m is the
 ridge posterior mean and Phi equals the exact negative log evidence with zero
@@ -89,8 +90,8 @@ class Dataset:
     On a wide design (M < N) the eigenvalues come from the thin M x M
     eigendecomposition X^T X = W diag(s) W^T, padded with N - M exact zeros,
     and (s, W) stay cached for fit's VAMP start; no N x M basis is stored.
-    Otherwise they come from eigvalsh of the N x N gram, and a cold fit's
-    VAMP start decomposes that gram with eigh.
+    Otherwise they come from eigvalsh of the N x N gram, and fit's VAMP
+    start decomposes that gram with eigh.
     """
 
     def __init__(self, X, y):
@@ -393,7 +394,7 @@ def _curvature(variances, E, dataset, beta):
     """hessian() and its diagonal term d = 1/variances - E."""
     d = 1.0 / _checked_variances(np.asarray(variances, dtype=float)) - E
     H = beta * dataset.gram
-    H[np.diag_indices_from(H)] += d
+    H.flat[::H.shape[0] + 1] += d
     return H, d
 
 
@@ -599,7 +600,8 @@ def _rounding_rise(trial, phi, grad_norm, m, tilt, dataset, beta):
     return floor if float(np.max(np.abs(g))) < grad_norm else None
 
 
-_VAMP_BUDGET = 100  # iterations of _vamp_start before it gives up
+_VAMP_BUDGET = 200  # iterations of _vamp_start before it gives up
+_VAMP_TOL = 1e-9  # _vamp_start's stop on max|dm| relative to max(1, ||m||_inf)
 # _vamp_start also gives up when max|dm| is no smaller than this many
 # iterations before
 _VAMP_WINDOW = 20
@@ -608,8 +610,8 @@ _VAMP_WINDOW = 20
 _VAMP_DAMPING = 0.7
 
 
-def _vamp_start(dataset, prior, beta):
-    """(m, E, h) near fit's fixed point, or None.
+def _vamp_start(dataset, prior, beta, warm=None):
+    """(m, E, h) at fit's fixed point, or None.
 
     Damped VAMP (Rangan, Schniter & Fletcher, arXiv:1610.03082), whose fixed
     point is the EC fixed point fit solves for (Opper & Winther, JMLR 2005),
@@ -621,23 +623,29 @@ def _vamp_start(dataset, prior, beta):
     by Woodbury from X^T X when M < N, and W diag(1/(beta*s + gamma2)) W^T b
     from X X^T otherwise, with variance chi2 = mean(1/(beta*lambda + gamma2))
     over the spectrum, which sets gamma1 = 1/chi2 - gamma2.
-    Starts at r1 = 0 and gamma1 at solve_tilt's default origin, and stops
-    when the tilted mean m moves by at most 1e-6*max(1, ||m||_inf).  Returns
-    None when gamma2 <= 0, gamma1 <= E_min, a value is not finite, the move
-    max|dm| is at least what it was _VAMP_WINDOW iterations before, or
-    _VAMP_BUDGET iterations pass without converging.  On criterion 2's grid
-    the move of a run that converged always shrank by at least 2.6x over
-    any such window, and 15 of the 16 runs that spent the whole budget
-    without it stop after 31-78 iterations.
+    Starts at the tilt of the ECState ``warm`` (gamma1 = warm.E,
+    r1 = warm.h/warm.E) when given and warm.E > E_min, else at r1 = 0 and
+    gamma1 at solve_tilt's default origin.  Stops when the tilted mean m
+    moves by at most _VAMP_TOL*max(1, ||m||_inf), where the gradient at its
+    point meets fit's grad_tol.  Returns None when gamma2 <= 0,
+    gamma1 <= E_min, a value is not finite, the move max|dm| is at least
+    what it was _VAMP_WINDOW iterations before, or _VAMP_BUDGET iterations
+    pass without converging.  On criterion 2's grid (70 cold fits) the 48
+    runs that converged took 26-174 iterations and their gradients read at
+    most 1.9e-9 of fit's scale, against grad_tol 1e-8; the 22 that gave up
+    stopped after 2-78.
     """
     X, (s, W), lam = dataset.X, dataset._thin_eigh, spectrum(dataset)
     E_min = prior.min_tilt()
     n = dataset.n_features
     wide = dataset.n_samples < n
-    g1, r1 = _default_tilt_origin(prior, beta, float(lam.sum()) / n), np.zeros(n)
     bxy = beta * dataset.xy
     m, steps = None, []
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if warm is not None and warm.E > E_min:
+            g1, r1 = warm.E, np.asarray(warm.h, dtype=float) / warm.E
+        else:
+            g1, r1 = _default_tilt_origin(prior, beta, float(lam.sum()) / n), np.zeros(n)
         for _ in range(_VAMP_BUDGET):
             if not (g1 > E_min and np.isfinite(r1).all()):
                 return None
@@ -650,7 +658,7 @@ def _vamp_start(dataset, prior, beta):
                 return None
             step = np.inf if m is None else float(np.abs(mom.mean - m).max())
             m = mom.mean
-            if step <= 1e-6 * max(1.0, float(np.abs(m).max())):
+            if step <= _VAMP_TOL * max(1.0, float(np.abs(m).max())):
                 return m, g1, g1 * r1
             if len(steps) >= _VAMP_WINDOW and step >= steps[-_VAMP_WINDOW]:
                 return None
@@ -670,9 +678,9 @@ def _vamp_start(dataset, prior, beta):
 
 
 def fit(dataset, prior, beta, *, warm=None):
-    """Minimize the free energy by damped Newton; deterministic.
+    """Minimize the free energy: VAMP, then damped Newton; deterministic.
 
-    Each step follows the module docstring: it re-solves the tilt at m,
+    Each Newton step follows the module docstring: it re-solves the tilt at m,
     steps with the exact Hessian (H plus the rank-one term) or with H or its
     positive definite modification, and starts trials at the predictor.  The
     line search halves s from 1 down to 2**-20 and accepts the first trial
@@ -688,26 +696,28 @@ def fit(dataset, prior, beta, *, warm=None):
     tilted variances (VarianceCollapse if one is NaN or below the floor),
     from which approx_looe forms H.
 
-    ``warm``, the ECState of an earlier fit on the same features (under any
-    prior and beta), starts the Newton loop at warm.m and the first tilt
-    solve at (warm.E, warm.h, warm.lambda_tilde); from a fit that met
-    grad_tol under the same prior and beta it normally takes no step.
-    Without it, whatever the prior, the loop starts from _vamp_start's
-    point: VAMP's mean as m and its (E, h) as the first tilt solve's start;
-    when _vamp_start returns None, from m = 0 and solve_tilt's default start.
+    Whatever the prior, the loop starts from _vamp_start's point: VAMP's
+    mean as m and its (E, h) as the first tilt solve's start, where the
+    gradient normally meets grad_tol, so the fit takes no step.  ``warm``,
+    the ECState of an earlier fit on the same features (under any prior and
+    beta), seeds VAMP at its tilt, and its secular root starts the first
+    tilt solve.  When _vamp_start returns None, the loop starts at warm.m
+    with the first tilt solve at (warm.E, warm.h), or without ``warm`` at
+    m = 0 and solve_tilt's default start.
     """
     if not 0.0 < beta < np.inf:
         raise DomainError(f"beta must be finite and positive, got {beta}")
     n = dataset.n_features
+    m, E0, h0, ltil0 = np.zeros(n), None, None, None
     if warm is not None:
-        m, E0, h0, ltil0 = np.array(warm.m, dtype=float), warm.E, warm.h, warm.lambda_tilde
-        if m.shape != (n,) or np.shape(h0) != (n,):
+        if np.shape(warm.m) != (n,) or np.shape(warm.h) != (n,):
             raise DimensionMismatch(f"warm state's m and h must have shape ({n},)")
-    else:
-        m, E0, h0, ltil0 = np.zeros(n), None, None, None
-        start = _vamp_start(dataset, prior, beta)
-        if start is not None:
-            m, E0, h0 = start
+        ltil0 = warm.lambda_tilde
+    start = _vamp_start(dataset, prior, beta, warm)
+    if start is not None:
+        m, E0, h0 = start
+    elif warm is not None:
+        m, E0, h0 = np.array(warm.m, dtype=float), warm.E, warm.h
     lam = spectrum(dataset)
     flat_zero_modes = _flat_slab_with_zero_modes(prior, lam)
     grad_scale = max(1.0, float(np.max(np.abs(beta * dataset.xy))))

@@ -136,10 +136,17 @@ def _numbered_rows(lines):
     """(line number, row) of every row that is neither blank nor a '#'
     comment.  Without quote characters a line is one row, kept as its text
     (_cells splits it as csv.reader would); otherwise the rows are
-    csv.reader's lists of cells."""
+    csv.reader's lists of cells.  There a row before the header is a comment
+    when its first cell starts with '#', and a row after it only when its
+    raw line does, so a quoted data cell "#1" is data."""
     if any('"' in line for line in lines):
-        rows = enumerate(csv.reader(lines), start=1)
-        return [(n, row) for n, row in rows if row and not row[0].lstrip().startswith("#")]
+        reader, rows, first = csv.reader(lines), [], 0
+        for n, row in enumerate(reader, start=1):
+            text = lines[first] if rows else (row[0] if row else "")
+            first = reader.line_num
+            if row and not text.lstrip().startswith("#"):
+                rows.append((n, row))
+        return rows
     return [(n, line) for n, line in enumerate(lines, start=1)
             if line.rstrip("\r\n") and not line.lstrip().startswith("#")]
 

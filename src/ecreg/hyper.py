@@ -143,9 +143,9 @@ def calibrate_rho(dataset, beta, K, family, sigma_w2=None):
     The bottom end fits cold; the top end and the first midpoint start from
     the bottom end's whole state (m and its tilt, fit's ``warm``), as literal
     refits start from the full fit's, and each later midpoint from the
-    previous probe's.  The top end's near-ridge fit is dense, so it gives
-    only its count: a sparse midpoint started from it crawls through damped
-    Newton steps.  The achieved count is monotone increasing in rho
+    previous probe's; each fit seeds its VAMP start from that state's tilt.
+    The top end's near-ridge fit is dense, so it gives only its count and
+    seeds no probe.  The achieved count is monotone increasing in rho
     on healthy instances; a probe outside the running bracket's counts
     raises NonMonotoneDetected, and a bracket that can no longer shrink
     NonConvergence.  Success means |achieved - K| <= 1e-6 * max(1, K).

@@ -710,8 +710,10 @@ class TestFit:
         assert float(np.max(np.abs(residual))) \
             <= 1e-6 * max(1.0, float(np.max(np.abs(state.h))))
 
-    def test_objective_trace_non_increasing(self):
+    def test_objective_trace_non_increasing(self, monkeypatch):
         ds = _random_instance(37, 40, 20)
+        # from zero: VAMP's point would meet grad_tol without a Newton step
+        monkeypatch.setattr("ecreg.core._vamp_start", lambda *args: None)
         result = fit(ds, bernoulli_gauss(0.3, 4.0), 8.0)
         trace = np.asarray(result.settings["free_energies"])
         assert trace.size >= 2
@@ -728,11 +730,13 @@ class TestFit:
         assert a.state.free_energy == b.state.free_energy
         assert a.state.iterations == b.state.iterations
 
-    def test_warm_start_reaches_same_answer(self):
-        # the restart's first tilt solve starts at the state's own tilt, so a
-        # fit that met grad_tol meets it again before any Newton step: on
+    def test_warm_start_reaches_same_answer(self, monkeypatch):
+        # a fit that met grad_tol meets it again before any Newton step: on
         # criterion 8's instance, criterion 1's first draw and criterion 6's
-        # flat slab
+        # flat slab.  VAMP started from the state's tilt stops within its
+        # tolerance of the state (1.4e-9 apart on criterion 8's instance);
+        # where it gives up, the first tilt solve starts at the state's own
+        # tilt and returns the state bit for bit
         cases = [
             (SynthConfig(N=80, alpha=2.5, rho0=0.2, sigma_w0_sq=4.0, sigma_n0_sq=0.25,
                          seed=4), bernoulli_gauss(0.2, 4.0), 8.0),
@@ -747,6 +751,13 @@ class TestFit:
             scale = max(1.0, float(np.max(np.abs(beta * ds.xy))))
             assert cold.state.grad_norm <= FitSettings().grad_tol * scale
             warm = fit(ds, prior, beta, warm=cold.state)
+            assert warm.state.iterations == 0 and warm.state.converged
+            assert warm.state.grad_norm <= FitSettings().grad_tol * scale
+            gap = float(np.max(np.abs(warm.state.m - cold.state.m)))
+            assert gap <= 10.0 * core._VAMP_TOL * max(1.0, float(np.max(np.abs(cold.state.m))))
+            with monkeypatch.context() as patch:
+                patch.setattr("ecreg.core._vamp_start", lambda *args: None)
+                warm = fit(ds, prior, beta, warm=cold.state)
             assert warm.state.iterations == 0 and warm.state.converged
             np.testing.assert_array_equal(warm.state.m, cold.state.m)
             assert warm.state.E == cold.state.E
@@ -764,7 +775,7 @@ class TestFit:
                             lambda *args: calls.append(args) or curvature(*args))
         warm = fit(ds, prior, beta, warm=cold.state)
         assert warm.state.iterations == 0 and calls == []
-        np.testing.assert_array_equal(warm.state.variance, cold.state.variance)
+        np.testing.assert_allclose(warm.state.variance, cold.state.variance, rtol=1e-6)
         # the final state's variances are checked as the curvature checks them
         monkeypatch.setattr("ecreg.core._VARIANCE_FLOOR", 1e10)
         with pytest.raises(VarianceCollapse):
@@ -797,7 +808,9 @@ class TestFit:
         assert result.state.converged
 
     def test_flat_slab_with_zero_modes_keeps_the_partial_step(self, monkeypatch):
-        # the rank-one term is never evaluated there; on a full-rank gram it is
+        # the rank-one term is never evaluated there; on a full-rank gram it
+        # is.  From zero: VAMP's point would meet grad_tol without a step
+        monkeypatch.setattr("ecreg.core._vamp_start", lambda *args: None)
         calls = [0]
 
         def counted(*args):
@@ -952,6 +965,8 @@ class TestFit:
         monkeypatch.setattr("ecreg.core._free_energy_at", flat_first_step)
         monkeypatch.setattr("ecreg.core._rounding_rise", recorded)
         monkeypatch.setattr("ecreg.core.solve_tilt", counted)
+        # from zero: VAMP's point would meet grad_tol without a Newton step
+        monkeypatch.setattr("ecreg.core._vamp_start", lambda *args: None)
         result = fit(ds, prior, beta)
         echo = result.settings
         # one solve at the start point, one trial for the first step
@@ -1032,7 +1047,7 @@ class TestVampStart:
             assert started.state.iterations == cold.state.iterations
             assert started.settings == cold.settings
 
-    def test_runs_on_every_cold_fit_and_no_warm_fit(self, monkeypatch):
+    def test_runs_on_every_fit_cold_or_warm(self, monkeypatch):
         accepted = _vamp_calls(monkeypatch)
         wide = _random_instance(46, 12, 10)
         assert spectrum(wide)[0] == 0.0
@@ -1044,7 +1059,45 @@ class TestVampStart:
         state = fit(wide, bernoulli_gauss(0.3, 4.0), 2.0).state
         fit(wide, bernoulli_gauss(0.3, 4.0), 2.0, warm=state)
         fit(wide, bernoulli_uniform(0.3), 3.0, warm=state)
-        assert len(accepted) == 7
+        assert len(accepted) == 9
+
+    def test_warm_start_seeds_from_the_warm_tilt(self, monkeypatch):
+        # gamma1 = warm.E and h = gamma1*r1 = warm.h at the first moments
+        # call; a warm E at or below the prior's E_min starts at the origin
+        ds = _random_instance(46, 12, 10)
+        prior, beta = bernoulli_uniform(0.3), 2.0
+        state = fit(ds, bernoulli_gauss(0.3, 4.0), beta).state
+        assert state.E > prior.min_tilt()
+        first = []
+
+        def recorded(prior, h, E):
+            first.append((h, E))
+            return moments(prior, h, E)
+
+        monkeypatch.setattr("ecreg.core.moments", recorded)
+        _vamp_start(ds, prior, beta, state)
+        h, E = first[0]
+        assert E == state.E
+        np.testing.assert_allclose(h, state.h, rtol=4 * np.finfo(float).eps)
+        origin = core._default_tilt_origin(prior, beta, float(spectrum(ds).sum()) / ds.n_features)
+        for warm in (dataclasses.replace(state, E=prior.min_tilt()), None):
+            first.clear()
+            _vamp_start(ds, prior, beta, warm)
+            h, E = first[0]
+            assert E == origin
+            np.testing.assert_array_equal(h, np.zeros(ds.n_features))
+
+    def test_cold_wide_fit_takes_no_newton_step_and_forms_no_gram(self):
+        # criterion 9's design (N = 1000, M = 500): VAMP runs on the thin
+        # M x M eigendecomposition, and its point meets grad_tol
+        ds, _, _ = gen_synthetic(SynthConfig(N=1000, alpha=0.5, rho0=0.1, sigma_w0_sq=10.0,
+                                             sigma_n0_sq=0.1, seed=9))
+        beta = 10.0
+        result = fit(ds, bernoulli_gauss(0.1, 10.0), beta)
+        scale = max(1.0, float(np.max(np.abs(beta * ds.xy))))
+        assert result.state.converged and result.state.iterations == 0
+        assert result.state.grad_norm <= FitSettings().grad_tol * scale
+        assert "gram" not in ds.__dict__
 
     def test_flat_slab_leaves_the_spurious_root(self):
         # criterion 2's seed 103: from zero the fit stopped at E ~ 1.9e-10,

@@ -77,13 +77,11 @@ def test_solve_lambda_keeps_lambda_plus_ltil_positive_near_the_pole():
     assert lam.min() + solve_lambda(lam, 1.0, 1e60) > 0.0
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="CHANGES.md FOUND: data_io._numbered_rows's csv.reader path "
-                          "reads a data row whose first cell unquotes to '#1' as a "
-                          "comment and drops it without an error")
 def test_quoted_data_cell_starting_with_hash_raises_non_numeric_cell(tmp_path):
-    # the quote in line 3 sends the file to csv.reader; a '#' line before the
-    # header stays a comment (test_data_io.py), but "#1" here is a data cell
+    # MENDED in CHANGES.md: data_io._numbered_rows's csv.reader path once read
+    # a data row whose first cell unquotes to '#1' as a comment and dropped
+    # it.  The quote in line 3 sends the file to csv.reader; a '#' line before
+    # the header stays a comment (test_data_io.py), but "#1" here is a data cell
     path = tmp_path / "h.csv"
     path.write_text('a,y\n"#1",2\n3,"4"\n', encoding="utf-8")
     try:
