@@ -29,15 +29,6 @@ full step, rises within rounding while the gradient falls; converged means
 the gradient or the undamped step is below tolerance.  The fitted state
 keeps the tilted variances, from which the LOO formula forms H.
 
-Each line-search trial at m + s*d is a predictor-corrector continuation
-step of the tilt (Allgower & Georg, Introduction to Numerical Continuation
-Methods, SIAM 2003): its tilt solve starts from the Euler predictor
-(E + s*dE, h + s*dh) of the accepted tilt's tangent along d, which the same
-_tilt_slope evaluation gives (dE/dm = k/(1 - k*b)*a, dh/dm = 1/v at fixed E
-plus dh/dE*dE), and from the accepted Ltil, and solve_tilt's Newton steps
-correct it; a short step often closes in one evaluation.  A flat slab whose
-gram has a zero eigenvalue keeps E and moves h by s*d/v.
-
 Every fit, whatever the prior, first runs _vamp_start: damped VAMP on the
 eigendecomposition of the smaller of X^T X and X X^T that Dataset caches,
 whose fixed point is the EC fixed point (E = gamma1, h = gamma1*r1).  A fit
@@ -46,8 +37,7 @@ probe) seeds VAMP at that state's tilt.  VAMP's point normally meets the
 gradient tolerance, so the Newton loop stops before its first step and
 forms no curvature.  When VAMP leaves its domain, stalls or runs out of
 iterations, Newton solves the fit: from m = 0, or from the warm state's m
-with its first tilt solve at that state's (E, h, Ltil), the corrector of
-the same continuation.
+with its first tilt solve at that state's (E, h, Ltil).
 
 For a pure Gaussian prior (rho = 1 slab) this construction is exact: m is the
 ridge posterior mean and Phi equals the exact negative log evidence with zero
@@ -208,7 +198,9 @@ def solve_lambda(lam, beta, chi, *, _start=None):
     and s(1/(beta*chi)) <= beta*chi, so that start lies at or below the root
     and within a factor N of it, and Newton climbs in about log2(N) steps.
     NonConvergence when that start overflows, or unless the relative
-    residual reaches 1e-12.
+    residual reaches 1e-12.  A root within half an ulp of the pole, where
+    delta - lambda_min rounds to -lambda_min or below, returns the float
+    just above -lambda_min, so every lambda_k + Ltil stays positive.
     """
     if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
@@ -217,6 +209,10 @@ def solve_lambda(lam, beta, chi, *, _start=None):
     lam_min = float(lam.min())
     mu = lam - lam_min
     target = beta * chi
+
+    def ltil(delta):
+        out = float(delta - lam_min)
+        return out if out + lam_min > 0.0 else float(np.nextafter(-lam_min, np.inf))
 
     if _start is not None and 0.0 < _start + lam_min < np.inf:
         delta = _start + lam_min
@@ -228,7 +224,7 @@ def solve_lambda(lam, beta, chi, *, _start=None):
     for _ in range(200):
         r, dn = _secular_newton(mu, target, delta)
         if abs(r) <= 1e-13 * target:
-            return float(delta - lam_min)
+            return ltil(delta)
         if dn <= 0.0:
             dn = 0.5 * delta
         if not math.isfinite(dn) or dn == delta:
@@ -236,7 +232,7 @@ def solve_lambda(lam, beta, chi, *, _start=None):
         delta = dn
     r = float((1.0 / (mu + delta)).sum()) / mu.size - target
     if abs(r) <= 1e-12 * target:
-        return float(delta - lam_min)
+        return ltil(delta)
     raise NonConvergence(f"secular solve stalled, relative residual {abs(r) / target:.3e}")
 
 
@@ -274,18 +270,14 @@ def solve_tilt(m, prior, beta, lam, E0=None, h0=None, *, _ltil0=None):
     The scalar consistency r(E) = E_new(E) - E = 0 is solved from E0 (by
     default above the physical root) in at most FitSettings.max_inner
     evaluations of E_new, each one invert_mean from h0 and one solve_lambda
-    from the private _ltil0 (solve_lambda's own start when None).  fit
-    passes the Euler predictor of the tilt at each line-search trial as
-    (E0, h0) and the accepted tilt's Ltil as _ltil0, so this loop is the
-    corrector of a continuation in m and a short step closes at its first
-    evaluation.  Each step is Newton's
-    on r at fixed m, with the exact slope dr/dE = k*b - 1 of _tilt_slope
-    (Nocedal & Wright, Numerical Optimization, ch. 11), and the next
-    invert_mean starts from h + (dh/dE)*dE, the tangent of the fixed-m curve
-    h(E).  Where that slope is not finite and negative, or the Newton
-    candidate leaves (E_min, inf), the step falls back to the secant through
-    the last two evaluations, or to the damped fixed point E + r/2, halved
-    towards E_min if it leaves the domain.  A flat slab whose gram has a
+    from the private _ltil0 (solve_lambda's own start when None).  Each
+    step is Newton's on r at fixed m, with the exact slope dr/dE = k*b - 1
+    of _tilt_slope (Nocedal & Wright, Numerical Optimization, ch. 11), and
+    the next invert_mean starts from h + (dh/dE)*dE, the tangent of the
+    fixed-m curve h(E).  Where that slope is not finite and negative, or the
+    Newton candidate leaves (E_min, inf), the step falls back to the secant
+    through the last two evaluations, or to the damped fixed point E + r/2,
+    halved towards E_min if it leaves the domain.  A flat slab whose gram has a
     zero eigenvalue takes that fallback at every step (fit drops the
     rank-one term there too), because Newton's step leaves its consistency
     unclosed within the budget where the secant closes it.  Residual on E
@@ -420,20 +412,18 @@ def _tilt_slope(m, mom, chi, ltil, beta, lam):
 
 
 def _coupling(m, tilt, beta, lam):
-    """(a, c, h_E) at a solved tilt: the exact Hessian of Phi is H + c*a*a^T,
-    H being hessian()'s partial curvature, and h_E = -f_E/v is dh/dE at
-    fixed m.
+    """(a, c) at a solved tilt: the exact Hessian of Phi is H + c*a*a^T, H
+    being hessian()'s partial curvature.
 
     E moves with m through E = 1/chi - beta*Ltil(chi), so dE/dm =
-    k/(1 - k*b) * a = (2c/N) * a with a = kappa3/(N*v) and k, b, f_E from
+    k/(1 - k*b) * a = (2c/N) * a with a = kappa3/(N*v) and k, b from
     _tilt_slope, all read from tilt.moments.  A non-finite k gives a
-    non-finite c, which fit answers with H's step and the old tilt start.
+    non-finite c, which fit answers with H's step.
     """
     mom = tilt.moments
-    k, b, f_E = _tilt_slope(m, mom, tilt.chi, tilt.lambda_tilde, beta, lam)
+    k, b, _ = _tilt_slope(m, mom, tilt.chi, tilt.lambda_tilde, beta, lam)
     n = m.size
-    return (mom.kappa3 / (n * mom.variance), 0.5 * n * k / (1.0 - k * b),
-            -f_E / mom.variance)
+    return mom.kappa3 / (n * mom.variance), 0.5 * n * k / (1.0 - k * b)
 
 
 def _free_energy_terms(m, tilt, dataset, beta):
@@ -561,32 +551,6 @@ def _newton_direction(H, d, grad, coupling):
     return -(x - z * c * float(a @ x) / den)
 
 
-def _tilt_tangent(tilt, direction, coupling, h_E):
-    """(dE, dh): the derivative of the solved tilt along m's direction.
-
-    dh/dm = 1/v at fixed E, and E moves as dE/dm = (2c/N)*a, carrying h
-    along h_E = dh/dE; (a, c) = coupling and h_E are _coupling's.  With
-    coupling None (a flat slab with zero modes) E stays and dh = direction/v.
-    """
-    v = tilt.moments.variance
-    if coupling is None:
-        return 0.0, direction / v
-    a, c = coupling
-    dE = 2.0 * c / v.size * float(a @ direction)
-    return dE, direction / v + h_E * dE
-
-
-def _predicted_tilt(tilt, s, tangent, E_min):
-    """(E0, h0) for the tilt solve at m + s*direction: the Euler predictor
-    (E + s*dE, h + s*dh), whose error is O(s**2), or the solved tilt's own
-    (E, h) where E + s*dE is not finite or not above E_min."""
-    dE, dh = tangent
-    E = tilt.E + s * dE
-    if math.isfinite(E) and E > E_min:
-        return E, tilt.h + s * dh
-    return tilt.E, tilt.h
-
-
 def _rounding_rise(trial, phi, grad_norm, m, tilt, dataset, beta):
     """The rounding error 8*eps*sum|summands| of Phi at (m, tilt) when the
     trial (m, tilt, phi) raises Phi by no more than it and lowers the
@@ -682,19 +646,20 @@ def fit(dataset, prior, beta, *, warm=None):
 
     Each Newton step follows the module docstring: it re-solves the tilt at m,
     steps with the exact Hessian (H plus the rank-one term) or with H or its
-    positive definite modification, and starts trials at the predictor.  The
-    line search halves s from 1 down to 2**-20 and accepts the first trial
-    that strictly lowers the free energy, or the full step when it raises it
-    by no more than the rounding error of its summands and lowers the
-    gradient infinity-norm.  converged=True means one of FitSettings'
-    stopping tests held (on the undamped step, not a damped one); a fit
-    whose line search accepts no trial, or that runs out of max_outer steps,
-    ends there.  The settings echo records, per step, the free energy
-    reached (``free_energies``, which starts at the initial point) and the
-    rise the step was allowed (``allowed_rises``: that rounding error for
-    such a full step, 0.0 for a strict decrease).  The state keeps the
-    tilted variances (VarianceCollapse if one is NaN or below the floor),
-    from which approx_looe forms H.
+    positive definite modification, and starts each trial's tilt solve at
+    the accepted tilt's (E, h, Ltil).  The line search halves s from 1 down
+    to 2**-20 and accepts the first trial that strictly lowers the free
+    energy, or the full step when it raises it by no more than the rounding
+    error of its summands and lowers the gradient infinity-norm.
+    converged=True means one of FitSettings' stopping tests held (on the
+    undamped step, not a damped one); a fit whose line search accepts no
+    trial, or that runs out of max_outer steps, ends there.  The settings
+    echo records, per step, the free energy reached (``free_energies``,
+    which starts at the initial point) and the rise the step was allowed
+    (``allowed_rises``: that rounding error for such a full step, 0.0 for a
+    strict decrease).  The state keeps the tilted variances
+    (VarianceCollapse if one is NaN or below the floor), from which
+    approx_looe forms H.
 
     Whatever the prior, the loop starts from _vamp_start's point: VAMP's
     mean as m and its (E, h) as the first tilt solve's start, where the
@@ -721,7 +686,6 @@ def fit(dataset, prior, beta, *, warm=None):
     lam = spectrum(dataset)
     flat_zero_modes = _flat_slab_with_zero_modes(prior, lam)
     grad_scale = max(1.0, float(np.max(np.abs(beta * dataset.xy))))
-    E_min = prior.min_tilt()
     tilt = solve_tilt(m, prior, beta, lam, E0=E0, h0=h0, _ltil0=ltil0)
     phi = _free_energy_at(m, tilt, dataset, beta)
     step_sizes = []
@@ -743,14 +707,9 @@ def fit(dataset, prior, beta, *, warm=None):
         H, d = _curvature(tilt.moments.variance, tilt.E, dataset, beta)
         # the exact step steers a flat slab with zero modes away from the
         # spurious near-zero tilt roots that solve_tilt's absolute acceptance
-        # lets through, and its fits then stall; they keep H's step and E
-        if flat_zero_modes:
-            coupling = h_E = None
-        else:
-            a, c, h_E = _coupling(m, tilt, beta, lam)
-            coupling = (a, c)
+        # lets through, and its fits then stall; they keep H's step
+        coupling = None if flat_zero_modes else _coupling(m, tilt, beta, lam)
         direction = _newton_direction(H, d, grad, coupling)
-        tangent = _tilt_tangent(tilt, direction, coupling, h_E)
 
         # Phi sums terms that cancel (|Phi| can be far below its largest
         # summand), so a full step that lowers the gradient may read as a
@@ -758,9 +717,8 @@ def fit(dataset, prior, beta, *, warm=None):
         s, rise = 1.0, None
         while s >= _STEP_FLOOR:
             m_trial = m + s * direction
-            E0, h0 = _predicted_tilt(tilt, s, tangent, E_min)
             try:
-                tilt_trial = solve_tilt(m_trial, prior, beta, lam, E0=E0, h0=h0,
+                tilt_trial = solve_tilt(m_trial, prior, beta, lam, E0=tilt.E, h0=tilt.h,
                                         _ltil0=tilt.lambda_tilde)
                 phi_trial = _free_energy_at(m_trial, tilt_trial, dataset, beta)
             except (NonConvergence, InfeasibleTilt):

@@ -140,12 +140,10 @@ def calibrate_rho(dataset, beta, K, family, sigma_w2=None):
     """Find rho with posterior expected non-zero count sum(pi_i) = K.
 
     Geometric bisection on rho in [1e-8, 1 - 1e-8], at most about 60 probes.
-    The bottom end fits cold; the top end and the first midpoint start from
-    the bottom end's whole state (m and its tilt, fit's ``warm``), as literal
-    refits start from the full fit's, and each later midpoint from the
-    previous probe's; each fit seeds its VAMP start from that state's tilt.
-    The top end's near-ridge fit is dense, so it gives only its count and
-    seeds no probe.  The achieved count is monotone increasing in rho
+    The bottom end fits cold, and every later probe starts from the previous
+    probe's whole state (m and its tilt, fit's ``warm``), as literal refits
+    start from the full fit's; each fit seeds its VAMP start from that
+    state's tilt.  The achieved count is monotone increasing in rho
     on healthy instances; a probe outside the running bracket's counts
     raises NonMonotoneDetected, and a bracket that can no longer shrink
     NonConvergence.  Success means |achieved - K| <= 1e-6 * max(1, K).
@@ -167,9 +165,8 @@ def calibrate_rho(dataset, beta, K, family, sigma_w2=None):
         return float(np.sum(res.inclusion_probs)), res
 
     lo, hi = 1e-8, 1.0 - 1e-8
-    k_lo, bottom = achieved(lo)
+    k_lo, _ = achieved(lo)
     k_hi, _ = achieved(hi)
-    warm = bottom.state  # the dense top end seeds no probe
     if not k_lo <= K <= k_hi:
         raise RangeError(
             f"K={K} outside achievable range [{k_lo:.6g}, {k_hi:.6g}] at beta={beta}")

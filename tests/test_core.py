@@ -24,11 +24,9 @@ from ecreg.core import (
     _free_energy_at,
     _free_energy_terms,
     _newton_direction,
-    _predicted_tilt,
     _rounding_rise,
     _secular_newton,
     _tilt_slope,
-    _tilt_tangent,
     _vamp_start,
     fit,
     gradient,
@@ -308,12 +306,15 @@ class TestSolveLambda:
     def test_cold_start_reaches_the_root_at_any_scale(self, zeros, target):
         # the cold start 1/(N*beta*chi) lies at or below the root and within
         # a factor N of it; a root within 1e-60 of the pole is resolved only
-        # on delta = L + lambda_min, so the residual is taken there
+        # on delta = L + lambda_min, so the residual is taken there, and
+        # where delta - lambda_min rounds onto the pole the float above it
+        # is returned
         lam = np.concatenate([np.zeros(zeros), np.geomspace(0.1, 10.0, 10 - zeros)])
         with _newton_steps() as steps:
             root = solve_lambda(lam, 1.0, target)
         delta = steps[-1][0]
-        assert root == delta - lam[0]
+        assert root == max(delta - lam[0], np.nextafter(-lam[0], np.inf))
+        assert lam[0] + root > 0.0
         lhs = float(np.mean(1.0 / (lam - lam[0] + delta)))
         assert abs(lhs - target) <= 1e-12 * target
 
@@ -626,7 +627,7 @@ class TestHessian:
             up[i] += step
             down[i] -= step
             fd[:, i] = (grad_resolved(up) - grad_resolved(down)) / (2.0 * step)
-        a, c, _ = _coupling(m0, tilt, beta, spec)
+        a, c = _coupling(m0, tilt, beta, spec)
         scale = float(np.max(np.abs(fd)))
         H = hessian(result.state.variance, result.state.E, ds, beta)
         exact = H + c * np.outer(a, a)
@@ -1153,85 +1154,6 @@ class TestVampStart:
         # the tilt solved at VAMP's mean starts from, and stays near, VAMP's (E, h)
         assert abs(result.state.E - E) <= 1e-4 * abs(E)
         assert result.state.grad_norm > 0.0
-
-
-def _criterion_8_fold(mu):
-    """Criterion 8's instance without sample mu, started as literal_loocv
-    starts it: (fold dataset, spectrum, full-fit m, tilt solved at that m for
-    the fold, the fold's first Newton direction and the tilt's tangent along
-    it)."""
-    ds, _, _ = gen_synthetic(SynthConfig(N=80, alpha=2.5, rho0=0.2, sigma_w0_sq=4.0,
-                                         sigma_n0_sq=0.25, seed=4))
-    prior, beta = bernoulli_gauss(0.2, 4.0), 8.0
-    full = fit(ds, prior, beta).state
-    keep = np.arange(ds.n_samples) != mu
-    sub = Dataset(ds.X[:, keep], ds.y[keep])
-    lam = spectrum(sub)
-    tilt = solve_tilt(full.m, prior, beta, lam, E0=full.E, h0=full.h)
-    H, d = core._curvature(tilt.moments.variance, tilt.E, sub, beta)
-    a, c, h_E = _coupling(full.m, tilt, beta, lam)
-    grad = gradient(full.m, tilt.h, tilt.E, sub, beta)
-    direction = _newton_direction(H, d, grad, (a, c))
-    return sub, lam, full.m, tilt, direction, _tilt_tangent(tilt, direction, (a, c), h_E)
-
-
-class TestTiltPredictor:
-    @pytest.mark.parametrize("mu", [0, 1, 2, 3])
-    def test_short_step_closes_in_one_evaluation(self, mu, monkeypatch):
-        # the predictor's error is O(s**2), the accepted tilt's O(s)
-        prior, beta, s = bernoulli_gauss(0.2, 4.0), 8.0, 1e-4
-        sub, lam, m, tilt, direction, tangent = _criterion_8_fold(mu)
-        calls = [0]
-
-        def counted(*args, **kwargs):
-            calls[0] += 1
-            return invert_mean(*args, **kwargs)
-
-        monkeypatch.setattr("ecreg.core.invert_mean", counted)
-        E0, h0 = _predicted_tilt(tilt, s, tangent, prior.min_tilt())
-        predicted = solve_tilt(m + s * direction, prior, beta, lam, E0=E0, h0=h0,
-                               _ltil0=tilt.lambda_tilde)
-        assert calls[0] == 1
-        calls[0] = 0
-        old = solve_tilt(m + s * direction, prior, beta, lam, E0=tilt.E, h0=tilt.h)
-        assert calls[0] >= 2
-        assert abs(predicted.E - old.E) <= 1e-9 * old.E
-
-    def test_tangent_is_the_first_order_term(self, monkeypatch):
-        # halving s quarters the predictor's error on E and h
-        prior, beta = bernoulli_gauss(0.2, 4.0), 8.0
-        _, lam, m, tilt, direction, tangent = _criterion_8_fold(0)
-        monkeypatch.setattr("ecreg.core._TILT_TOL", 1e-14)
-        errors = []
-        for s in (1e-3, 5e-4):
-            E0, h0 = _predicted_tilt(tilt, s, tangent, prior.min_tilt())
-            solved = solve_tilt(m + s * direction, prior, beta, lam, E0=E0, h0=h0)
-            errors.append((abs(E0 - solved.E), float(np.max(np.abs(h0 - solved.h)))))
-        for big, small in zip(*errors):
-            assert 3.5 <= big / small <= 4.5
-
-    def test_falls_back_below_the_integrability_edge(self):
-        prior = bernoulli_gauss(0.2, 4.0)
-        _, _, _, tilt, direction, tangent = _criterion_8_fold(0)
-        # a step that would carry E twice its distance below E_min
-        down = (-abs(tangent[0]), tangent[1])
-        s = 2.0 * (tilt.E - prior.min_tilt()) / abs(tangent[0])
-        E0, h0 = _predicted_tilt(tilt, s, down, prior.min_tilt())
-        assert E0 == tilt.E and h0 is tilt.h
-        for bad in (np.nan, np.inf):
-            E0, h0 = _predicted_tilt(tilt, 0.5, (bad, tangent[1]), prior.min_tilt())
-            assert E0 == tilt.E and h0 is tilt.h
-
-    def test_flat_slab_with_zero_modes_keeps_E(self, monkeypatch):
-        ds = _random_instance(46, 12, 10)
-        prior, beta = bernoulli_uniform(0.3), 2.0
-        monkeypatch.setattr(FitSettings, "max_outer", 1)
-        state = fit(ds, prior, beta).state
-        tilt = solve_tilt(state.m, prior, beta, spectrum(ds), E0=state.E, h0=state.h)
-        direction = np.linspace(-1.0, 1.0, 12)
-        dE, dh = _tilt_tangent(tilt, direction, None, None)
-        assert dE == 0.0
-        np.testing.assert_array_equal(dh, direction / tilt.moments.variance)
 
 
 class TestFreeEnergy:

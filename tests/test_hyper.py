@@ -297,12 +297,10 @@ class TestCalibrateRho:
             calibrate_rho(ds, 5.0, 3.0, BERNOULLI_GAUSS, sigma_w2=4.0)
         assert calls["n"] == 2  # the bracket's top end
 
-    def test_top_end_seeds_no_probe(self, monkeypatch):
-        # probes restart from an earlier probe's whole state (m, E, h and
-        # Ltil), as literal refits restart from the full fit's.  The top end
-        # (rho near 1) is a dense near-ridge fit and seeds no probe: the first
-        # midpoint starts from the bottom end's state, later ones from the
-        # previous probe's
+    def test_each_probe_starts_from_the_previous_probe(self, monkeypatch):
+        # probes restart from the previous probe's whole state (m, E, h and
+        # Ltil), as literal refits restart from the full fit's; only the
+        # bottom end fits cold
         starts, probes = [], []
 
         def recording_fit(*args, warm=None, **kwargs):
@@ -315,9 +313,7 @@ class TestCalibrateRho:
                                sigma_w2=4.0)
         assert result.iterations == len(probes) > 3
         assert starts[0] is None
-        assert starts[1] is probes[0].state
-        assert starts[2] is probes[0].state
-        assert all(start is probe.state for start, probe in zip(starts[3:], probes[2:]))
+        assert all(start is probe.state for start, probe in zip(starts[1:], probes))
 
     def test_converged_probes_are_stationary(self, monkeypatch):
         # near rho = 1e-8 on this input the gradient stalls above grad_tol;
@@ -370,8 +366,7 @@ class TestCalibrateRho:
         # and all 48 of the benchmark's orderings (seeds 0-11 x reps 0-3), at
         # beta 2 and 4, only the bottom end (1-2 steps) and at beta 2 the
         # first midpoint (1 step) took Newton steps.  With Newton as the
-        # warm probes' solver the worst probe took 8-9 steps, and 26-33 when
-        # the first midpoint started from the dense top end's fit.
+        # warm probes' solver the worst probe took 8-9 steps.
         newton = []
 
         def recording_fit(*args, **kwargs):

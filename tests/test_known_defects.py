@@ -6,6 +6,8 @@ that mends a defect fails here with XPASS: that change turns the test into a
 plain regression test and marks the line ``MENDED``.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from ecreg import (
     literal_loocv,
     load_csv,
 )
-from ecreg.core import solve_lambda
+from ecreg.core import Dataset, solve_lambda
 from ecreg.errors import EcregError, NonConvergence, NonNumericCell
 
 
@@ -68,11 +70,33 @@ def test_flat_slab_sweep_point_is_not_reported_converged():
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="CHANGES.md FOUND: solve_lambda converges on delta = Ltil + "
-                          "lambda_min but returns Ltil = delta - lambda_min, which rounds "
-                          "to exactly -lambda_min for a root within half an ulp of the pole")
+                   reason="CHANGES.md FOUND: a cold VAMP-first fit converges to a "
+                          "stationary point of higher free energy than Newton alone "
+                          "reaches")
+@pytest.mark.parametrize("n,alpha,rho,beta,seed", [(6, 2.5, 0.3, 50.0, 6),
+                                                   (24, 0.5, 0.1, 10.0, 26336186)])
+def test_vamp_first_fit_reaches_the_lower_stationary_point(n, alpha, rho, beta, seed):
+    # two draws of tests/test_vamp_property.py's strategy, built as it builds them
+    rng = np.random.default_rng(seed)
+    m = max(1, round(alpha * n))
+    X = rng.normal(0.0, 1.0 / np.sqrt(n), (n, m))
+    w = np.where(rng.random(n) < 0.3, rng.normal(0.0, 2.0, n), 0.0)
+    ds = Dataset(X, X.T @ w + rng.normal(0.0, 0.3, m))
+    prior = bernoulli_gauss(rho, 4.0)
+    first = fit(ds, prior, beta).state
+    with mock.patch("ecreg.core._vamp_start", return_value=None):
+        newton = fit(ds, prior, beta).state
+    assert first.converged and newton.converged
+    scale = max(1.0, float(np.max(np.abs(first.m))), float(np.max(np.abs(newton.m))))
+    assert (float(np.max(np.abs(first.m - newton.m))) <= 1e-6 * scale
+            or first.free_energy <= newton.free_energy)
+
+
 def test_solve_lambda_keeps_lambda_plus_ltil_positive_near_the_pole():
-    # at beta*chi = 1e60 the root lies about 1e-61 from the pole at -0.1
+    # MENDED in CHANGES.md: solve_lambda once returned Ltil = delta -
+    # lambda_min, which rounds to exactly -lambda_min for a root within half
+    # an ulp of the pole.  At beta*chi = 1e60 the root lies about 1e-61 from
+    # the pole at -0.1
     lam = np.geomspace(0.1, 10.0, 10)
     assert lam.min() + solve_lambda(lam, 1.0, 1e60) > 0.0
 
