@@ -77,11 +77,10 @@ class Dataset:
 
     Immutable by convention; the gram matrix, X y, and the eigenvalues of
     X X^T are computed lazily once and shared by every fit on the dataset.
-    On a wide design (M < N) the eigenvalues come from the thin M x M
-    eigendecomposition X^T X = W diag(s) W^T, padded with N - M exact zeros,
-    and (s, W) stay cached for fit's VAMP start; no N x M basis is stored.
-    Otherwise they come from eigvalsh of the N x N gram, and fit's VAMP
-    start decomposes that gram with eigh.
+    The eigenvalues come from one eigendecomposition W diag(s) W^T of the
+    smaller gram, X^T X (M x M) on a wide design (M < N) and X X^T
+    otherwise, with N - M exact zeros padded on a wide one; (s, W) stay
+    cached for fit's VAMP start, and no N x M basis is stored.
     """
 
     def __init__(self, X, y):
@@ -138,15 +137,7 @@ class Dataset:
     @cached_property
     def _spectrum(self):
         n, m = self.X.shape
-        if m < n:
-            lam = np.concatenate([np.zeros(n - m), self._thin_eigh[0]])
-        else:
-            try:
-                # eigenvalues only; they differ from eigh's in the last bits,
-                # which fit's stopping tolerates (see _rounding_rise)
-                lam = np.linalg.eigvalsh(self.gram)
-            except np.linalg.LinAlgError as exc:
-                raise DecompositionFailure(str(exc)) from exc
+        lam = np.concatenate([np.zeros(max(n - m, 0)), self._thin_eigh[0]])
         # the clamp also lifts a rounding-negative s, so lam stays ascending
         lam_max = float(lam[-1]) if lam.size else 0.0
         if lam_max <= 0.0:

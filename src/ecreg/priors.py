@@ -14,9 +14,10 @@ All closed forms are evaluated in log domain by one kernel, ``_mixture``,
 which serves both ``moments`` and ``invert_mean``: the spike/slab mixture is
 combined with logaddexp and a stable sigmoid of the log prior odds (-inf at
 rho = 0, +inf at rho = 1) so that large h**2/(2E) never leaves the log
-scale.  One kernel pass gives every field of ``ScalarMoments``, and
-``invert_mean`` returns those of its accepting pass with the field h, so a
-caller never evaluates the kernel again at the h it solved for.
+scale.  One kernel pass gives every field of ``ScalarMoments``, the log
+partition and cumulants only on first read, and ``invert_mean`` returns those
+of its accepting pass with the field h, so a caller never evaluates the
+kernel again at the h it solved for.
 """
 
 from dataclasses import dataclass
@@ -81,22 +82,37 @@ def bernoulli_uniform(rho):
     return PriorSpec(BERNOULLI_UNIFORM, float(rho))
 
 
-@dataclass(frozen=True)
 class ScalarMoments:
-    """Moments of the tilted prior; entries are scalars or arrays over h.
+    """Moments of the tilted prior from one ``_mixture`` output (ln_zs, mu, s,
+    pi); entries are scalars or arrays over h.
 
-    ``variance`` is the tilted variance in the cancellation-free form
-    pi*v_slab + pi*(1-pi)*mu_slab**2.  ``kappa3`` and
-    ``kappa4`` are the third and fourth cumulants, dv/dh and d2v/dh2, in
-    cancellation-free mixture forms; both vanish at rho = 1.
+    ``mean``, ``inclusion_prob`` and ``variance`` are formed with the object,
+    the variance in the cancellation-free form pi*s + pi*(1-pi)*mu**2.  The
+    ``log_partition`` and the third and fourth cumulants ``kappa3`` = dv/dh
+    and ``kappa4`` = d2v/dh2, in cancellation-free mixture forms that vanish
+    at rho = 1, are formed on first read and cached.
     """
 
-    log_partition: np.ndarray
-    mean: np.ndarray
-    inclusion_prob: np.ndarray
-    variance: np.ndarray
-    kappa3: np.ndarray
-    kappa4: np.ndarray
+    def __init__(self, prior, ln_zs, mu, s, pi):
+        self.mean, self.inclusion_prob = pi * mu, pi
+        self.variance = pi * s + pi * (1.0 - pi) * mu * mu
+        self._log_weights, self._mixture = prior._log_weights, (ln_zs, mu, s, pi)
+
+    @cached_property
+    def log_partition(self):
+        log_spike, log_slab = self._log_weights
+        return np.logaddexp(log_spike, log_slab + self._mixture[0])
+
+    @cached_property
+    def kappa3(self):
+        _, mu, s, pi = self._mixture
+        return pi * (1.0 - pi) * mu * ((1.0 - 2.0 * pi) * (mu * mu) + 3.0 * s)
+
+    @cached_property
+    def kappa4(self):
+        _, mu, s, pi = self._mixture
+        pq, mu2 = pi * (1.0 - pi), mu * mu
+        return pq * ((1.0 - 6.0 * pq) * mu2 * mu2 + 6.0 * (1.0 - 2.0 * pi) * mu2 * s + 3.0 * s * s)
 
 
 def _check_tilt(prior, E):
@@ -125,17 +141,6 @@ def _mixture(prior, h, E, slab):
     return ln_zs, mu, s, expit(prior._log_odds + ln_zs)
 
 
-def _scalar_moments(prior, ln_zs, mu, s, pi):
-    """ScalarMoments from one ``_mixture`` output, with pq = pi*(1-pi)."""
-    log_spike, log_slab = prior._log_weights
-    log_z = np.logaddexp(log_spike, log_slab + ln_zs)
-    pq = pi * (1.0 - pi)
-    mu2 = mu * mu
-    k3 = pq * mu * ((1.0 - 2.0 * pi) * mu2 + 3.0 * s)
-    k4 = pq * ((1.0 - 6.0 * pq) * mu2 * mu2 + 6.0 * (1.0 - 2.0 * pi) * mu2 * s + 3.0 * s * s)
-    return ScalarMoments(log_z, pi * mu, pi, pi * s + pq * mu * mu, k3, k4)
-
-
 def moments(prior, h, E):
     """Moments of the prior tilted by exp(-E*w**2/2 + h*w).
 
@@ -146,8 +151,7 @@ def moments(prior, h, E):
     """
     E = float(E)
     _check_tilt(prior, E)
-    return _scalar_moments(prior, *_mixture(prior, np.asarray(h, dtype=float), E,
-                                            _slab(prior, E)))
+    return ScalarMoments(prior, *_mixture(prior, np.asarray(h, dtype=float), E, _slab(prior, E)))
 
 
 # ---------------------------------------------------------------------------
@@ -221,4 +225,4 @@ def invert_mean(prior, m_target, E, h0=None):
         raise NonConvergence(f"mean inversion stalled, residual {np.abs(err).max():.3e}")
     # the passes ran on |h|; the slab mean is odd in h, and negating it
     # negates mean and kappa3 exactly
-    return np.copysign(x, m), _scalar_moments(prior, ln_zs, np.copysign(mu, m), s, pi)
+    return np.copysign(x, m), ScalarMoments(prior, ln_zs, np.copysign(mu, m), s, pi)

@@ -20,13 +20,13 @@ from ecreg.core import FitSettings
 from ecreg.data_io import load_csv, load_fit_json
 
 
-def _synth(tmp_path, seed=3):
+def _synth(tmp_path, seed=3, alpha="2"):
     paths = {
         "train": str(tmp_path / "train.csv"),
         "test": str(tmp_path / "test.csv"),
         "truth": str(tmp_path / "truth.json"),
     }
-    rc = main(["synth", "--n", "30", "--alpha", "2", "--rho0", "0.2",
+    rc = main(["synth", "--n", "30", "--alpha", alpha, "--rho0", "0.2",
                "--sigma-w0-sq", "4", "--sigma-n0-sq", "0.25",
                "--seed", str(seed),
                "--out-train", paths["train"], "--out-test", paths["test"],
@@ -142,6 +142,22 @@ class TestFit:
         assert rc == 1
         assert "did not converge" in capsys.readouterr().err
         assert load_fit_json(out_path)["converged"] is False
+
+    @pytest.mark.parametrize("alpha", ["2", "0.5"], ids=["tall", "wide"])
+    def test_failed_decomposition_is_numerical_failure(self, tmp_path, capsys, monkeypatch,
+                                                       alpha):
+        paths = _synth(tmp_path, alpha=alpha)
+
+        def failed(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failed)
+        rc = main(["fit", "--data", paths["train"], "--family", "bg",
+                   "--rho", "0.2", "--sigma-w2", "4", "--beta", "4",
+                   "--out", str(tmp_path / "fit.json")])
+        assert rc == 1
+        assert "DecompositionFailure: Eigenvalues did not converge" in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
 
     def test_uniform_family(self, tmp_path):
         paths = _synth(tmp_path)

@@ -38,6 +38,7 @@ from ecreg.core import (
 )
 from ecreg.data_io import SynthConfig, gen_synthetic
 from ecreg.errors import (
+    DecompositionFailure,
     DimensionMismatch,
     DomainError,
     InfeasibleTilt,
@@ -45,7 +46,7 @@ from ecreg.errors import (
     SingularHessian,
     VarianceCollapse,
 )
-from ecreg.loocv import approx_looe
+from ecreg.loocv import approx_looe, literal_loocv
 from ecreg.priors import (
     BERNOULLI_UNIFORM,
     _mixture,
@@ -188,6 +189,47 @@ class TestSpectrum:
     def test_cached_per_dataset(self):
         ds = _random_instance(4, 8, 4)
         assert spectrum(ds) is spectrum(ds)
+
+    @pytest.mark.parametrize("n, m, rank", [(6, 15, 6), (6, 15, 3), (15, 6, 6)],
+                             ids=["tall", "tall-rank-deficient", "wide"])
+    def test_is_the_clamped_thin_eigenvalues(self, n, m, rank):
+        # one decomposition serves both shapes: the spectrum is the thin
+        # eigh's eigenvalues, clamped, below N - M zeros on a wide design
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, m)) / np.sqrt(n * rank)
+        ds = Dataset(X, rng.normal(size=m))
+        s = ds._thin_eigh[0]
+        clamped = np.where(s < 1e-12 * s[-1], 0.0, s)
+        assert np.array_equal(spectrum(ds), np.concatenate([np.zeros(max(n - m, 0)), clamped]))
+
+    def test_tall_literal_loo_decomposes_each_gram_once(self, monkeypatch):
+        # every fold keeps M - 1 >= N samples; the full fit and each of the M
+        # refits decompose their gram once, and no eigenvalue-only solve runs
+        ds = _random_instance(6, 8, 20)
+        calls = {"eigh": 0, "eigvalsh": 0}
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        report = literal_loocv(ds, bernoulli_gauss(0.3, 4.0), 4.0)
+        assert report.flagged == []
+        assert calls == {"eigh": ds.n_samples + 1, "eigvalsh": 0}
+
+    @pytest.mark.parametrize("n, m", [(6, 15), (15, 6)], ids=["tall", "wide"])
+    def test_failed_decomposition_is_decomposition_failure(self, n, m, monkeypatch):
+        def failed(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failed)
+        with pytest.raises(DecompositionFailure, match="did not converge"):
+            spectrum(_random_instance(5, n, m))
+        with pytest.raises(DecompositionFailure, match="did not converge"):
+            fit(_random_instance(5, n, m), bernoulli_gauss(0.3, 4.0), 4.0)
 
 
 class TestSolveLambda:
@@ -980,6 +1022,33 @@ class TestFit:
         assert echo["free_energies"][1] == echo["free_energies"][0]
         assert all(r == 0.0 for r in echo["allowed_rises"][1:])
         assert result.state.converged
+
+    # a wide design's m, free energy and approximate LOO error, pinned when
+    # every ScalarMoments field was formed with the object: forming the log
+    # partition and the cumulants on first read changes no bit
+    _PINNED = {
+        "vamp": ([0.1620012955360783, 0.37118445070357503, 0.3111038984603114,
+                  -0.7002221265268948, -0.05926972068004267, -0.1671033068388515,
+                  -0.20009457887464485, -0.1851959429642712],
+                 4.250012097321055, 0.24662864002531731),
+        "newton": ([0.16200129414934786, 0.3711844513425482, 0.3111038956321431,
+                    -0.7002221275208494, -0.05926972005945973, -0.1671033045752069,
+                    -0.20009457838363107, -0.18519593880704532],
+                   4.250012097321055, 0.24662864015013136),
+    }
+
+    @pytest.mark.parametrize("start", ["vamp", "newton"])
+    def test_wide_fit_and_loo_are_pinned_to_the_bit(self, start, monkeypatch):
+        ds = _random_instance(5, 8, 5)
+        if start == "newton":
+            # from zero, so the Newton steps read the cumulants
+            monkeypatch.setattr("ecreg.core._vamp_start", lambda *args: None)
+        result = fit(ds, bernoulli_gauss(0.3, 4.0), 4.0)
+        m, free_energy, eps_loo = self._PINNED[start]
+        assert result.state.converged
+        assert result.state.m.tolist() == m
+        assert result.state.free_energy == free_energy
+        assert approx_looe(result, ds, 4.0).eps_loo == eps_loo
 
 
 def _criterion_draw(n, seed):
