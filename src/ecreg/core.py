@@ -37,7 +37,7 @@ probe) seeds VAMP at that state's tilt.  VAMP's point normally meets the
 gradient tolerance, so the Newton loop stops before its first step and
 forms no curvature.  When VAMP leaves its domain, stalls or runs out of
 iterations, Newton solves the fit: from m = 0, or from the warm state's m
-with its first tilt solve at that state's (E, h, Ltil).
+with its first tilt solve at that state's (E, h).
 
 For a pure Gaussian prior (rho = 1 slab) this construction is exact: m is the
 ridge posterior mean and Phi equals the exact negative log evidence with zero
@@ -172,7 +172,7 @@ def _secular_newton(lam, target, L):
     return r, L + (r / u_max) / (u_max * (float((v * v).sum()) / v.size))
 
 
-def solve_lambda(lam, beta, chi, *, _start=None):
+def solve_lambda(lam, beta, chi):
     """Solve (1/N) sum_k 1/(lambda_k + Ltil) = beta*chi for Ltil.
 
     The left side s(L) is strictly decreasing in Ltil on (-lambda_min, inf)
@@ -181,37 +181,33 @@ def solve_lambda(lam, beta, chi, *, _start=None):
     and may be negative (but > -lambda_min) otherwise.
 
     At most 200 Newton steps on delta = Ltil + lambda_min, so a root near the
-    pole keeps its relative precision: s is convex, so a step from anywhere
-    in the domain lands at or below the root and from there climbs
-    monotonically to it; a step out of the domain goes halfway to the pole
-    instead.  Starts at ``_start`` (solve_tilt's previous root) when it lies
-    in the domain, else at delta = 1/(N*beta*chi): s(delta) >= 1/(N*delta)
-    and s(1/(beta*chi)) <= beta*chi, so that start lies at or below the root
-    and within a factor N of it, and Newton climbs in about log2(N) steps.
-    NonConvergence when that start overflows, or unless the relative
-    residual reaches 1e-12.  A root within half an ulp of the pole, where
-    delta - lambda_min rounds to -lambda_min or below, returns the float
-    just above -lambda_min, so every lambda_k + Ltil stays positive.
+    pole keeps its relative precision.  With mu = lambda - lambda_min, f0 the
+    fraction of mu that are 0 and mu_bar their mean, s(delta) >= f0/delta
+    and, by Jensen's inequality, s(delta) >= 1/(mu_bar + delta), so the
+    start delta0 = max(f0, 1 - beta*chi*mu_bar)/(beta*chi) lies at or below
+    the root.  s is convex, so from there Newton climbs monotonically to the
+    root; a step that rounding sends out of the domain goes halfway to the
+    pole instead.  NonConvergence when delta0 overflows, or unless the
+    relative residual reaches 1e-12.  A root within half an ulp of the pole,
+    where delta - lambda_min rounds to -lambda_min or below, returns the
+    float just above -lambda_min, so every lambda_k + Ltil stays positive.
     """
-    if not beta > 0.0:
-        raise DomainError(f"beta must be positive, got {beta}")
+    if not 0.0 < beta < np.inf:
+        raise DomainError(f"beta must be finite and positive, got {beta}")
     if not chi > 0.0:
         raise DomainError(f"chi must be positive, got {chi}")
     lam_min = float(lam.min())
     mu = lam - lam_min
-    target = beta * chi
+    target = float(beta * chi)  # a Python float overflows to inf without a warning
 
     def ltil(delta):
         out = float(delta - lam_min)
         return out if out + lam_min > 0.0 else float(np.nextafter(-lam_min, np.inf))
 
-    if _start is not None and 0.0 < _start + lam_min < np.inf:
-        delta = _start + lam_min
-    else:
-        n_target = mu.size * target
-        delta = 1.0 / n_target if n_target > 0.0 else math.inf
-        if delta == math.inf:
-            raise NonConvergence(f"secular root overflows at beta*chi = {target:.3e}")
+    f0 = int(np.count_nonzero(mu == 0.0)) / mu.size
+    delta = max(f0, 1.0 - target * float(mu.mean())) / target if target > 0.0 else math.inf
+    if not 0.0 < delta < math.inf:
+        raise NonConvergence(f"secular root overflows at beta*chi = {target:.3e}")
     for _ in range(200):
         r, dn = _secular_newton(mu, target, delta)
         if abs(r) <= 1e-13 * target:
@@ -255,14 +251,13 @@ def _default_tilt_origin(prior, beta, lam_bar):
     return beta * lam_bar + 1.0
 
 
-def solve_tilt(m, prior, beta, lam, E0=None, h0=None, *, _ltil0=None):
+def solve_tilt(m, prior, beta, lam, E0=None, h0=None):
     """Find (h, E) with tilted means equal to m and E = 1/chi - beta*Ltil.
 
     The scalar consistency r(E) = E_new(E) - E = 0 is solved from E0 (by
     default above the physical root) in at most FitSettings.max_inner
-    evaluations of E_new, each one invert_mean from h0 and one solve_lambda
-    from the private _ltil0 (solve_lambda's own start when None).  Each
-    step is Newton's on r at fixed m, with the exact slope dr/dE = k*b - 1
+    evaluations of E_new, each one invert_mean from h0 and one solve_lambda.
+    Each step is Newton's on r at fixed m, with the exact slope dr/dE = k*b - 1
     of _tilt_slope (Nocedal & Wright, Numerical Optimization, ch. 11), and
     the next invert_mean starts from h + (dh/dE)*dE, the tangent of the
     fixed-m curve h(E).  Where that slope is not finite and negative, or the
@@ -285,8 +280,8 @@ def solve_tilt(m, prior, beta, lam, E0=None, h0=None, *, _ltil0=None):
     exhausted budget there raises InfeasibleTilt unless some evaluation saw
     r > 0.
     """
-    if not beta > 0.0:
-        raise DomainError(f"beta must be positive, got {beta}")
+    if not 0.0 < beta < np.inf:
+        raise DomainError(f"beta must be finite and positive, got {beta}")
     m = np.asarray(m, dtype=float)
     if not np.isfinite(m).all():
         raise DomainError("m contains non-finite entries")
@@ -302,14 +297,13 @@ def solve_tilt(m, prior, beta, lam, E0=None, h0=None, *, _ltil0=None):
     if E <= E_min:
         E = E_min + max(1e-8, 1e-8 * abs(E_min))
     secant_only = _flat_slab_with_zero_modes(prior, lam)
-    h, r, rose = h0, np.nan, False
-    ltil, E_last, r_last = _ltil0, None, None
+    h, r, rose, E_last, r_last = h0, np.nan, False, None, None
     for _ in range(max_inner):
         h, mom = invert_mean(prior, m, E, h0=h)
         chi = float(mom.variance.sum()) / m.size
         if not chi > 0.0:
             raise InfeasibleTilt(f"tilted variances vanished at E = {E}")
-        ltil = solve_lambda(lam, beta, chi, _start=ltil)
+        ltil = solve_lambda(lam, beta, chi)
         r = 1.0 / chi - beta * ltil - E
         # 1/chi - beta*Ltil cancels two O(1/chi) terms, so the residual
         # cannot be resolved below a few eps/chi; accept at that floor.
@@ -638,7 +632,7 @@ def fit(dataset, prior, beta, *, warm=None):
     Each Newton step follows the module docstring: it re-solves the tilt at m,
     steps with the exact Hessian (H plus the rank-one term) or with H or its
     positive definite modification, and starts each trial's tilt solve at
-    the accepted tilt's (E, h, Ltil).  The line search halves s from 1 down
+    the accepted tilt's (E, h).  The line search halves s from 1 down
     to 2**-20 and accepts the first trial that strictly lowers the free
     energy, or the full step when it raises it by no more than the rounding
     error of its summands and lowers the gradient infinity-norm.
@@ -656,19 +650,17 @@ def fit(dataset, prior, beta, *, warm=None):
     mean as m and its (E, h) as the first tilt solve's start, where the
     gradient normally meets grad_tol, so the fit takes no step.  ``warm``,
     the ECState of an earlier fit on the same features (under any prior and
-    beta), seeds VAMP at its tilt, and its secular root starts the first
-    tilt solve.  When _vamp_start returns None, the loop starts at warm.m
-    with the first tilt solve at (warm.E, warm.h), or without ``warm`` at
-    m = 0 and solve_tilt's default start.
+    beta), seeds VAMP at its tilt; fit reads only its m, E and h.  When
+    _vamp_start returns None, the loop starts at warm.m with the first tilt
+    solve at (warm.E, warm.h), or without ``warm`` at m = 0 and
+    solve_tilt's default start.
     """
     if not 0.0 < beta < np.inf:
         raise DomainError(f"beta must be finite and positive, got {beta}")
     n = dataset.n_features
-    m, E0, h0, ltil0 = np.zeros(n), None, None, None
-    if warm is not None:
-        if np.shape(warm.m) != (n,) or np.shape(warm.h) != (n,):
-            raise DimensionMismatch(f"warm state's m and h must have shape ({n},)")
-        ltil0 = warm.lambda_tilde
+    m, E0, h0 = np.zeros(n), None, None
+    if warm is not None and (np.shape(warm.m) != (n,) or np.shape(warm.h) != (n,)):
+        raise DimensionMismatch(f"warm state's m and h must have shape ({n},)")
     start = _vamp_start(dataset, prior, beta, warm)
     if start is not None:
         m, E0, h0 = start
@@ -677,7 +669,7 @@ def fit(dataset, prior, beta, *, warm=None):
     lam = spectrum(dataset)
     flat_zero_modes = _flat_slab_with_zero_modes(prior, lam)
     grad_scale = max(1.0, float(np.max(np.abs(beta * dataset.xy))))
-    tilt = solve_tilt(m, prior, beta, lam, E0=E0, h0=h0, _ltil0=ltil0)
+    tilt = solve_tilt(m, prior, beta, lam, E0=E0, h0=h0)
     phi = _free_energy_at(m, tilt, dataset, beta)
     step_sizes = []
     free_energies = [phi]
@@ -709,8 +701,7 @@ def fit(dataset, prior, beta, *, warm=None):
         while s >= _STEP_FLOOR:
             m_trial = m + s * direction
             try:
-                tilt_trial = solve_tilt(m_trial, prior, beta, lam, E0=tilt.E, h0=tilt.h,
-                                        _ltil0=tilt.lambda_tilde)
+                tilt_trial = solve_tilt(m_trial, prior, beta, lam, E0=tilt.E, h0=tilt.h)
                 phi_trial = _free_energy_at(m_trial, tilt_trial, dataset, beta)
             except (NonConvergence, InfeasibleTilt):
                 s *= 0.5

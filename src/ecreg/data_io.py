@@ -188,10 +188,10 @@ def _parse_body(body, width):
 def load_csv(path, target_column, center=False):
     """Load a samples-by-columns CSV into a Dataset (features x samples).
 
-    The designated target column becomes y; the remaining columns become
-    feature rows.  Missing, non-numeric or non-finite cells are hard errors
-    with the file row/column location.  With center=True, per-feature means
-    and the target mean are subtracted and recorded for back-transformation.
+    The target column, named once in the header, becomes y; the others
+    become feature rows.  Missing, non-numeric or non-finite cells are hard
+    errors with the file row/column location.  With center=True, per-feature
+    means and the target mean are subtracted and recorded for back-transformation.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -204,6 +204,8 @@ def load_csv(path, target_column, center=False):
     if target_column not in header:
         raise MissingTarget(
             f"target column {target_column!r} not in header {header}")
+    if header.count(target_column) > 1:
+        raise ParseError(f"target column {target_column!r} repeats in the header", row=rows[0][0])
     target_idx = header.index(target_column)
     body = rows[1:]
     if not body:

@@ -18,7 +18,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from .core import Dataset, fit, hessian
-from .errors import ConfigError, EcregError, NonConvergence, NotConverged, SingularHessian
+from .errors import (ConfigError, DimensionMismatch, DomainError, EcregError, NonConvergence,
+                     NotConverged, SingularHessian)
 
 # residual_loo is singular at leverage 1; denominators below this floor are
 # clipped and the sample flagged rather than dropped.
@@ -57,15 +58,20 @@ def _loo_eps(residuals, m_samples):
 def approx_looe(fit_result, dataset, beta):
     """Semi-analytic LOO error from the full fit; no refits.
 
-    Requires a converged fit.  Cost is forming the fitted curvature, one
-    Cholesky factorization in place and one triangular solve against X;
-    samples whose |1 - leverage| falls below the floor are clipped to it
-    and flagged, and samples with leverage above 1 are flagged unclipped.
+    Requires a finite positive beta and a converged fit with one weight per
+    feature.  Cost is forming the fitted curvature, one Cholesky
+    factorization in place and one triangular solve against X; samples
+    whose |1 - leverage| falls below the floor are clipped to it and
+    flagged, and samples with leverage above 1 are flagged unclipped.
     """
     t0 = time.perf_counter()
-    if not fit_result.state.converged:
-        raise NotConverged("approximate LOO requires a converged fit")
+    if not 0.0 < beta < np.inf:
+        raise DomainError(f"beta must be finite and positive, got {beta}")
     X, state = dataset.X, fit_result.state
+    if np.shape(state.m) != (dataset.n_features,):
+        raise DimensionMismatch(f"m has shape {np.shape(state.m)}, expected ({dataset.n_features},)")
+    if not state.converged:
+        raise NotConverged("approximate LOO requires a converged fit")
     H = hessian(state.variance, state.E, dataset, beta)
     try:
         # in place: H is symmetric, and LAPACK overwrites its Fortran view H.T

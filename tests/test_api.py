@@ -78,7 +78,8 @@ def test_start_and_tolerance_options_are_pinned():
         return list(inspect.signature(fn).parameters)
 
     assert names(ecreg.fit) == ["dataset", "prior", "beta", "warm"]
-    assert names(ecreg.core.solve_tilt) == ["m", "prior", "beta", "lam", "E0", "h0", "_ltil0"]
+    assert names(ecreg.core.solve_tilt) == ["m", "prior", "beta", "lam", "E0", "h0"]
+    assert names(ecreg.core.solve_lambda) == ["lam", "beta", "chi"]
     assert names(ecreg.sweep) == ["dataset", "family", "grid"]
     assert names(ecreg.calibrate_rho) == ["dataset", "beta", "K", "family", "sigma_w2"]
     assert names(ecreg.hyper.calibrate) == [

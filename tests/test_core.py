@@ -16,6 +16,7 @@ import pytest
 
 from ecreg import core
 from ecreg.core import (
+    _EPS,
     _VAMP_BUDGET,
     Dataset,
     FitSettings,
@@ -270,30 +271,13 @@ class TestSolveLambda:
             lhs = float(np.mean(1.0 / (sp + lam)))
             assert abs(lhs - beta * chi) <= 1e-12 * beta * chi
 
-    def test_start_far_above_root_steps_out_of_domain_and_recovers(self):
-        sp = spectrum(Dataset(np.eye(7), np.zeros(7)))  # every eigenvalue is 1
-        with _newton_steps() as steps:
-            lam = solve_lambda(sp, 1.0, 0.5, _start=1e6)  # 1/(1+L) = 0.5
-        np.testing.assert_allclose(lam, 1.0, rtol=1e-12)
-        assert steps[0][1] <= 0.0  # the first Newton step leaves the domain
-        assert all(delta > 0.0 for delta, _ in steps)
-
-    def test_start_outside_domain_takes_the_cold_start(self):
-        sp = spectrum(_random_instance(9, 5, 10))
-        lam_min = float(sp.min())
-        assert lam_min > 0.0
-        cold = solve_lambda(sp, 1.0, 0.3)
-        for start in (-lam_min, -lam_min - 5.0, np.nan, np.inf):
-            assert solve_lambda(sp, 1.0, 0.3, _start=start) == cold
-
     def test_negative_root_on_full_rank_gram(self):
         sp = spectrum(Dataset(np.diag([1.0, 2.0, 4.0]), np.zeros(3)))  # 1, 4, 16
         # beta*chi = 1 exceeds mean(1/lambda) = 0.4375, so the root is in (-1, 0)
-        for start in (None, 3.0, -0.999):
-            lam = solve_lambda(sp, 2.0, 0.5, _start=start)
-            assert -1.0 < lam < 0.0
-            lhs = float(np.mean(1.0 / (sp + lam)))
-            assert abs(lhs - 1.0) <= 1e-12
+        lam = solve_lambda(sp, 2.0, 0.5)
+        assert -1.0 < lam < 0.0
+        lhs = float(np.mean(1.0 / (sp + lam)))
+        assert abs(lhs - 1.0) <= 1e-12
 
     def test_residual_and_step_budget_property(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -302,7 +286,7 @@ class TestSolveLambda:
         @st.composite
         def cases(draw):
             """A clamped spectrum, a root at least 1e-3*lambda_min from the
-            pole, beta*chi from that root, and an optional warm start."""
+            pole, and beta*chi from that root."""
             n = draw(st.integers(1, 40))
             scale = 10.0 ** draw(st.floats(-6.0, 6.0))
             zeros = draw(st.integers(0, n))
@@ -314,21 +298,55 @@ class TestSolveLambda:
             delta = ref * 10.0 ** draw(st.floats(low, 4.0))
             target = float(np.mean(1.0 / (lam + (delta - lam_min))))
             beta = 10.0 ** draw(st.floats(-3.0, 3.0))
-            start = draw(st.one_of(
-                st.none(),
-                st.floats(-6.0, 6.0).map(lambda e: -lam_min + delta * 10.0 ** e),
-                st.floats(-1e3, 0.0).map(lambda x: -lam_min + x * scale)))
-            return lam, beta, target / beta, start
+            return lam, beta, target / beta
 
         @hypothesis.settings(max_examples=300, deadline=None)
         @hypothesis.given(cases())
         def check(case):
-            sp, beta, chi, start = case
+            sp, beta, chi = case
             with _newton_steps() as steps:
-                lam = solve_lambda(sp, beta, chi, _start=start)
+                lam = solve_lambda(sp, beta, chi)
             lhs = float(np.mean(1.0 / (sp + lam)))
             assert abs(lhs - beta * chi) <= 1e-12 * beta * chi
             assert len(steps) <= 200
+
+        check()
+
+    def test_start_lies_below_the_root_property(self):
+        # delta0 = max(f0, 1 - beta*chi*mean(mu))/(beta*chi) bounds the root
+        # from below (s(delta) >= f0/delta, and >= 1/(mean(mu) + delta) by
+        # Jensen), so Newton climbs from it and never takes the halving
+        # branch; at an equal spectrum delta0 is the root itself, and the
+        # slack of 4 eps is the rounding of s(delta0) there
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def cases(draw):
+            """0..N-1 exact zeros among N eigenvalues drawn from at most
+            three distinct values, and beta*chi in [1e-150, 1e150]."""
+            n = draw(st.integers(1, 40))
+            zeros = draw(st.integers(0, n - 1))
+            levels = draw(st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=3))
+            picks = draw(st.lists(st.sampled_from(levels), min_size=n - zeros,
+                                  max_size=n - zeros))
+            lam = np.sort(np.concatenate([np.zeros(zeros), 10.0 ** np.array(picks)]))
+            target = 10.0 ** draw(st.floats(-150.0, 150.0))
+            beta = 10.0 ** draw(st.floats(-3.0, 3.0))
+            return lam, beta, target / beta
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(cases())
+        def check(case):
+            sp, beta, chi = case
+            with _newton_steps() as steps:
+                solve_lambda(sp, beta, chi)
+            mu = sp - sp[0]
+            delta0 = steps[0][0]
+            assert float(np.mean(1.0 / (mu + delta0))) >= beta * chi * (1.0 - 4.0 * _EPS)
+            assert all(delta_next > 0.0 for _, delta_next in steps)
+            if not mu.any():
+                assert len(steps) == 1  # delta0 = 1/(beta*chi), the root
 
         check()
 
@@ -346,11 +364,10 @@ class TestSolveLambda:
     @pytest.mark.parametrize("target", [1e-200, 1e-60, 1.0, 1e60, 1e200])
     @pytest.mark.parametrize("zeros", [10, 5, 0], ids=["all-zero", "half-zero", "full-rank"])
     def test_cold_start_reaches_the_root_at_any_scale(self, zeros, target):
-        # the cold start 1/(N*beta*chi) lies at or below the root and within
-        # a factor N of it; a root within 1e-60 of the pole is resolved only
-        # on delta = L + lambda_min, so the residual is taken there, and
-        # where delta - lambda_min rounds onto the pole the float above it
-        # is returned
+        # the start lies at or below the root; a root within 1e-60 of the
+        # pole is resolved only on delta = L + lambda_min, so the residual is
+        # taken there, and where delta - lambda_min rounds onto the pole the
+        # float above it is returned
         lam = np.concatenate([np.zeros(zeros), np.geomspace(0.1, 10.0, 10 - zeros)])
         with _newton_steps() as steps:
             root = solve_lambda(lam, 1.0, target)
@@ -361,8 +378,8 @@ class TestSolveLambda:
         assert abs(lhs - target) <= 1e-12 * target
 
     def test_overflowing_cold_start_is_nonconvergence(self):
-        # beta*chi underflows to 0, or N*beta*chi to a subnormal whose
-        # inverse overflows: the root is not a float
+        # beta*chi underflows to 0, or is a subnormal whose inverse
+        # overflows: the root is not a float
         for beta, chi in ((1e-200, 1e-200), (1.0, 5e-324)):
             with pytest.raises(NonConvergence, match="overflows"):
                 solve_lambda(np.zeros(10), beta, chi)
@@ -914,10 +931,16 @@ class TestFit:
             FitSettings(**bad)
 
     def test_invalid_beta_rejected(self):
-        ds = _random_instance(41, 5, 3)
+        # solve_tilt and solve_lambda keep fit's rule: an infinite beta once
+        # passed them and failed later, after RuntimeWarnings
+        ds, prior = _random_instance(41, 5, 3), bernoulli_gauss(0.5, 1.0)
+        sp = spectrum(ds)
         for beta in (0.0, np.nan, np.inf):
-            with pytest.raises(DomainError):
-                fit(ds, bernoulli_gauss(0.5, 1.0), beta)
+            for solve in (lambda: fit(ds, prior, beta),
+                          lambda: solve_tilt(np.full(5, 0.1), prior, beta, sp),
+                          lambda: solve_lambda(sp, beta, 0.5)):
+                with pytest.raises(DomainError, match="finite and positive"):
+                    solve()
 
     def test_warm_state_length_checked(self):
         ds, prior = _random_instance(42, 4, 3), bernoulli_gauss(0.5, 1.0)
@@ -1025,16 +1048,18 @@ class TestFit:
 
     # a wide design's m, free energy and approximate LOO error, pinned when
     # every ScalarMoments field was formed with the object: forming the log
-    # partition and the cumulants on first read changes no bit
+    # partition and the cumulants on first read changes no bit.  Retaken when
+    # every secular solve came to start at its closed-form lower bound, which
+    # moved them by at most 2e-14 relative
     _PINNED = {
         "vamp": ([0.1620012955360783, 0.37118445070357503, 0.3111038984603114,
                   -0.7002221265268948, -0.05926972068004267, -0.1671033068388515,
                   -0.20009457887464485, -0.1851959429642712],
-                 4.250012097321055, 0.24662864002531731),
-        "newton": ([0.16200129414934786, 0.3711844513425482, 0.3111038956321431,
-                    -0.7002221275208494, -0.05926972005945973, -0.1671033045752069,
-                    -0.20009457838363107, -0.18519593880704532],
-                   4.250012097321055, 0.24662864015013136),
+                 4.250012097321054, 0.2466286400253174),
+        "newton": ([0.16200129414934547, 0.37118445134254685, 0.3111038956321395,
+                    -0.7002221275208476, -0.05926972005945859, -0.1671033045752036,
+                    -0.20009457838362923, -0.18519593880704227],
+                   4.250012097321055, 0.24662864015013292),
     }
 
     @pytest.mark.parametrize("start", ["vamp", "newton"])

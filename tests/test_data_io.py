@@ -178,6 +178,14 @@ class TestLoadCsv:
         with pytest.raises(MissingTarget):
             load_csv(path, "y")
 
+    def test_repeated_target_name_is_parse_error(self, tmp_path):
+        # "y,x,y" once took the first y as the target and kept the second as
+        # a feature named y
+        path = self._write(tmp_path / "d.csv", "# note\ny,x,y\n1,2,3\n")
+        with pytest.raises(ParseError, match="repeats") as info:
+            load_csv(path, "y")
+        assert info.value.row == 2
+
     def test_ragged_row_reports_line(self, tmp_path):
         path = self._write(tmp_path / "r.csv", "a,b,y\n1,2,3\n4,5\n")
         with pytest.raises(ParseError) as info:

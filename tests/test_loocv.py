@@ -23,7 +23,14 @@ from ecreg.core import (
     solve_tilt,
 )
 from ecreg.data_io import SynthConfig, gen_synthetic
-from ecreg.errors import ConfigError, NonConvergence, NotConverged, SingularHessian
+from ecreg.errors import (
+    ConfigError,
+    DimensionMismatch,
+    DomainError,
+    NonConvergence,
+    NotConverged,
+    SingularHessian,
+)
 from ecreg.loocv import DENOMINATOR_FLOOR, approx_looe, kfold_cv, literal_loocv
 from ecreg.priors import bernoulli_gauss, bernoulli_uniform, invert_mean
 
@@ -93,6 +100,20 @@ class TestApproxLooe:
         assert not result.state.converged
         with pytest.raises(NotConverged):
             approx_looe(result, ds, 20.0)
+
+    @pytest.mark.parametrize("beta", [-1.0, 0.0, np.inf, np.nan])
+    def test_beta_outside_the_domain_is_domain_error(self, beta):
+        # fit's rule: these once returned an eps_loo, warned or raised
+        # SingularHessian
+        ds = _instance(2, 6, 9)
+        result = fit(ds, bernoulli_gauss(0.3, 4.0), 5.0)
+        with pytest.raises(DomainError, match="finite and positive"):
+            approx_looe(result, ds, beta)
+
+    def test_fit_of_another_width_is_dimension_mismatch(self):
+        result = fit(_instance(2, 6, 9), bernoulli_gauss(0.3, 4.0), 5.0)
+        with pytest.raises(DimensionMismatch, match=r"expected \(7,\)"):
+            approx_looe(result, _instance(2, 7, 9), 5.0)
 
     def test_near_unit_leverage_is_flagged(self):
         # an isolated long direction makes 1 - leverage ~ 1e-9 for sample 0
@@ -237,8 +258,8 @@ class TestLiteralLoocv:
 
     @staticmethod
     def _fold_starts(monkeypatch, vamp_gives_up):
-        """(full fit's state, [(warm, VAMP's point, (E0, _ltil0) of the first
-        tilt solve)] per fold) of literal_loocv on a small instance."""
+        """(full fit's state, [(warm, VAMP's point, E0 of the first tilt
+        solve)] per fold) of literal_loocv on a small instance."""
         fits, vamp, first_starts = [], [], []
         fit_started = [False]
 
@@ -254,7 +275,7 @@ class TestLiteralLoocv:
 
         def recording_solve_tilt(*args, **kwargs):
             if fit_started[0]:
-                first_starts.append((kwargs.get("E0"), kwargs.get("_ltil0")))
+                first_starts.append(kwargs.get("E0"))
                 fit_started[0] = False
             return solve_tilt(*args, **kwargs)
 
@@ -267,20 +288,19 @@ class TestLiteralLoocv:
 
     def test_folds_start_from_the_full_fits_tilt(self, monkeypatch):
         # each fold's VAMP pass starts from the full fit's state, and the
-        # fold's first tilt solve at VAMP's E, its secular solve from the full
-        # fit's root
+        # fold's first tilt solve at VAMP's E
         full, folds = self._fold_starts(monkeypatch, vamp_gives_up=False)
         for warm, start, first in folds:
             assert warm is full and start is not None
-            assert first == (start[1], full.lambda_tilde)
+            assert first == start[1]
 
     def test_folds_fall_back_to_the_full_fits_tilt(self, monkeypatch):
         # where VAMP gives up, the fold's first tilt solve starts at the full
-        # fit's tilt and its secular solve from the full fit's root
+        # fit's tilt
         full, folds = self._fold_starts(monkeypatch, vamp_gives_up=True)
         for warm, start, first in folds:
             assert warm is full and start is None
-            assert first == (full.E, full.lambda_tilde)
+            assert first == full.E
 
     def test_mean_inversions_on_criterion_8(self, monkeypatch):
         # every fit, each fold's included, starts from a VAMP pass whose point
