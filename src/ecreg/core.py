@@ -32,12 +32,16 @@ keeps the tilted variances, from which the LOO formula forms H.
 Every fit, whatever the prior, first runs _vamp_start: damped VAMP on the
 eigendecomposition of the smaller of X^T X and X X^T that Dataset caches,
 whose fixed point is the EC fixed point (E = gamma1, h = gamma1*r1).  A fit
-warm-started from an earlier fit's state (a literal refit, a calibration
-probe) seeds VAMP at that state's tilt.  VAMP's point normally meets the
-gradient tolerance, so the Newton loop stops before its first step and
-forms no curvature.  When VAMP leaves its domain, stalls or runs out of
-iterations, Newton solves the fit: from m = 0, or from the warm state's m
-with its first tilt solve at that state's (E, h).
+warm-started from an earlier fit's state (a calibration probe, a
+cross-validation fold) seeds VAMP at that state's tilt.  VAMP's point
+normally meets the gradient tolerance, so the Newton loop stops before its
+first step and forms no curvature.  When VAMP leaves its domain, stalls or
+runs out of iterations, Newton solves the fit: from m = 0, or from the warm
+state's m with its first tilt solve at that state's (E, h).  _vamp_start is
+the one-problem case of _vamp, which iterates K problems at once, problem k
+holding out a block of samples by a Woodbury downdate on the full
+dataset's eigendecomposition; cross-validation runs every fold through it
+before refitting each fold from its point.
 
 For a pure Gaussian prior (rho = 1 slab) this construction is exact: m is the
 ridge posterior mean and Phi equals the exact negative log evidence with zero
@@ -549,81 +553,175 @@ def _rounding_rise(trial, phi, grad_norm, m, tilt, dataset, beta):
     return floor if float(np.max(np.abs(g))) < grad_norm else None
 
 
-_VAMP_BUDGET = 200  # iterations of _vamp_start before it gives up
-_VAMP_TOL = 1e-9  # _vamp_start's stop on max|dm| relative to max(1, ||m||_inf)
-# _vamp_start also gives up when max|dm| is no smaller than this many
+_VAMP_BUDGET = 200  # iterations of a _vamp problem before it gives up
+_VAMP_TOL = 1e-9  # _vamp's stop on max|dm| relative to max(1, ||m||_inf)
+# a _vamp problem also gives up when max|dm| is no smaller than this many
 # iterations before
 _VAMP_WINDOW = 20
-# weight of the new (gamma1, r1) in _vamp_start; a lower one reaches other,
+# weight of the new (gamma1, r1) in _vamp; a lower one reaches other,
 # metastable fixed points at large beta
 _VAMP_DAMPING = 0.7
 
 
-def _vamp_start(dataset, prior, beta, warm=None):
-    """(m, E, h) at fit's fixed point, or None.
+def _vamp(dataset, prior, beta, warm, folds):
+    """Damped VAMP on K problems at once: a list with, per problem, (m, E, h)
+    at fit's fixed point on the dataset without the sample block folds[k],
+    or None.
 
-    Damped VAMP (Rangan, Schniter & Fletcher, arXiv:1610.03082), whose fixed
-    point is the EC fixed point fit solves for (Opper & Winther, JMLR 2005),
+    VAMP (Rangan, Schniter & Fletcher, arXiv:1610.03082) has the EC fixed
+    point fit solves for (Opper & Winther, JMLR 2005) as its fixed point,
     with E = gamma1, h = gamma1*r1 and beta*Ltil = gamma2.  Each iteration
-    takes the tilted prior's moments at (gamma1*r1, gamma1), which set
-    gamma2 = 1/chi1 - gamma1, then the LMMSE step on the eigendecomposition
-    (s, W) of the smaller gram:
-    (beta*XX^T + gamma2*I)^{-1} b = (b - X W diag(beta/(beta*s + gamma2)) W^T X^T b)/gamma2
-    by Woodbury from X^T X when M < N, and W diag(1/(beta*s + gamma2)) W^T b
+    takes the tilted prior's moments at (gamma1*r1, gamma1), one row per
+    problem, which set gamma2 = 1/chi1 - gamma1, then the LMMSE step
+    x2 = A^{-1} b with A = beta*XX^T + gamma2*I on the eigendecomposition
+    (s, W) of the dataset's smaller gram:
+    A^{-1} b = (b - X W diag(beta/(beta*s + gamma2)) W^T X^T b)/gamma2 by
+    Woodbury from X^T X when M < N, and W diag(1/(beta*s + gamma2)) W^T b
     from X X^T otherwise, with variance chi2 = mean(1/(beta*lambda + gamma2))
     over the spectrum, which sets gamma1 = 1/chi2 - gamma2.
-    Starts at the tilt of the ECState ``warm`` (gamma1 = warm.E,
-    r1 = warm.h/warm.E) when given and warm.E > E_min, else at r1 = 0 and
-    gamma1 at solve_tilt's default origin.  Stops when the tilted mean m
-    moves by at most _VAMP_TOL*max(1, ||m||_inf), where the gradient at its
-    point meets fit's grad_tol.  Returns None when gamma2 <= 0,
-    gamma1 <= E_min, a value is not finite, the move max|dm| is at least
-    what it was _VAMP_WINDOW iterations before, or _VAMP_BUDGET iterations
-    pass without converging.  On criterion 2's grid (70 cold fits) the 48
-    runs that converged took 26-174 iterations and their gradients read at
-    most 1.9e-9 of fit's scale, against grad_tol 1e-8; the 22 that gave up
-    stopped after 2-78.
+
+    ``folds`` is a sequence of K sequences of sample indices, where a
+    negative index is an empty slot.  Problem k fits the dataset without
+    its block F (b drops beta*X_F y_F), and its LMMSE operator
+    A - beta*X_F X_F^T is A's Woodbury downdate, so every problem shares the
+    dataset's (s, W):
+    (A - beta*X_F X_F^T)^{-1} = A^{-1} + A^{-1} X_F C^{-1} X_F^T A^{-1}
+    with C = I/beta - X_F^T A^{-1} X_F, positive definite while gamma2 > 0,
+    and chi2 gains tr(C^{-1} X_F^T A^{-2} X_F)/N.  With d = 1/(beta*s + gamma2),
+    a tall design has V = X_F^T W, C = I/beta - V diag(d) V^T and
+    X_F^T A^{-2} X_F = V diag(d**2) V^T.  A wide one has V = W's rows F, since
+    A^{-1} X = X W diag(d) W^T, so no N x M basis is formed and s is never
+    inverted: C = (gamma2/beta) V diag(d) V^T, because W's rows are
+    orthonormal, and X_F^T A^{-2} X_F = V diag(s*d**2) V^T.  Blocks of
+    unequal size are padded with empty slots, zero samples that change
+    neither XX^T nor X_F y_F; each block size's problems solve their own
+    r x r systems, so an empty slot changes no bit.  With no slot at all
+    the step does no Woodbury work.
+
+    Every problem starts at the tilt of the ECState ``warm`` (gamma1 =
+    warm.E, r1 = warm.h/warm.E) when given and warm.E > E_min, else at
+    r1 = 0 and gamma1 at solve_tilt's default origin.  A problem stops when
+    its tilted mean m moves by at most _VAMP_TOL*max(1, ||m||_inf), where
+    the gradient at its point meets fit's grad_tol.  It gives up (None)
+    when gamma2 <= 0, gamma1 <= E_min, a value is not finite, the move
+    max|dm| is at least what it was _VAMP_WINDOW iterations before, or
+    _VAMP_BUDGET iterations pass without its stop.  A problem that stops
+    or gives up leaves the batch.  On criterion 2's grid (70 cold fits) the
+    48 runs that converged took 26-174 iterations and their gradients read
+    at most 1.9e-9 of fit's scale, against grad_tol 1e-8; the 22 that gave
+    up stopped after 2-78.
     """
     X, (s, W), lam = dataset.X, dataset._thin_eigh, spectrum(dataset)
     E_min = prior.min_tilt()
     n = dataset.n_features
     wide = dataset.n_samples < n
-    bxy = beta * dataset.xy
-    m, steps = None, []
+    K = len(folds)
+    # each block's samples first, in their order, then its empty slots
+    blocks = [[mu for mu in block if mu >= 0] for block in folds]
+    size = np.array([len(block) for block in blocks], dtype=int)
+    F = np.full((K, size.max(initial=0)), -1)
+    for k, block in enumerate(blocks):
+        F[k, :len(block)] = block
+
+    def held_sum(a):
+        """Per problem, the sum of a's rows over its block, slot by slot; an
+        empty slot (index -1) reads the zero row appended to a."""
+        a = np.concatenate([a, np.zeros_like(a[:1])])
+        out = np.zeros((K,) + a.shape[1:])
+        for j in range(F.shape[1]):
+            out += a[F[:, j]]
+        return out
+
+    bxy, V = np.tile(beta * dataset.xy, (K, 1)), np.zeros((K, 0, s.size))
+    if F.size:
+        bxy = beta * (dataset.xy - held_sum(X.T * dataset.y[:, None]))
+        # rows of X^T W (tall) or of W (wide) for the held-out samples
+        V = np.concatenate([W if wide else X.T @ W, np.zeros((1, s.size))])[F]
+    points, beta_s, beta_lam = [None] * K, beta * s, beta * lam
+    live, m, steps = np.arange(K), np.zeros((K, n)), []
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if warm is not None and warm.E > E_min:
-            g1, r1 = warm.E, np.asarray(warm.h, dtype=float) / warm.E
+            g1 = np.full((K, 1), float(warm.E))
+            r1 = np.tile(np.asarray(warm.h, dtype=float) / warm.E, (K, 1))
         else:
-            g1, r1 = _default_tilt_origin(prior, beta, float(lam.sum()) / n), np.zeros(n)
+            # the trace of each problem's gram, over N
+            lam_bar = np.full((K, 1), float(lam.sum()))
+            if F.size:
+                lam_bar -= held_sum(np.einsum("ij,ij->j", X, X))[:, None]
+            g1 = _default_tilt_origin(prior, beta, lam_bar / n)
+            r1 = np.zeros((K, n))
         for _ in range(_VAMP_BUDGET):
-            if not (g1 > E_min and np.isfinite(r1).all()):
-                return None
-            mom = moments(prior, g1 * r1, g1)
-            chi1 = float(mom.variance.sum()) / n
-            if not (chi1 > 0.0 and np.isfinite(mom.mean).all()):
-                return None
+            # rows whose gamma1 left the domain give up before the moments
+            keep = g1[:, 0] > E_min
+            if np.count_nonzero(keep) < keep.size:
+                live, g1, r1, bxy, V, size = (a[keep] for a in (live, g1, r1, bxy, V, size))
+                m, steps = m[keep], [old[keep] for old in steps]
+                if not live.size:
+                    break
+            h = g1 * r1
+            mom = moments(prior, h, g1)
+            chi1 = mom.variance.sum(axis=1, keepdims=True) / n
             g2 = 1.0 / chi1 - g1
-            if not 0.0 < g2 < np.inf:
-                return None
-            step = np.inf if m is None else float(np.abs(mom.mean - m).max())
+            step = np.abs(mom.mean - m).max(axis=1) if steps else np.full(live.size, np.inf)
             m = mom.mean
-            if step <= _VAMP_TOL * max(1.0, float(np.abs(m).max())):
-                return m, g1, g1 * r1
-            if len(steps) >= _VAMP_WINDOW and step >= steps[-_VAMP_WINDOW]:
-                return None
+            m_max = np.abs(m).max(axis=1)
+            # chi1 >= 0, so gamma2 is inf where chi1 = 0; a non-finite r1 or
+            # mean shows as a non-finite m_max
+            ok = (g2[:, 0] > 0.0) & np.isfinite(g2[:, 0] + m_max)
+            moving = step > _VAMP_TOL * np.maximum(1.0, m_max)
+            keep = ok & moving
+            if len(steps) >= _VAMP_WINDOW:
+                keep &= step < steps[-_VAMP_WINDOW]
+            if np.count_nonzero(keep) < keep.size:
+                for k in np.flatnonzero(ok & ~moving):
+                    points[live[k]] = m[k], float(g1[k, 0]), h[k]
+                live, g1, r1, h, bxy, V, size, m, chi1, g2 = (
+                    a[keep] for a in (live, g1, r1, h, bxy, V, size, m, chi1, g2))
+                step, steps = step[keep], [old[keep] for old in steps]
+                if not live.size:
+                    break
             steps.append(step)
-            r2 = (m / chi1 - g1 * r1) / g2
+            r2 = (m / chi1 - h) / g2
             b = bxy + g2 * r2
+            den = beta_s + g2
+            c = (b @ X) @ W if wide else b @ W
+            chi2 = (1.0 / (beta_lam + g2)).sum(axis=1, keepdims=True) / n
+            if F.size:
+                d = 1.0 / den
+                w = s * d if wide else d
+                v, trace = np.zeros_like(c), np.zeros_like(g2)
+                # each block size's own r x r systems: no empty slot enters
+                sizes = np.unique(size)
+                for r in sizes:
+                    g = size == r if sizes.size > 1 else slice(None)
+                    Vg, dg = V[g, :r], d[g]
+                    VgT = Vg.transpose(0, 2, 1)
+                    if wide:
+                        # I/beta - V diag(s*d) V^T without its cancellation
+                        C = (Vg * (g2[g] / beta * dg)[:, None]) @ VgT
+                    else:
+                        C = np.eye(r) / beta - (Vg * dg[:, None]) @ VgT
+                    G = (Vg * (w[g] * dg)[:, None]) @ VgT
+                    uz = np.linalg.solve(C, np.concatenate([Vg @ (dg * c[g])[..., None], G], axis=2))
+                    trace[g, 0] = np.trace(uz[:, :, 1:], axis1=1, axis2=2)
+                    v[g] = (uz[:, None, :, 0] @ Vg)[:, 0]
+                c = c - (g2 / beta) * v if wide else c + v
+                chi2 = chi2 + trace / n
             if wide:
-                x2 = (b - X @ (W @ ((beta / (beta * s + g2)) * (W.T @ (X.T @ b))))) / g2
+                x2 = (b - (((beta / den) * c) @ W.T) @ X.T) / g2
             else:
-                x2 = W @ ((W.T @ b) / (beta * s + g2))
-            chi2 = float((1.0 / (beta * lam + g2)).sum()) / n
+                x2 = (c / den) @ W.T
             g1_new = 1.0 / chi2 - g2
             r1_new = (x2 / chi2 - g2 * r2) / g1_new
             g1 = _VAMP_DAMPING * g1_new + (1.0 - _VAMP_DAMPING) * g1
             r1 = _VAMP_DAMPING * r1_new + (1.0 - _VAMP_DAMPING) * r1
-    return None
+    return points
+
+
+def _vamp_start(dataset, prior, beta, warm=None):
+    """(m, E, h) at fit's fixed point, or None: _vamp's one problem that
+    holds out no sample."""
+    return _vamp(dataset, prior, beta, warm, [()])[0]
 
 
 def fit(dataset, prior, beta, *, warm=None):

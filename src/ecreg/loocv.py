@@ -6,18 +6,21 @@ beta * x_mu^T H^{-1} x_mu from the full-data curvature H.  By
 Sherman-Morrison this is y_mu - x_mu^T m_loo for the estimator without
 sample mu, m_loo = m - (H - beta x_mu x_mu^T)^{-1} beta residual_full x_mu.
 One factorization of H and one triangular solve replace M refits.  The literal
-and k-fold harnesses actually refit and exist to validate that formula.  Each
-returns a LooReport: one table of per-sample arrays in sample order.
+and k-fold harnesses actually refit and exist to validate that formula: one
+batched VAMP pass solves every fold's problem from the full fit's state, on
+the full dataset's eigendecomposition, and core.fit then refits each fold
+from its point.  Each returns a LooReport: one table of per-sample arrays in
+sample order.
 """
 
 import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
 
-from .core import Dataset, fit, hessian
+from .core import Dataset, _vamp, fit, hessian
 from .errors import (ConfigError, DimensionMismatch, DomainError, EcregError, NonConvergence,
                      NotConverged, SingularHessian)
 
@@ -102,8 +105,8 @@ def approx_looe(fit_result, dataset, beta):
 
 
 def _fit_fold(dataset, prior, beta, keep_mask, warm):
-    """Fit on a sample subset from the full fit's state ``warm``; returns
-    (m, converged), with warm.m as m when the refit raises."""
+    """Fit on a sample subset from the state ``warm``; returns (m, converged),
+    with None as m when the refit raises."""
     if not np.any(keep_mask):
         # data-free fold: the estimator is the prior mean
         return np.zeros(dataset.n_features), True
@@ -111,29 +114,43 @@ def _fit_fold(dataset, prior, beta, keep_mask, warm):
     try:
         res = fit(sub, prior, beta, warm=warm)
     except EcregError:
-        return warm.m, False
+        return None, False
     return res.state.m, res.state.converged
 
 
 def _cross_validate(dataset, prior, beta, folds, method):
-    """Refit once per fold of held-out sample indices, warm-started from the
-    full fit's estimator and tilt, and report every sample's held-out residual.
+    """Refit once per fold of held-out sample indices and report every
+    sample's held-out residual.
 
-    Residuals are reduced in index order.  A fold whose refit fails keeps the
-    full-fit prediction and its samples are flagged; the call raises only when
-    more than 5% of folds fail.
+    One batched VAMP pass (core._vamp) runs every fold's problem at once,
+    from the full fit's state, on the full dataset's eigendecomposition.
+    Each fold is then refit by core.fit on its own samples, warm-started
+    from the full state with (m, E, h) replaced by the fold's batched
+    point, so the fold's own VAMP pass confirms that point in a few
+    iterations; a fold whose batched problem gave up starts from the full
+    state itself.  Residuals are reduced in index order.  A fold whose
+    refit fails keeps the full-fit prediction and its samples are flagged;
+    the call raises only when more than 5% of folds fail.
     """
     t0 = time.perf_counter()
     M = dataset.n_samples
-    warm = fit(dataset, prior, beta).state
+    full = fit(dataset, prior, beta).state
+    try:
+        points = _vamp(dataset, prior, beta, full, folds)
+    except np.linalg.LinAlgError:
+        # a Woodbury system singular in rounding: every fold from the full state
+        points = [None] * len(folds)
 
     residuals = np.empty(M)
     flagged = []
     failures = 0
-    for test_idx in folds:
+    for test_idx, point in zip(folds, points):
         keep = np.ones(M, dtype=bool)
         keep[test_idx] = False
+        warm = full if point is None else replace(full, m=point[0], E=point[1], h=point[2])
         m_fold, ok = _fit_fold(dataset, prior, beta, keep, warm)
+        if m_fold is None:
+            m_fold = full.m
         for mu in test_idx:
             # per-sample dot, not a batched product: the accumulation order
             # does not depend on the fold layout, so k = M matches the
@@ -146,17 +163,18 @@ def _cross_validate(dataset, prior, beta, folds, method):
         raise NonConvergence(f"{failures}/{len(folds)} folds failed")
     flagged.sort()
     return LooReport(eps_loo=_loo_eps(residuals, M),
-                     residual_full=dataset.y - dataset.X.T @ warm.m,
+                     residual_full=dataset.y - dataset.X.T @ full.m,
                      residual_loo=residuals, leverage=None, flagged=flagged,
                      method=method, wall_time=time.perf_counter() - t0)
 
 
 def literal_loocv(dataset, prior, beta):
-    """LOO by M refits, each warm-started from the full fit.
+    """LOO by M refits, each warm-started from its point in one batched VAMP
+    pass from the full fit (see _cross_validate).
 
-    Folds run serially in index order.  A fold whose refit fails keeps the
-    full-fit prediction and is flagged; the call raises only when more than
-    5% of folds fail.
+    Folds are refit serially in index order.  A fold whose refit fails keeps
+    the full-fit prediction and is flagged; the call raises only when more
+    than 5% of folds fail.
     """
     folds = [[mu] for mu in range(dataset.n_samples)]
     return _cross_validate(dataset, prior, beta, folds, "literal")
@@ -175,8 +193,10 @@ def _check_kfold(k, seed, M=None):
 
 def kfold_cv(dataset, prior, beta, k, seed=0):
     """k-fold CV: seeded permutation, contiguous blocks, remainder spread
-    one per leading fold.  eps is (1/2M) times the total held-out squared
-    residual, so k = M reproduces literal_loocv exactly.
+    one per leading fold.  The folds run through literal_loocv's engine
+    (_cross_validate); the batched VAMP pass pads the shorter blocks with
+    empty slots.  eps is (1/2M) times the total held-out squared residual,
+    so k = M reproduces literal_loocv exactly.
     """
     M = dataset.n_samples
     _check_kfold(k, seed, M)

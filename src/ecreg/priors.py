@@ -116,16 +116,17 @@ class ScalarMoments:
 
 
 def _check_tilt(prior, E):
-    if not E > prior.min_tilt():
+    if np.count_nonzero(E > prior.min_tilt()) < np.size(E):
         raise IntegrabilityViolation(
-            f"tilted {prior.family} prior needs E > {prior.min_tilt()}, got E = {E}")
+            f"tilted {prior.family} prior needs E > {prior.min_tilt()}, got E = {np.min(E)}")
 
 
 def _slab(prior, E):
     """The parts of the slab tilted by exp(-E*w**2/2 + h*w) that do not depend
     on h: its log partition at h = 0 and its variance s."""
     if prior.family == BERNOULLI_GAUSS:
-        return -0.5 * np.log(1.0 + E * prior.sigma_w2), prior.sigma_w2 / (1.0 + E * prior.sigma_w2)
+        t = 1.0 + E * prior.sigma_w2
+        return -0.5 * np.log(t), prior.sigma_w2 / t
     return 0.5 * np.log(2.0 * np.pi / E), 1.0 / E
 
 
@@ -144,12 +145,16 @@ def _mixture(prior, h, E, slab):
 def moments(prior, h, E):
     """Moments of the prior tilted by exp(-E*w**2/2 + h*w).
 
-    ``h`` may be a scalar or an array; ``E`` is a shared scalar.  Returns
-    exact closed-form values: mean = pi * mu_slab, variance =
+    ``h`` may be a scalar or an array; ``E`` is a scalar or an array that
+    broadcasts against h, such as one column per row of a (K, N) h, and
+    every E must lie above the integrability edge.  Returns exact
+    closed-form values: mean = pi * mu_slab, variance =
     pi * v_slab + pi * (1-pi) * mu_slab**2, pi = rho*Z_slab / ((1-rho) +
     rho*Z_slab), with Z_slab the tilted slab partition function.
     """
-    E = float(E)
+    E = np.asarray(E, dtype=float)
+    if E.size == 1:
+        E = E.item()  # one tilt takes scalar arithmetic, as a float E does
     _check_tilt(prior, E)
     return ScalarMoments(prior, *_mixture(prior, np.asarray(h, dtype=float), E, _slab(prior, E)))
 

@@ -7,6 +7,7 @@ semi-analytic formula and the literal harnesses must both agree with those
 refits, and the formula with a direct rank-one downdate of the curvature.
 """
 
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -17,6 +18,7 @@ from ecreg.core import (
     ECState,
     FitResult,
     FitSettings,
+    _vamp,
     _vamp_start,
     fit,
     hessian,
@@ -32,7 +34,7 @@ from ecreg.errors import (
     SingularHessian,
 )
 from ecreg.loocv import DENOMINATOR_FLOOR, approx_looe, kfold_cv, literal_loocv
-from ecreg.priors import bernoulli_gauss, bernoulli_uniform, invert_mean
+from ecreg.priors import bernoulli_gauss, bernoulli_uniform, invert_mean, moments
 
 
 def _instance(seed, n, m, rho=0.3, sigma_w2=4.0, noise=0.1):
@@ -257,50 +259,85 @@ class TestLiteralLoocv:
         assert np.corrcoef(approx.residual_loo, literal.residual_loo)[0, 1] > 0.99
 
     @staticmethod
-    def _fold_starts(monkeypatch, vamp_gives_up):
-        """(full fit's state, [(warm, VAMP's point, E0 of the first tilt
-        solve)] per fold) of literal_loocv on a small instance."""
-        fits, vamp, first_starts = [], [], []
-        fit_started = [False]
+    def _fold_starts(monkeypatch, batch_gives_up):
+        """(full fit's state, [(batched point, warm state the fold's fit got)]
+        per fold) of literal_loocv on a small instance; with batch_gives_up
+        every batched problem reports a give-up."""
+        fits, points = [], []
 
-        def starting_fit(*args, **kwargs):
-            fit_started[0] = True
-            fits.append(fit(*args, **kwargs))
-            return fits[-1]
+        def recording_fit(dataset, prior, beta, *, warm=None):
+            fits.append((warm, fit(dataset, prior, beta, warm=warm)))
+            return fits[-1][1]
 
-        def recording_vamp(dataset, prior, beta, warm=None):
-            start = None if vamp_gives_up else _vamp_start(dataset, prior, beta, warm)
-            vamp.append((warm, start))
-            return start
+        def recording_vamp(dataset, prior, beta, warm, folds):
+            points.extend(None if batch_gives_up else p
+                          for p in _vamp(dataset, prior, beta, warm, folds))
+            return list(points)
 
-        def recording_solve_tilt(*args, **kwargs):
-            if fit_started[0]:
-                first_starts.append(kwargs.get("E0"))
-                fit_started[0] = False
-            return solve_tilt(*args, **kwargs)
-
-        monkeypatch.setattr("ecreg.loocv.fit", starting_fit)
-        monkeypatch.setattr("ecreg.core._vamp_start", recording_vamp)
-        monkeypatch.setattr("ecreg.core.solve_tilt", recording_solve_tilt)
+        monkeypatch.setattr("ecreg.loocv.fit", recording_fit)
+        monkeypatch.setattr("ecreg.loocv._vamp", recording_vamp)
         literal_loocv(_instance(29, 9, 14), bernoulli_gauss(0.4, 3.0), 5.0)
-        assert len(vamp) == len(first_starts) == 15 and vamp[0][0] is None
-        return fits[0].state, [(w, p, f) for (w, p), f in zip(vamp[1:], first_starts[1:])]
+        assert len(fits) == 15 and fits[0][0] is None and len(points) == 14
+        return fits[0][1].state, [(p, w) for p, (w, _) in zip(points, fits[1:])]
 
     def test_folds_start_from_the_full_fits_tilt(self, monkeypatch):
-        # each fold's VAMP pass starts from the full fit's state, and the
-        # fold's first tilt solve at VAMP's E
-        full, folds = self._fold_starts(monkeypatch, vamp_gives_up=False)
-        for warm, start, first in folds:
-            assert warm is full and start is not None
-            assert first == start[1]
+        # one batched VAMP pass runs every fold from the full fit's tilt;
+        # each fold's fit starts from the full state with (m, E, h) replaced
+        # by its batched point, and keeps the full state's other fields
+        full, folds = self._fold_starts(monkeypatch, batch_gives_up=False)
+        for point, warm in folds:
+            assert point is not None
+            assert warm.m is point[0] and warm.E == point[1] and warm.h is point[2]
+            assert warm.variance is full.variance and warm.chi == full.chi
 
     def test_folds_fall_back_to_the_full_fits_tilt(self, monkeypatch):
-        # where VAMP gives up, the fold's first tilt solve starts at the full
-        # fit's tilt
-        full, folds = self._fold_starts(monkeypatch, vamp_gives_up=True)
-        for warm, start, first in folds:
-            assert warm is full and start is None
-            assert first == full.E
+        # a fold whose batched problem gave up starts from the full state
+        full, folds = self._fold_starts(monkeypatch, batch_gives_up=True)
+        for point, warm in folds:
+            assert point is None and warm is full
+
+    def test_a_singular_woodbury_system_starts_every_fold_from_the_full_fit(
+            self, monkeypatch):
+        fits = []
+
+        def recording_fit(dataset, prior, beta, *, warm=None):
+            fits.append((warm, fit(dataset, prior, beta, warm=warm)))
+            return fits[-1][1]
+
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr("ecreg.loocv.fit", recording_fit)
+        monkeypatch.setattr("ecreg.loocv._vamp", singular)
+        report = literal_loocv(_instance(29, 9, 14), bernoulli_gauss(0.4, 3.0), 5.0)
+        assert report.flagged == [] and len(fits) == 15
+        assert all(warm is fits[0][1].state for warm, _ in fits[1:])
+
+    def test_fold_vamp_confirms_its_batched_point(self, monkeypatch):
+        # from its batched point each fold's own VAMP pass stops within 3
+        # iterations on criterion 8's instance (2 measured), against about
+        # 29 from the full fit's tilt
+        ds, _, _ = gen_synthetic(SynthConfig(N=80, alpha=2.5, rho0=0.2, sigma_w0_sq=4.0,
+                                             sigma_n0_sq=0.25, seed=4))
+        calls, per_fit = [0], []
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return moments(*args, **kwargs)
+
+        def counted_start(*args, **kwargs):
+            before = calls[0]
+            start = _vamp_start(*args, **kwargs)
+            per_fit.append((calls[0] - before, start is not None))
+            return start
+
+        monkeypatch.setattr("ecreg.core.moments", counted)
+        monkeypatch.setattr("ecreg.core._vamp_start", counted_start)
+        report = literal_loocv(ds, bernoulli_gauss(0.2, 4.0), 8.0)
+        folds = per_fit[1:]
+        assert len(folds) == 200 and report.flagged == []
+        assert all(ok for _, ok in folds)
+        assert max(n for n, _ in folds) <= 3
 
     def test_mean_inversions_on_criterion_8(self, monkeypatch):
         # every fit, each fold's included, starts from a VAMP pass whose point
@@ -343,30 +380,34 @@ class TestLiteralLoocv:
     def test_raises_when_folds_fail(self, cross_validate, monkeypatch):
         ds = _instance(27, 25, 20, rho=0.2)
         monkeypatch.setattr(FitSettings, "max_outer", 1)
-        # from zero: VAMP's point would meet grad_tol without a Newton step
+        # from the full fit's state: VAMP's point, a fold's own or its
+        # batched one, would meet grad_tol without a Newton step
         monkeypatch.setattr("ecreg.core._vamp_start", lambda *args: None)
+        monkeypatch.setattr("ecreg.loocv._vamp", lambda *args: [None] * len(args[-1]))
         with pytest.raises(NonConvergence):
             cross_validate(ds, bernoulli_gauss(0.2, 4.0), 20.0)
 
 
     def test_a_fold_that_raises_keeps_the_full_fit(self, monkeypatch):
         # one raising fold of 20 is within the 5% allowance: it is flagged and
-        # its sample keeps the full fit's prediction; the others are unchanged
+        # its sample keeps the full fit's prediction, not its batched point's;
+        # the others are unchanged
         ds = _instance(33, 9, 20)
         prior, beta = bernoulli_gauss(0.4, 3.0), 5.0
         clean = literal_loocv(ds, prior, beta)
         calls = {"n": 0}
+        full_m = fit(ds, prior, beta).state.m
 
         def fit_failing_fold_7(dataset, prior, beta, *, warm=None):
             calls["n"] += 1
             if calls["n"] == 1 + 7 + 1:  # the full fit, then folds 0..7
+                assert not np.array_equal(warm.m, full_m)  # a batched start
                 raise NonConvergence("fold refit failed")
             return fit(dataset, prior, beta, warm=warm)
 
         monkeypatch.setattr("ecreg.loocv.fit", fit_failing_fold_7)
         report = literal_loocv(ds, prior, beta)
         assert report.flagged == [7]
-        full_m = fit(ds, prior, beta).state.m
         assert report.residual_loo[7] == ds.y[7] - ds.X[:, 7] @ full_m
         others = np.arange(20) != 7
         assert np.array_equal(report.residual_loo[others], clean.residual_loo[others])
@@ -390,15 +431,17 @@ class TestKfoldCv:
         report = kfold_cv(ds, prior, beta, k=2, seed=seed)
 
         # rebuild the same contiguous split of the seeded permutation; each
-        # refit starts from the full fit's estimator and tilt, as the folds do
+        # refit starts from the full fit's state with (m, E, h) replaced by
+        # the fold's point from one batched VAMP pass, as the folds do
         perm = np.random.default_rng(seed).permutation(12)
         full = fit(ds, prior, beta).state
+        folds = (perm[:6], perm[6:])
         expected = np.empty(12)
-        for test_idx in (perm[:6], perm[6:]):
+        for test_idx, (m, E, h) in zip(folds, _vamp(ds, prior, beta, full, folds)):
             keep = np.ones(12, dtype=bool)
             keep[test_idx] = False
             sub = Dataset(ds.X[:, keep], ds.y[keep])
-            res = fit(sub, prior, beta, warm=full)
+            res = fit(sub, prior, beta, warm=replace(full, m=m, E=E, h=h))
             for mu in test_idx:
                 expected[mu] = ds.y[mu] - ds.X[:, mu] @ res.state.m
 
@@ -424,3 +467,44 @@ class TestKfoldCv:
         b = kfold_cv(ds, prior, 5.0, k=3, seed=2)
         assert a.eps_loo == b.eps_loo
         assert a.method == "kfold(3)"
+
+
+class TestBatchedVamp:
+    """core._vamp's batched fold points against _vamp_start on each fold's
+    own Dataset, both from the full fit's state."""
+
+    @pytest.mark.parametrize("n, m", [(12, 30), (15, 15), (20, 9)], ids=["tall", "square", "wide"])
+    @pytest.mark.parametrize("prior", [bernoulli_gauss(0.3, 3.0), bernoulli_uniform(0.3)],
+                             ids=["bg", "bu"])
+    @pytest.mark.parametrize("layout", ["literal", "blocks"])
+    def test_matches_serial_fold_passes(self, n, m, prior, layout):
+        ds = _instance(41, n, m)
+        beta = 5.0
+        # the warm state of any prior will do; a cold flat-slab fit on the
+        # wide design raises InfeasibleTilt
+        full = fit(ds, bernoulli_gauss(0.3, 3.0), beta).state
+        folds = ([[mu] for mu in range(m)] if layout == "literal"
+                 else np.array_split(np.random.default_rng(3).permutation(m), 4))
+        points = _vamp(ds, prior, beta, full, folds)
+        assert len(points) == len(folds)
+        for block, point in zip(folds, points):
+            keep = np.ones(m, dtype=bool)
+            keep[block] = False
+            serial = _vamp_start(Dataset(ds.X[:, keep], ds.y[keep]), prior, beta, full)
+            assert (point is None) == (serial is None)
+            if point is not None:
+                scale = max(1.0, float(np.abs(serial[0]).max()))
+                assert np.abs(point[0] - serial[0]).max() <= 1e-12 * scale
+                assert abs(point[1] - serial[1]) <= 1e-12 * max(1.0, abs(serial[1]))
+
+    @pytest.mark.parametrize("n, m", [(12, 30), (20, 9)], ids=["tall", "wide"])
+    def test_empty_slots_change_no_bit(self, n, m):
+        ds = _instance(43, n, m)
+        prior, beta = bernoulli_gauss(0.3, 3.0), 5.0
+        full = fit(ds, prior, beta).state
+        blocks = [[0, 1, 2], [3, 4, 5], [6, 7]]
+        plain = _vamp(ds, prior, beta, full, blocks)
+        for padded in ([b + [-1] for b in blocks], [[-1, -1] + b for b in blocks],
+                       [b[:1] + [-1] + b[1:] for b in blocks]):
+            for p, q in zip(plain, _vamp(ds, prior, beta, full, padded)):
+                assert all(np.array_equal(a, b) for a, b in zip(p, q))
