@@ -38,10 +38,10 @@ normally meets the gradient tolerance, so the Newton loop stops before its
 first step and forms no curvature.  When VAMP leaves its domain, stalls or
 runs out of iterations, Newton solves the fit: from m = 0, or from the warm
 state's m with its first tilt solve at that state's (E, h).  _vamp_start is
-the one-problem case of _vamp, which iterates K problems at once, problem k
-holding out a block of samples by a Woodbury downdate on the full
-dataset's eigendecomposition; cross-validation runs every fold through it
-before refitting each fold from its point.
+the one-problem case of _vamp, which also iterates one problem per held-out
+sample at once, each a rank-one Woodbury downdate on the full dataset's
+eigendecomposition; leave-one-out cross-validation runs every fold through
+it before refitting each fold from its point.
 
 For a pure Gaussian prior (rho = 1 slab) this construction is exact: m is the
 ridge posterior mean and Phi equals the exact negative log evidence with zero
@@ -563,15 +563,15 @@ _VAMP_WINDOW = 20
 _VAMP_DAMPING = 0.7
 
 
-def _vamp(dataset, prior, beta, warm, folds):
-    """Damped VAMP on K problems at once: a list with, per problem, (m, E, h)
-    at fit's fixed point on the dataset without the sample block folds[k],
-    or None.
+def _vamp(dataset, prior, beta, warm, held=None):
+    """Damped VAMP on the dataset, or on each dataset without one sample:
+    [(m, E, h) at fit's fixed point, or None] with one entry, or one per
+    sample index in ``held``.
 
     VAMP (Rangan, Schniter & Fletcher, arXiv:1610.03082) has the EC fixed
     point fit solves for (Opper & Winther, JMLR 2005) as its fixed point,
     with E = gamma1, h = gamma1*r1 and beta*Ltil = gamma2.  Each iteration
-    takes the tilted prior's moments at (gamma1*r1, gamma1), one row per
+    takes the tilted prior's moments at (gamma1*r1, gamma1), one column per
     problem, which set gamma2 = 1/chi1 - gamma1, then the LMMSE step
     x2 = A^{-1} b with A = beta*XX^T + gamma2*I on the eigendecomposition
     (s, W) of the dataset's smaller gram:
@@ -580,23 +580,18 @@ def _vamp(dataset, prior, beta, warm, folds):
     from X X^T otherwise, with variance chi2 = mean(1/(beta*lambda + gamma2))
     over the spectrum, which sets gamma1 = 1/chi2 - gamma2.
 
-    ``folds`` is a sequence of K sequences of sample indices, where a
-    negative index is an empty slot.  Problem k fits the dataset without
-    its block F (b drops beta*X_F y_F), and its LMMSE operator
-    A - beta*X_F X_F^T is A's Woodbury downdate, so every problem shares the
-    dataset's (s, W):
-    (A - beta*X_F X_F^T)^{-1} = A^{-1} + A^{-1} X_F C^{-1} X_F^T A^{-1}
-    with C = I/beta - X_F^T A^{-1} X_F, positive definite while gamma2 > 0,
-    and chi2 gains tr(C^{-1} X_F^T A^{-2} X_F)/N.  With d = 1/(beta*s + gamma2),
-    a tall design has V = X_F^T W, C = I/beta - V diag(d) V^T and
-    X_F^T A^{-2} X_F = V diag(d**2) V^T.  A wide one has V = W's rows F, since
-    A^{-1} X = X W diag(d) W^T, so no N x M basis is formed and s is never
-    inverted: C = (gamma2/beta) V diag(d) V^T, because W's rows are
-    orthonormal, and X_F^T A^{-2} X_F = V diag(s*d**2) V^T.  Blocks of
-    unequal size are padded with empty slots, zero samples that change
-    neither XX^T nor X_F y_F; each block size's problems solve their own
-    r x r systems, so an empty slot changes no bit.  With no slot at all
-    the step does no Woodbury work.
+    The problem that holds out sample mu drops beta*x_mu*y_mu from b, and
+    its LMMSE operator A - beta*x_mu x_mu^T is a rank-one Woodbury downdate
+    of A on the same (s, W):
+    (A - beta*x_mu x_mu^T)^{-1} = A^{-1} + A^{-1} x_mu x_mu^T A^{-1} / C
+    with C = 1/beta - x_mu^T A^{-1} x_mu, positive while gamma2 > 0, and chi2
+    gains x_mu^T A^{-2} x_mu/(C*N).  With d = 1/(beta*s + gamma2), a tall
+    design has v = W^T x_mu, C = 1/beta - sum(v**2*d) and
+    x_mu^T A^{-2} x_mu = sum(v**2*d**2).  A wide one has v = W's row mu,
+    since A^{-1} X = X W diag(d) W^T, so no N x M basis is formed and s is
+    never inverted: C = (gamma2/beta)*sum(v**2*d), because W's rows are
+    orthonormal, and x_mu^T A^{-2} x_mu = sum(v**2*s*d**2).  A C that rounds
+    to zero or below gives its problem up.
 
     Every problem starts at the tilt of the ECState ``warm`` (gamma1 =
     warm.E, r1 = warm.h/warm.E) when given and warm.E > E_min, else at
@@ -615,113 +610,83 @@ def _vamp(dataset, prior, beta, warm, folds):
     E_min = prior.min_tilt()
     n = dataset.n_features
     wide = dataset.n_samples < n
-    K = len(folds)
-    # each block's samples first, in their order, then its empty slots
-    blocks = [[mu for mu in block if mu >= 0] for block in folds]
-    size = np.array([len(block) for block in blocks], dtype=int)
-    F = np.full((K, size.max(initial=0)), -1)
-    for k, block in enumerate(blocks):
-        F[k, :len(block)] = block
+    bxy, beta_s, beta_lam, V = beta * dataset.xy, beta * s, beta * lam, None
 
-    def held_sum(a):
-        """Per problem, the sum of a's rows over its block, slot by slot; an
-        empty slot (index -1) reads the zero row appended to a."""
-        a = np.concatenate([a, np.zeros_like(a[:1])])
-        out = np.zeros((K,) + a.shape[1:])
-        for j in range(F.shape[1]):
-            out += a[F[:, j]]
-        return out
+    def lmmse(b, g2, V):
+        """x2 = A^{-1} b and chi2 of every live problem, problem k downdated
+        by column k of V when V is given.  A function, so that its
+        temporaries are freed before the next moments call: that bounds a
+        batch's peak memory."""
+        den = beta_s + g2
+        c = W.T @ (X.T @ b) if wide else W.T @ b
+        chi2 = (1.0 / (beta_lam + g2)).sum(axis=0) / n
+        if V is not None:
+            vd = V / den
+            q = (vd * V).sum(axis=0)
+            C = g2 / beta * q if wide else 1.0 / beta - q
+            C = np.where(C > 0.0, C, np.nan)
+            u = (vd * c).sum(axis=0) / C
+            c = c - (g2 / beta) * (u * V) if wide else c + u * V
+            chi2 = chi2 + (vd * vd * s[:, None] if wide else vd * vd).sum(axis=0) / (C * n)
+        if wide:
+            return (b - X @ (W @ ((beta / den) * c))) / g2, chi2
+        return W @ (c / den), chi2
 
-    bxy, V = np.tile(beta * dataset.xy, (K, 1)), np.zeros((K, 0, s.size))
-    if F.size:
-        bxy = beta * (dataset.xy - held_sum(X.T * dataset.y[:, None]))
-        # rows of X^T W (tall) or of W (wide) for the held-out samples
-        V = np.concatenate([W if wide else X.T @ W, np.zeros((1, s.size))])[F]
-    points, beta_s, beta_lam = [None] * K, beta * s, beta * lam
-    live, m, steps = np.arange(K), np.zeros((K, n)), []
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if warm is not None and warm.E > E_min:
-            g1 = np.full((K, 1), float(warm.E))
-            r1 = np.tile(np.asarray(warm.h, dtype=float) / warm.E, (K, 1))
+            g1, r1 = warm.E, np.asarray(warm.h, dtype=float) / warm.E
         else:
-            # the trace of each problem's gram, over N
-            lam_bar = np.full((K, 1), float(lam.sum()))
-            if F.size:
-                lam_bar -= held_sum(np.einsum("ij,ij->j", X, X))[:, None]
-            g1 = _default_tilt_origin(prior, beta, lam_bar / n)
-            r1 = np.zeros((K, n))
+            g1, r1 = _default_tilt_origin(prior, beta, float(lam.sum()) / n), np.zeros(n)
+        if held is not None:
+            # problem k is column k, and its scalars entry k
+            held = np.asarray(held, dtype=int)
+            live, points = np.arange(held.size), [None] * held.size
+            g1, r1 = np.full(held.size, g1), np.repeat(r1[:, None], held.size, axis=1)
+            bxy = beta * (dataset.xy[:, None] - X[:, held] * dataset.y[held])
+            beta_s, beta_lam = beta_s[:, None], beta_lam[:, None]
+            # W^T x_mu (tall) or W's row mu (wide)
+            V = W[held].T if wide else W.T @ X[:, held]
+        m, steps = None, []
         for _ in range(_VAMP_BUDGET):
-            # rows whose gamma1 left the domain give up before the moments
-            keep = g1[:, 0] > E_min
-            if np.count_nonzero(keep) < keep.size:
-                live, g1, r1, bxy, V, size = (a[keep] for a in (live, g1, r1, bxy, V, size))
-                m, steps = m[keep], [old[keep] for old in steps]
-                if not live.size:
-                    break
             h = g1 * r1
             mom = moments(prior, h, g1)
-            chi1 = mom.variance.sum(axis=1, keepdims=True) / n
+            chi1 = mom.variance.sum(axis=0) / n
             g2 = 1.0 / chi1 - g1
-            step = np.abs(mom.mean - m).max(axis=1) if steps else np.full(live.size, np.inf)
+            step = np.full(np.shape(g1), np.inf) if m is None else np.abs(mom.mean - m).max(axis=0)
             m = mom.mean
-            m_max = np.abs(m).max(axis=1)
+            del mom  # a batch's peak memory: the LMMSE step needs only m
+            m_scale = np.abs(m).max(axis=0, initial=1.0)
             # chi1 >= 0, so gamma2 is inf where chi1 = 0; a non-finite r1 or
-            # mean shows as a non-finite m_max
-            ok = (g2[:, 0] > 0.0) & np.isfinite(g2[:, 0] + m_max)
-            moving = step > _VAMP_TOL * np.maximum(1.0, m_max)
-            keep = ok & moving
+            # mean shows as a non-finite m_scale
+            ok = (g2 > 0.0) & (g2 + m_scale < np.inf)
+            moving = step > _VAMP_TOL * m_scale
+            r2 = (m / chi1 - h) / g2
+            x2, chi2 = lmmse(bxy + g2 * r2, g2, V)
+            g1_new = 1.0 / chi2 - g2
+            E, g1 = g1, _VAMP_DAMPING * g1_new + (1.0 - _VAMP_DAMPING) * g1
+            r1 = _VAMP_DAMPING * ((x2 / chi2 - g2 * r2) / g1_new) + (1.0 - _VAMP_DAMPING) * r1
+            # a problem whose gamma1 left the domain gives up before the moments
+            keep = ok & moving & (g1 > E_min)
             if len(steps) >= _VAMP_WINDOW:
                 keep &= step < steps[-_VAMP_WINDOW]
-            if np.count_nonzero(keep) < keep.size:
-                for k in np.flatnonzero(ok & ~moving):
-                    points[live[k]] = m[k], float(g1[k, 0]), h[k]
-                live, g1, r1, h, bxy, V, size, m, chi1, g2 = (
-                    a[keep] for a in (live, g1, r1, h, bxy, V, size, m, chi1, g2))
-                step, steps = step[keep], [old[keep] for old in steps]
+            steps.append(step)
+            if not keep.all():
+                done = ok & ~moving
+                if held is None:
+                    return [(m, float(E), h) if done else None]
+                for k in np.flatnonzero(done):
+                    points[live[k]] = m[:, k].copy(), float(E[k]), h[:, k].copy()
+                live, g1, r1, bxy, m, V = (a[..., keep] for a in (live, g1, r1, bxy, m, V))
+                steps = [old[keep] for old in steps]
                 if not live.size:
                     break
-            steps.append(step)
-            r2 = (m / chi1 - h) / g2
-            b = bxy + g2 * r2
-            den = beta_s + g2
-            c = (b @ X) @ W if wide else b @ W
-            chi2 = (1.0 / (beta_lam + g2)).sum(axis=1, keepdims=True) / n
-            if F.size:
-                d = 1.0 / den
-                w = s * d if wide else d
-                v, trace = np.zeros_like(c), np.zeros_like(g2)
-                # each block size's own r x r systems: no empty slot enters
-                sizes = np.unique(size)
-                for r in sizes:
-                    g = size == r if sizes.size > 1 else slice(None)
-                    Vg, dg = V[g, :r], d[g]
-                    VgT = Vg.transpose(0, 2, 1)
-                    if wide:
-                        # I/beta - V diag(s*d) V^T without its cancellation
-                        C = (Vg * (g2[g] / beta * dg)[:, None]) @ VgT
-                    else:
-                        C = np.eye(r) / beta - (Vg * dg[:, None]) @ VgT
-                    G = (Vg * (w[g] * dg)[:, None]) @ VgT
-                    uz = np.linalg.solve(C, np.concatenate([Vg @ (dg * c[g])[..., None], G], axis=2))
-                    trace[g, 0] = np.trace(uz[:, :, 1:], axis1=1, axis2=2)
-                    v[g] = (uz[:, None, :, 0] @ Vg)[:, 0]
-                c = c - (g2 / beta) * v if wide else c + v
-                chi2 = chi2 + trace / n
-            if wide:
-                x2 = (b - (((beta / den) * c) @ W.T) @ X.T) / g2
-            else:
-                x2 = (c / den) @ W.T
-            g1_new = 1.0 / chi2 - g2
-            r1_new = (x2 / chi2 - g2 * r2) / g1_new
-            g1 = _VAMP_DAMPING * g1_new + (1.0 - _VAMP_DAMPING) * g1
-            r1 = _VAMP_DAMPING * r1_new + (1.0 - _VAMP_DAMPING) * r1
-    return points
+    return [None] if held is None else points
 
 
 def _vamp_start(dataset, prior, beta, warm=None):
-    """(m, E, h) at fit's fixed point, or None: _vamp's one problem that
+    """(m, E, h) at fit's fixed point, or None: _vamp's one problem, which
     holds out no sample."""
-    return _vamp(dataset, prior, beta, warm, [()])[0]
+    return _vamp(dataset, prior, beta, warm)[0]
 
 
 def fit(dataset, prior, beta, *, warm=None):

@@ -6,11 +6,11 @@ beta * x_mu^T H^{-1} x_mu from the full-data curvature H.  By
 Sherman-Morrison this is y_mu - x_mu^T m_loo for the estimator without
 sample mu, m_loo = m - (H - beta x_mu x_mu^T)^{-1} beta residual_full x_mu.
 One factorization of H and one triangular solve replace M refits.  The literal
-and k-fold harnesses actually refit and exist to validate that formula: one
-batched VAMP pass solves every fold's problem from the full fit's state, on
-the full dataset's eigendecomposition, and core.fit then refits each fold
-from its point.  Each returns a LooReport: one table of per-sample arrays in
-sample order.
+and k-fold harnesses actually refit and exist to validate that formula.  When
+every fold holds out one sample, one batched VAMP pass solves every fold's
+problem from the full fit's state on the full dataset's eigendecomposition,
+and core.fit then refits each fold from its point.  Each returns a
+LooReport: one table of per-sample arrays in sample order.
 """
 
 import numbers
@@ -122,23 +122,23 @@ def _cross_validate(dataset, prior, beta, folds, method):
     """Refit once per fold of held-out sample indices and report every
     sample's held-out residual.
 
-    One batched VAMP pass (core._vamp) runs every fold's problem at once,
-    from the full fit's state, on the full dataset's eigendecomposition.
-    Each fold is then refit by core.fit on its own samples, warm-started
-    from the full state with (m, E, h) replaced by the fold's batched
-    point, so the fold's own VAMP pass confirms that point in a few
-    iterations; a fold whose batched problem gave up starts from the full
-    state itself.  Residuals are reduced in index order.  A fold whose
+    When every fold holds out one sample, one batched VAMP pass (core._vamp)
+    runs every fold's problem at once, from the full fit's state, on the
+    full dataset's eigendecomposition.  Each fold is then refit by core.fit
+    on its own samples, warm-started from the full state with (m, E, h)
+    replaced by the fold's batched point, so the fold's own VAMP pass
+    confirms that point in a few iterations.  A fold whose batched problem
+    gave up, and every fold of a layout with larger blocks, starts from the
+    full state itself.  Residuals are reduced in index order.  A fold whose
     refit fails keeps the full-fit prediction and its samples are flagged;
     the call raises only when more than 5% of folds fail.
     """
     t0 = time.perf_counter()
     M = dataset.n_samples
     full = fit(dataset, prior, beta).state
-    try:
-        points = _vamp(dataset, prior, beta, full, folds)
-    except np.linalg.LinAlgError:
-        # a Woodbury system singular in rounding: every fold from the full state
+    if all(len(test_idx) == 1 for test_idx in folds):
+        points = _vamp(dataset, prior, beta, full, [test_idx[0] for test_idx in folds])
+    else:
         points = [None] * len(folds)
 
     residuals = np.empty(M)
@@ -193,10 +193,10 @@ def _check_kfold(k, seed, M=None):
 
 def kfold_cv(dataset, prior, beta, k, seed=0):
     """k-fold CV: seeded permutation, contiguous blocks, remainder spread
-    one per leading fold.  The folds run through literal_loocv's engine
-    (_cross_validate); the batched VAMP pass pads the shorter blocks with
-    empty slots.  eps is (1/2M) times the total held-out squared residual,
-    so k = M reproduces literal_loocv exactly.
+    one per leading fold.  Every fold is refit from the full fit's state,
+    except at k = M, whose folds take literal_loocv's batched VAMP starts.
+    eps is (1/2M) times the total held-out squared residual, so k = M
+    reproduces literal_loocv exactly.
     """
     M = dataset.n_samples
     _check_kfold(k, seed, M)

@@ -116,7 +116,10 @@ class ScalarMoments:
 
 
 def _check_tilt(prior, E):
-    if np.count_nonzero(E > prior.min_tilt()) < np.size(E):
+    """IntegrabilityViolation unless the float E, or every entry of the
+    array E, lies above the integrability edge."""
+    above = E > prior.min_tilt()
+    if not (above if isinstance(E, float) else above.all()):
         raise IntegrabilityViolation(
             f"tilted {prior.family} prior needs E > {prior.min_tilt()}, got E = {np.min(E)}")
 
@@ -146,7 +149,7 @@ def moments(prior, h, E):
     """Moments of the prior tilted by exp(-E*w**2/2 + h*w).
 
     ``h`` may be a scalar or an array; ``E`` is a scalar or an array that
-    broadcasts against h, such as one column per row of a (K, N) h, and
+    broadcasts against h, such as one entry per column of an (N, K) h, and
     every E must lie above the integrability edge.  Returns exact
     closed-form values: mean = pi * mu_slab, variance =
     pi * v_slab + pi * (1-pi) * mu_slab**2, pi = rho*Z_slab / ((1-rho) +

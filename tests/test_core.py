@@ -1166,7 +1166,7 @@ class TestVampStart:
         first = []
 
         def recorded(prior, h, E):
-            first.append((h[0], E[0, 0]))  # the one row of a batch of one
+            first.append((h, E))
             return moments(prior, h, E)
 
         monkeypatch.setattr("ecreg.core.moments", recorded)

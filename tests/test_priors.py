@@ -194,24 +194,24 @@ class TestMomentsStructure:
 
     @pytest.mark.parametrize("prior", [bernoulli_gauss(0.3, 2.0), bernoulli_uniform(0.3)])
     def test_column_of_tilts_matches_scalar_calls(self, prior):
-        # one E per row of a (K, N) h, as batched VAMP calls it
+        # one E per column of an (N, K) h, as batched VAMP calls it
         rng = np.random.default_rng(13)
-        h = rng.normal(0.0, 3.0, size=(4, 9))
-        E = np.array([[0.1], [0.7], [2.5], [40.0]])
+        h = rng.normal(0.0, 3.0, size=(9, 4))
+        E = np.array([0.1, 0.7, 2.5, 40.0])
         batch = moments(prior, h, E)
         for k in range(4):
-            one = moments(prior, h[k], float(E[k, 0]))
+            one = moments(prior, h[:, k], float(E[k]))
             for field in ("mean", "variance", "inclusion_prob", "log_partition",
                           "kappa3", "kappa4"):
-                assert np.array_equal(getattr(batch, field)[k], getattr(one, field)), field
+                assert np.array_equal(getattr(batch, field)[:, k], getattr(one, field)), field
 
     @pytest.mark.parametrize("prior", [bernoulli_gauss(0.3, 2.0), bernoulli_uniform(0.3)])
     def test_column_of_tilts_checks_every_tilt(self, prior):
-        h = np.ones((3, 2))
+        h = np.ones((2, 3))
         edge = prior.min_tilt()
         for bad in (edge, edge - 1.0, np.nan):
             with pytest.raises(IntegrabilityViolation):
-                moments(prior, h, np.array([[1.0], [bad], [2.0]]))
+                moments(prior, h, np.array([1.0, bad, 2.0]))
 
 
 class TestMomentsDerivatives:
