@@ -40,8 +40,11 @@ runs out of iterations, Newton solves the fit: from m = 0, or from the warm
 state's m with its first tilt solve at that state's (E, h).  _vamp_start is
 the one-problem case of _vamp, which also iterates one problem per held-out
 sample at once, each a rank-one Woodbury downdate on the full dataset's
-eigendecomposition; leave-one-out cross-validation runs every fold through
-it before refitting each fold from its point.
+eigendecomposition.  Leave-one-out cross-validation runs every fold through
+it, then refits each fold whose problem stopped from its batched point with
+no VAMP pass of its own: the fold's Newton loop starts there and certifies
+it by the gradient test on the fold's own data, and the fold's dataset
+takes its eigenvalues from eigvalsh, with no eigenvectors.
 
 For a pure Gaussian prior (rho = 1 slab) this construction is exact: m is the
 ridge posterior mean and Phi equals the exact negative log evidence with zero
@@ -81,10 +84,11 @@ class Dataset:
 
     Immutable by convention; the gram matrix, X y, and the eigenvalues of
     X X^T are computed lazily once and shared by every fit on the dataset.
-    The eigenvalues come from one eigendecomposition W diag(s) W^T of the
-    smaller gram, X^T X (M x M) on a wide design (M < N) and X X^T
-    otherwise, with N - M exact zeros padded on a wide one; (s, W) stay
-    cached for fit's VAMP start, and no N x M basis is stored.
+    The eigenvalues are those of the smaller gram, X^T X (M x M) on a wide
+    design (M < N) and X X^T otherwise, padded with N - M exact zeros on a
+    wide one.  fit's VAMP start caches that gram's eigendecomposition
+    W diag(s) W^T, and no N x M basis is stored; the eigenvalues are s when
+    (s, W) is cached before they are first read, and from eigvalsh otherwise.
     """
 
     def __init__(self, X, y):
@@ -128,20 +132,28 @@ class Dataset:
     def xy(self):
         return self.X @ self.y
 
-    @cached_property
-    def _thin_eigh(self):
-        """(s, W), ascending: the eigendecomposition W diag(s) W^T of the
-        smaller gram, X^T X when M < N and X X^T otherwise."""
+    def _smaller_gram(self, solver):
+        """solver (np.linalg.eigh or eigvalsh) on the smaller gram, X^T X
+        when M < N and X X^T otherwise; DecompositionFailure if it fails."""
         n, m = self.X.shape
         try:
-            return np.linalg.eigh(self.X.T @ self.X if m < n else self.gram)
+            return solver(self.X.T @ self.X if m < n else self.gram)
         except np.linalg.LinAlgError as exc:
             raise DecompositionFailure(str(exc)) from exc
 
     @cached_property
+    def _thin_eigh(self):
+        """(s, W), ascending: the eigendecomposition W diag(s) W^T of the
+        smaller gram."""
+        return self._smaller_gram(np.linalg.eigh)
+
+    @cached_property
     def _spectrum(self):
         n, m = self.X.shape
-        lam = np.concatenate([np.zeros(max(n - m, 0)), self._thin_eigh[0]])
+        # an eigendecomposition a VAMP pass cached, or the eigenvalues alone
+        s = (self._thin_eigh[0] if "_thin_eigh" in self.__dict__
+             else self._smaller_gram(np.linalg.eigvalsh))
+        lam = np.concatenate([np.zeros(max(n - m, 0)), s])
         # the clamp also lifts a rounding-negative s, so lam stays ascending
         lam_max = float(lam[-1]) if lam.size else 0.0
         if lam_max <= 0.0:
@@ -153,7 +165,9 @@ class Dataset:
 
 def spectrum(dataset):
     """Cached ascending eigenvalues of the dataset's gram matrix X X^T, with
-    those below 1e-12 times the largest clamped to zero."""
+    those below 1e-12 times the largest clamped to zero: the dataset's cached
+    eigendecomposition's when a fit has formed it, else eigvalsh's, which
+    can differ in the last bits.  DecompositionFailure when the solve fails."""
     return dataset._spectrum
 
 
@@ -689,7 +703,7 @@ def _vamp_start(dataset, prior, beta, warm=None):
     return _vamp(dataset, prior, beta, warm)[0]
 
 
-def fit(dataset, prior, beta, *, warm=None):
+def fit(dataset, prior, beta, *, warm=None, _vamp_point=None):
     """Minimize the free energy: VAMP, then damped Newton; deterministic.
 
     Each Newton step follows the module docstring: it re-solves the tilt at m,
@@ -717,6 +731,12 @@ def fit(dataset, prior, beta, *, warm=None):
     _vamp_start returns None, the loop starts at warm.m with the first tilt
     solve at (warm.E, warm.h), or without ``warm`` at m = 0 and
     solve_tilt's default start.
+
+    ``_vamp_point``, private to cross-validation, is an (m, E, h) that a
+    VAMP pass on this problem already reached (a literal fold's batched
+    point): fit then runs no _vamp_start and reads no ``warm``, so the
+    spectrum comes from eigvalsh and no eigenvectors are formed, and the
+    Newton loop starts there, unchanged.
     """
     if not 0.0 < beta < np.inf:
         raise DomainError(f"beta must be finite and positive, got {beta}")
@@ -724,7 +744,7 @@ def fit(dataset, prior, beta, *, warm=None):
     m, E0, h0 = np.zeros(n), None, None
     if warm is not None and (np.shape(warm.m) != (n,) or np.shape(warm.h) != (n,)):
         raise DimensionMismatch(f"warm state's m and h must have shape ({n},)")
-    start = _vamp_start(dataset, prior, beta, warm)
+    start = _vamp_point if _vamp_point is not None else _vamp_start(dataset, prior, beta, warm)
     if start is not None:
         m, E0, h0 = start
     elif warm is not None:

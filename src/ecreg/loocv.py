@@ -9,13 +9,14 @@ One factorization of H and one triangular solve replace M refits.  The literal
 and k-fold harnesses actually refit and exist to validate that formula.  When
 every fold holds out one sample, one batched VAMP pass solves every fold's
 problem from the full fit's state on the full dataset's eigendecomposition,
-and core.fit then refits each fold from its point.  Each returns a
-LooReport: one table of per-sample arrays in sample order.
+and core.fit then refits each fold from its point with no VAMP pass or
+eigendecomposition of its own.  Each returns a LooReport: one table of
+per-sample arrays in sample order.
 """
 
 import numbers
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -104,15 +105,16 @@ def approx_looe(fit_result, dataset, beta):
                      wall_time=time.perf_counter() - t0)
 
 
-def _fit_fold(dataset, prior, beta, keep_mask, warm):
-    """Fit on a sample subset from the state ``warm``; returns (m, converged),
-    with None as m when the refit raises."""
+def _fit_fold(dataset, prior, beta, keep_mask, warm, point):
+    """Fit on a sample subset from its VAMP point ``point`` (m, E, h), or
+    from the state ``warm`` when point is None; returns (m, converged), with
+    None as m when the refit raises."""
     if not np.any(keep_mask):
         # data-free fold: the estimator is the prior mean
         return np.zeros(dataset.n_features), True
     sub = Dataset(dataset.X[:, keep_mask], dataset.y[keep_mask])
     try:
-        res = fit(sub, prior, beta, warm=warm)
+        res = fit(sub, prior, beta, warm=warm, _vamp_point=point)
     except EcregError:
         return None, False
     return res.state.m, res.state.converged
@@ -124,12 +126,14 @@ def _cross_validate(dataset, prior, beta, folds, method):
 
     When every fold holds out one sample, one batched VAMP pass (core._vamp)
     runs every fold's problem at once, from the full fit's state, on the
-    full dataset's eigendecomposition.  Each fold is then refit by core.fit
-    on its own samples, warm-started from the full state with (m, E, h)
-    replaced by the fold's batched point, so the fold's own VAMP pass
-    confirms that point in a few iterations.  A fold whose batched problem
-    gave up, and every fold of a layout with larger blocks, starts from the
-    full state itself.  Residuals are reduced in index order.  A fold whose
+    full dataset's eigendecomposition.  Each fold whose batched problem
+    stopped is then refit by core.fit on its own samples from its batched
+    point (m, E, h): fit runs no VAMP pass for it, decomposes nothing but
+    the eigenvalues of the fold's gram, and its Newton loop certifies the
+    point by the gradient test on the fold's data, stepping when it fails.
+    A fold whose batched problem gave up, and every fold of a layout with
+    larger blocks, is refit warm-started from the full state, through its
+    own VAMP pass.  Residuals are reduced in index order.  A fold whose
     refit fails keeps the full-fit prediction and its samples are flagged;
     the call raises only when more than 5% of folds fail.
     """
@@ -147,8 +151,7 @@ def _cross_validate(dataset, prior, beta, folds, method):
     for test_idx, point in zip(folds, points):
         keep = np.ones(M, dtype=bool)
         keep[test_idx] = False
-        warm = full if point is None else replace(full, m=point[0], E=point[1], h=point[2])
-        m_fold, ok = _fit_fold(dataset, prior, beta, keep, warm)
+        m_fold, ok = _fit_fold(dataset, prior, beta, keep, full, point)
         if m_fold is None:
             m_fold = full.m
         for mu in test_idx:
@@ -169,8 +172,10 @@ def _cross_validate(dataset, prior, beta, folds, method):
 
 
 def literal_loocv(dataset, prior, beta):
-    """LOO by M refits, each warm-started from its point in one batched VAMP
-    pass from the full fit (see _cross_validate).
+    """LOO by M refits, each started at its point in one batched VAMP pass
+    from the full fit, with no VAMP pass or eigenvectors of its own, or,
+    where its batched problem gave up, warm-started from the full fit (see
+    _cross_validate).
 
     Folds are refit serially in index order.  A fold whose refit fails keeps
     the full-fit prediction and is flagged; the call raises only when more
@@ -193,8 +198,9 @@ def _check_kfold(k, seed, M=None):
 
 def kfold_cv(dataset, prior, beta, k, seed=0):
     """k-fold CV: seeded permutation, contiguous blocks, remainder spread
-    one per leading fold.  Every fold is refit from the full fit's state,
-    except at k = M, whose folds take literal_loocv's batched VAMP starts.
+    one per leading fold.  Every fold is refit warm-started from the full
+    fit's state, except at k = M, whose folds start at literal_loocv's
+    batched VAMP points.
     eps is (1/2M) times the total held-out squared residual, so k = M
     reproduces literal_loocv exactly.
     """

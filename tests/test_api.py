@@ -73,11 +73,12 @@ def test_benchmark_traced_names_resolve():
 def test_start_and_tolerance_options_are_pinned():
     # fit has one warm start (a whole earlier state) and fixed bounds, which
     # no entry point, CLI flag or FitSettings argument overrides; a new start
-    # or tolerance option has to change this test
+    # or tolerance option has to change this test.  _vamp_point is private to
+    # cross-validation: a literal fold starts at its batched VAMP point
     def names(fn):
         return list(inspect.signature(fn).parameters)
 
-    assert names(ecreg.fit) == ["dataset", "prior", "beta", "warm"]
+    assert names(ecreg.fit) == ["dataset", "prior", "beta", "warm", "_vamp_point"]
     assert names(ecreg.core.solve_tilt) == ["m", "prior", "beta", "lam", "E0", "h0"]
     assert names(ecreg.core.solve_lambda) == ["lam", "beta", "chi"]
     assert names(ecreg.sweep) == ["dataset", "family", "grid"]

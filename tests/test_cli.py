@@ -333,6 +333,33 @@ class TestSweep:
         assert rc == 2
 
 
+    def test_calibrate_then_sweep_decompose_each_dataset_once(self, tmp_path, monkeypatch):
+        # the benchmark's CLI pair on two datasets: every fit runs VAMP first,
+        # so each dataset's spectrum is its eigendecomposition's, with no
+        # eigenvalue-only solve
+        calls = {"eigh": 0, "eigvalsh": 0}
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        cal, swp = tmp_path / "cal", tmp_path / "swp"
+        cal.mkdir()
+        swp.mkdir()
+        cal_paths, swp_paths = _synth(cal), _synth(swp, seed=4)
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        assert main(["calibrate", "--data", cal_paths["train"], "--family", "bg",
+                     "--sigma-w2", "4", "--k-target", "8", "--beta-grid", "4,8",
+                     "--out", str(cal / "cal.csv")]) == 0
+        assert main(["sweep", "--data", swp_paths["train"], "--family", "bu",
+                     "--beta-grid", "1,4", "--rho-grid", "0.1,0.2",
+                     "--out", str(swp / "sweep.csv")]) == 0
+        assert calls == {"eigh": 2, "eigvalsh": 0}
+
+
 class TestCalibrate:
     def test_selects_minimum_loo_beta(self, tmp_path, capsys):
         paths = _synth(tmp_path)

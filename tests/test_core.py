@@ -203,10 +203,9 @@ class TestSpectrum:
         clamped = np.where(s < 1e-12 * s[-1], 0.0, s)
         assert np.array_equal(spectrum(ds), np.concatenate([np.zeros(max(n - m, 0)), clamped]))
 
-    def test_tall_literal_loo_decomposes_each_gram_once(self, monkeypatch):
-        # every fold keeps M - 1 >= N samples; the full fit and each of the M
-        # refits decompose their gram once, and no eigenvalue-only solve runs
-        ds = _random_instance(6, 8, 20)
+    @staticmethod
+    def _solver_calls(monkeypatch):
+        """A dict counting each later np.linalg.eigh and eigvalsh call."""
         calls = {"eigh": 0, "eigvalsh": 0}
 
         def counted(name, real):
@@ -217,9 +216,33 @@ class TestSpectrum:
 
         for name in calls:
             monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        return calls
+
+    def test_tall_literal_loo_decomposes_each_gram_once(self, monkeypatch):
+        # every fold keeps M - 1 >= N samples; the full fit decomposes its
+        # gram, and each of the M refits starts at its batched VAMP point and
+        # solves for its gram's eigenvalues only
+        ds = _random_instance(6, 8, 20)
+        calls = self._solver_calls(monkeypatch)
         report = literal_loocv(ds, bernoulli_gauss(0.3, 4.0), 4.0)
         assert report.flagged == []
-        assert calls == {"eigh": ds.n_samples + 1, "eigvalsh": 0}
+        assert calls == {"eigh": 1, "eigvalsh": ds.n_samples}
+
+    def test_wide_literal_loo_decomposes_each_gram_once(self, monkeypatch):
+        # the same on a wide design, where each gram is the fold's X^T X
+        ds = _random_instance(6, 20, 8)
+        calls = self._solver_calls(monkeypatch)
+        report = literal_loocv(ds, bernoulli_gauss(0.3, 4.0), 4.0)
+        assert report.flagged == []
+        assert calls == {"eigh": 1, "eigvalsh": ds.n_samples}
+
+    def test_a_fit_and_its_loo_formula_decompose_once(self, monkeypatch):
+        # the benchmark's wide fit and the CLI's fits: VAMP runs first, so the
+        # spectrum is the eigendecomposition's and no eigenvalue-only solve runs
+        ds = _random_instance(6, 20, 8)
+        calls = self._solver_calls(monkeypatch)
+        approx_looe(fit(ds, bernoulli_gauss(0.3, 4.0), 4.0), ds, 4.0)
+        assert calls == {"eigh": 1, "eigvalsh": 0}
 
     @pytest.mark.parametrize("n, m", [(6, 15), (15, 6)], ids=["tall", "wide"])
     def test_failed_decomposition_is_decomposition_failure(self, n, m, monkeypatch):
@@ -227,10 +250,44 @@ class TestSpectrum:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigh", failed)
+        monkeypatch.setattr(np.linalg, "eigvalsh", failed)
         with pytest.raises(DecompositionFailure, match="did not converge"):
             spectrum(_random_instance(5, n, m))
         with pytest.raises(DecompositionFailure, match="did not converge"):
             fit(_random_instance(5, n, m), bernoulli_gauss(0.3, 4.0), 4.0)
+
+    def test_literal_fold_whose_eigenvalues_fail_is_flagged(self, monkeypatch):
+        # the refit holding out sample 3 cannot solve for its eigenvalues: its
+        # DecompositionFailure flags the fold (one of 20 is within the 5%
+        # allowance) and the other folds keep their residuals
+        ds = _random_instance(6, 8, 20)
+        prior, beta = bernoulli_gauss(0.3, 4.0), 4.0
+        clean = literal_loocv(ds, prior, beta)
+        real, calls = np.linalg.eigvalsh, [0]
+
+        def failing_fold_3(a, *args, **kwargs):
+            calls[0] += 1
+            if calls[0] == 3 + 1:  # folds 0..3, the full fit taking eigh
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing_fold_3)
+        report = literal_loocv(ds, prior, beta)
+        assert report.flagged == [3]
+        others = np.arange(20) != 3
+        assert np.array_equal(report.residual_loo[others], clean.residual_loo[others])
+
+    @pytest.mark.parametrize("n, m", [(8, 20), (20, 8)], ids=["tall", "wide"])
+    def test_spectrum_read_before_the_fit(self, n, m):
+        # read first, the spectrum comes from eigvalsh and VAMP's basis from
+        # eigh; the two agree to rounding, and so do the fits
+        prior, beta = bernoulli_gauss(0.3, 4.0), 4.0
+        fit_first = fit(_random_instance(6, n, m), prior, beta).state
+        ds = _random_instance(6, n, m)
+        spectrum(ds)
+        read_first = fit(ds, prior, beta).state
+        assert read_first.converged
+        assert np.max(np.abs(read_first.m - fit_first.m)) <= 1e-9
 
 
 class TestSolveLambda:
@@ -1066,8 +1123,11 @@ class TestFit:
     def test_wide_fit_and_loo_are_pinned_to_the_bit(self, start, monkeypatch):
         ds = _random_instance(5, 8, 5)
         if start == "newton":
-            # from zero, so the Newton steps read the cumulants
-            monkeypatch.setattr("ecreg.core._vamp_start", lambda *args: None)
+            # from zero, so the Newton steps read the cumulants; the spectrum
+            # comes from the eigendecomposition, which VAMP forms before it
+            # gives up
+            monkeypatch.setattr("ecreg.core._vamp_start",
+                                lambda dataset, *args: dataset._thin_eigh and None)
         result = fit(ds, bernoulli_gauss(0.3, 4.0), 4.0)
         m, free_energy, eps_loo = self._PINNED[start]
         assert result.state.converged

@@ -414,10 +414,10 @@ class TestTableCsv:
         # residuals, and its failed fold's sample flagged
         fit_fold = ecreg.loocv._fit_fold
 
-        def failing_at_sample_2(dataset, prior, beta, keep_mask, warm):
+        def failing_at_sample_2(dataset, prior, beta, keep_mask, warm, point):
             if not keep_mask[2]:
                 return warm.m, False
-            return fit_fold(dataset, prior, beta, keep_mask, warm)
+            return fit_fold(dataset, prior, beta, keep_mask, warm, point)
 
         monkeypatch.setattr("ecreg.loocv._fit_fold", failing_at_sample_2)
         rng = np.random.default_rng(13)

@@ -20,6 +20,7 @@ from ecreg.core import (
     _vamp,
     _vamp_start,
     fit,
+    gradient,
     hessian,
     solve_tilt,
 )
@@ -259,14 +260,15 @@ class TestLiteralLoocv:
 
     @staticmethod
     def _fold_starts(monkeypatch, batch_gives_up):
-        """(full fit's state, [(batched point, warm state the fold's fit got)]
-        per fold) of literal_loocv on a small instance; with batch_gives_up
-        every batched problem reports a give-up."""
+        """(full fit's state, [(batched point, the fold fit's warm state and
+        _vamp_point)] per fold) of literal_loocv on a small instance; with
+        batch_gives_up every batched problem reports a give-up."""
         fits, points = [], []
 
-        def recording_fit(dataset, prior, beta, *, warm=None):
-            fits.append((warm, fit(dataset, prior, beta, warm=warm)))
-            return fits[-1][1]
+        def recording_fit(dataset, prior, beta, *, warm=None, _vamp_point=None):
+            res = fit(dataset, prior, beta, warm=warm, _vamp_point=_vamp_point)
+            fits.append((warm, _vamp_point, res))
+            return res
 
         def recording_vamp(dataset, prior, beta, warm, held):
             points.extend(None if batch_gives_up else p
@@ -276,50 +278,94 @@ class TestLiteralLoocv:
         monkeypatch.setattr("ecreg.loocv.fit", recording_fit)
         monkeypatch.setattr("ecreg.loocv._vamp", recording_vamp)
         literal_loocv(_instance(29, 9, 14), bernoulli_gauss(0.4, 3.0), 5.0)
-        assert len(fits) == 15 and fits[0][0] is None and len(points) == 14
-        return fits[0][1].state, [(p, w) for p, (w, _) in zip(points, fits[1:])]
+        assert len(fits) == 15 and fits[0][:2] == (None, None) and len(points) == 14
+        return fits[0][2].state, [(p, (w, v)) for p, (w, v, _) in zip(points, fits[1:])]
 
     def test_folds_start_from_the_full_fits_tilt(self, monkeypatch):
-        # one batched VAMP pass runs every fold from the full fit's tilt;
-        # each fold's fit starts from the full state with (m, E, h) replaced
-        # by its batched point, and keeps the full state's other fields
+        # one batched VAMP pass runs every fold from the full fit's tilt, and
+        # each fold's fit starts at its batched point, handed over as it is
         full, folds = self._fold_starts(monkeypatch, batch_gives_up=False)
-        for point, warm in folds:
-            assert point is not None
-            assert warm.m is point[0] and warm.E == point[1] and warm.h is point[2]
-            assert warm.variance is full.variance and warm.chi == full.chi
+        for point, (warm, vamp_point) in folds:
+            assert point is not None and vamp_point is point and warm is full
 
     def test_folds_fall_back_to_the_full_fits_tilt(self, monkeypatch):
-        # a fold whose batched problem gave up starts from the full state
+        # a fold whose batched problem gave up starts from the full state,
+        # through its own VAMP pass
         full, folds = self._fold_starts(monkeypatch, batch_gives_up=True)
-        for point, warm in folds:
-            assert point is None and warm is full
+        for point, (warm, vamp_point) in folds:
+            assert point is None and vamp_point is None and warm is full
 
     def test_fold_vamp_confirms_its_batched_point(self, monkeypatch):
-        # from its batched point each fold's own VAMP pass stops within 3
-        # iterations on criterion 8's instance (2 measured), against about
-        # 29 from the full fit's tilt
+        # on criterion 8's instance every fold starts at its batched point,
+        # runs no VAMP pass of its own, and the Newton loop's gradient test
+        # accepts the point before any step
         ds, _, _ = gen_synthetic(SynthConfig(N=80, alpha=2.5, rho0=0.2, sigma_w0_sq=4.0,
                                              sigma_n0_sq=0.25, seed=4))
-        calls, per_fit = [0], []
-
-        def counted(*args, **kwargs):
-            calls[0] += 1
-            return moments(*args, **kwargs)
+        starts, folds = [0], []
 
         def counted_start(*args, **kwargs):
-            before = calls[0]
-            start = _vamp_start(*args, **kwargs)
-            per_fit.append((calls[0] - before, start is not None))
-            return start
+            starts[0] += 1
+            return _vamp_start(*args, **kwargs)
 
-        monkeypatch.setattr("ecreg.core.moments", counted)
+        def recording_fit(dataset, prior, beta, *, warm=None, _vamp_point=None):
+            res = fit(dataset, prior, beta, warm=warm, _vamp_point=_vamp_point)
+            folds.append((_vamp_point is not None, res.state))
+            return res
+
         monkeypatch.setattr("ecreg.core._vamp_start", counted_start)
+        monkeypatch.setattr("ecreg.loocv.fit", recording_fit)
         report = literal_loocv(ds, bernoulli_gauss(0.2, 4.0), 8.0)
-        folds = per_fit[1:]
+        folds = folds[1:]
         assert len(folds) == 200 and report.flagged == []
-        assert all(ok for _, ok in folds)
-        assert max(n for n, _ in folds) <= 3
+        assert starts == [1]  # the full fit's
+        assert all(started for started, _ in folds)
+        assert all(state.converged and state.iterations == 0 for _, state in folds)
+
+    def test_newton_certifies_a_perturbed_start(self):
+        # a fold started at a point that is not stationary on its data: the
+        # Newton loop steps until the gradient test holds, and reaches the
+        # cold fit's estimator
+        ds = _instance(29, 9, 14)
+        prior, beta, mu = bernoulli_gauss(0.4, 3.0), 5.0, 6
+        full = fit(ds, prior, beta).state
+        m, E, h = _vamp(ds, prior, beta, full, [mu])[0]
+        keep = np.arange(ds.n_samples) != mu
+        sub = Dataset(ds.X[:, keep], ds.y[keep])
+        m_off = m + 1e-2 * np.random.default_rng(3).normal(size=m.size) * np.max(np.abs(m))
+        scale = max(1.0, float(np.max(np.abs(beta * sub.xy))))
+        assert np.max(np.abs(gradient(m_off, h, E, sub, beta))) > FitSettings.grad_tol * scale
+        state = fit(sub, prior, beta, _vamp_point=(m_off, E, h)).state
+        assert state.converged and state.iterations > 0
+        assert state.grad_norm <= FitSettings.grad_tol * scale
+        cold = fit(Dataset(sub.X, sub.y), prior, beta).state
+        assert np.max(np.abs(state.m - cold.m)) <= 1e-6
+
+    def test_a_fold_whose_batch_gave_up_decomposes_its_gram(self, monkeypatch):
+        # the batched problem holding out sample 4 gives up: that fold runs
+        # its own VAMP pass and eigendecomposition, the others none
+        ds = _instance(29, 9, 14)
+        prior, beta = bernoulli_gauss(0.4, 3.0), 5.0
+
+        def gives_up_at_4(dataset, prior, beta, warm, held):
+            points = _vamp(dataset, prior, beta, warm, held)
+            points[4] = None
+            return points
+
+        calls = {"eigh": 0, "eigvalsh": 0, "_vamp_start": 0}
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        monkeypatch.setattr("ecreg.core._vamp_start", counted("_vamp_start", _vamp_start))
+        monkeypatch.setattr("ecreg.loocv._vamp", gives_up_at_4)
+        report = literal_loocv(ds, prior, beta)
+        assert report.flagged == []
+        assert calls == {"eigh": 2, "eigvalsh": ds.n_samples - 1, "_vamp_start": 2}
 
     def test_mean_inversions_on_criterion_8(self, monkeypatch):
         # every fit, each fold's included, starts from a VAMP pass whose point
@@ -380,12 +426,12 @@ class TestLiteralLoocv:
         calls = {"n": 0}
         full_m = fit(ds, prior, beta).state.m
 
-        def fit_failing_fold_7(dataset, prior, beta, *, warm=None):
+        def fit_failing_fold_7(dataset, prior, beta, *, warm=None, _vamp_point=None):
             calls["n"] += 1
             if calls["n"] == 1 + 7 + 1:  # the full fit, then folds 0..7
-                assert not np.array_equal(warm.m, full_m)  # a batched start
+                assert _vamp_point is not None  # a batched start
                 raise NonConvergence("fold refit failed")
-            return fit(dataset, prior, beta, warm=warm)
+            return fit(dataset, prior, beta, warm=warm, _vamp_point=_vamp_point)
 
         monkeypatch.setattr("ecreg.loocv.fit", fit_failing_fold_7)
         report = literal_loocv(ds, prior, beta)
