@@ -1,10 +1,12 @@
 """Sparse Bayesian linear regression with fast approximate leave-one-out CV.
 
 The model is y = X^T w + noise with a spike-and-slab prior on w.  A
-self-consistent Gaussian approximation of the posterior is fitted by a damped
-Newton method; its leave-one-out error then follows from one solve of the
-fitted curvature instead of one refit per sample, with literal and k-fold
-harnesses available to check the shortcut.
+self-consistent Gaussian approximation of the posterior is fitted by vector
+approximate message passing (VAMP) and a damped Newton method, which polishes
+VAMP's point or, where VAMP gives up, finds the fit alone; its leave-one-out
+error then follows from one solve of the fitted curvature instead of one
+refit per sample, with literal and k-fold harnesses available to check the
+shortcut.
 """
 
 __version__ = "0.1.0"

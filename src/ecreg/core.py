@@ -32,19 +32,19 @@ keeps the tilted variances, from which the LOO formula forms H.
 Every fit, whatever the prior, first runs _vamp_start: damped VAMP on the
 eigendecomposition of the smaller of X^T X and X X^T that Dataset caches,
 whose fixed point is the EC fixed point (E = gamma1, h = gamma1*r1).  A fit
-warm-started from an earlier fit's state (a calibration probe, a
-cross-validation fold) seeds VAMP at that state's tilt.  VAMP's point
-normally meets the gradient tolerance, so the Newton loop stops before its
-first step and forms no curvature.  When VAMP leaves its domain, stalls or
+warm-started from an earlier fit's state (a calibration probe, a k-fold
+block) seeds VAMP at that state's tilt.  VAMP's point normally meets the
+gradient tolerance, so the Newton loop stops before its first step and
+forms no curvature.  When VAMP leaves its domain, stalls or
 runs out of iterations, Newton solves the fit: from m = 0, or from the warm
 state's m with its first tilt solve at that state's (E, h).  _vamp_start is
 the one-problem case of _vamp, which also iterates one problem per held-out
 sample at once, each a rank-one Woodbury downdate on the full dataset's
 eigendecomposition.  Leave-one-out cross-validation runs every fold through
-it, then refits each fold whose problem stopped from its batched point with
-no VAMP pass of its own: the fold's Newton loop starts there and certifies
-it by the gradient test on the fold's own data, and the fold's dataset
-takes its eigenvalues from eigvalsh, with no eigenvectors.
+it, then refits each fold from its batched point, or the full fit's where
+its problem gave up, with no VAMP pass of its own: the Newton loop starts
+there and steps until the gradient test holds on the fold's data, and the
+fold's spectrum comes from eigvalsh, with no eigenvectors.
 
 For a pure Gaussian prior (rho = 1 slab) this construction is exact: m is the
 ridge posterior mean and Phi equals the exact negative log evidence with zero
@@ -732,11 +732,11 @@ def fit(dataset, prior, beta, *, warm=None, _vamp_point=None):
     solve at (warm.E, warm.h), or without ``warm`` at m = 0 and
     solve_tilt's default start.
 
-    ``_vamp_point``, private to cross-validation, is an (m, E, h) that a
-    VAMP pass on this problem already reached (a literal fold's batched
-    point): fit then runs no _vamp_start and reads no ``warm``, so the
-    spectrum comes from eigvalsh and no eigenvectors are formed, and the
-    Newton loop starts there, unchanged.
+    ``_vamp_point``, private to cross-validation, is the (m, E, h) at which
+    a single-sample fold starts: its batched VAMP point, or the full fit's
+    where its batched problem gave up.  fit then runs no _vamp_start and
+    reads no ``warm``, so the spectrum comes from eigvalsh and no
+    eigenvectors are formed, and the Newton loop starts there, unchanged.
     """
     if not 0.0 < beta < np.inf:
         raise DomainError(f"beta must be finite and positive, got {beta}")

@@ -194,7 +194,8 @@ def load_csv(path, target_column, center=False):
     means and the target mean are subtracted and recorded for back-transformation.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        # utf-8-sig drops the byte-order mark that spreadsheet exports write
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             rows = _numbered_rows(fh.readlines())
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
@@ -238,12 +239,16 @@ def load_csv(path, target_column, center=False):
 
 def save_dataset_csv(path, dataset, feature_names=None, target_name="y",
                      header_lines=()):
-    """Write a Dataset as a samples-by-columns CSV with optional '#' headers."""
+    """Write a Dataset as a samples-by-columns CSV with optional '#' headers;
+    ConfigError if a feature is named as the target."""
     n = dataset.n_features
     names = list(feature_names) if feature_names is not None else [
         f"x{i + 1:04d}" for i in range(n)]
     if len(names) != n:
         raise DimensionMismatch(f"{len(names)} names for {n} features")
+    if any(name.strip() == target_name.strip() for name in names):
+        # load_csv strips the names and rejects a repeated target column
+        raise ConfigError(f"feature name {target_name!r} is the target's name")
     rows = (map(repr, x.tolist() + [t]) for x, t in zip(dataset.X.T, dataset.y.tolist()))
     _write_table(path, names + [target_name], rows, header_lines)
 
@@ -329,6 +334,9 @@ def load_fit_json(path):
         if not (isinstance(vector, list) and all(type(x) in (int, float) for x in vector)):
             raise ParseError(f"{path}: {key!r} is not a flat list of numbers")
         payload[key] = np.array(vector, dtype=float)
+        # json.load reads NaN and Infinity, which no fit writes
+        if not np.isfinite(payload[key]).all():
+            raise ParseError(f"{path}: {key!r} has a non-finite entry")
     return payload
 
 

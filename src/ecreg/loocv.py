@@ -9,9 +9,9 @@ One factorization of H and one triangular solve replace M refits.  The literal
 and k-fold harnesses actually refit and exist to validate that formula.  When
 every fold holds out one sample, one batched VAMP pass solves every fold's
 problem from the full fit's state on the full dataset's eigendecomposition,
-and core.fit then refits each fold from its point with no VAMP pass or
-eigendecomposition of its own.  Each returns a LooReport: one table of
-per-sample arrays in sample order.
+and core.fit refits each fold from its point, or the full fit's where its
+problem gave up, with no VAMP pass or eigendecomposition of its own.  Each
+returns a LooReport: one table of per-sample arrays in sample order.
 """
 
 import numbers
@@ -106,7 +106,7 @@ def approx_looe(fit_result, dataset, beta):
 
 
 def _fit_fold(dataset, prior, beta, keep_mask, warm, point):
-    """Fit on a sample subset from its VAMP point ``point`` (m, E, h), or
+    """Fit on a sample subset from the start point ``point`` (m, E, h), or
     from the state ``warm`` when point is None; returns (m, converged), with
     None as m when the refit raises."""
     if not np.any(keep_mask):
@@ -126,22 +126,23 @@ def _cross_validate(dataset, prior, beta, folds, method):
 
     When every fold holds out one sample, one batched VAMP pass (core._vamp)
     runs every fold's problem at once, from the full fit's state, on the
-    full dataset's eigendecomposition.  Each fold whose batched problem
-    stopped is then refit by core.fit on its own samples from its batched
-    point (m, E, h): fit runs no VAMP pass for it, decomposes nothing but
-    the eigenvalues of the fold's gram, and its Newton loop certifies the
-    point by the gradient test on the fold's data, stepping when it fails.
-    A fold whose batched problem gave up, and every fold of a layout with
-    larger blocks, is refit warm-started from the full state, through its
-    own VAMP pass.  Residuals are reduced in index order.  A fold whose
-    refit fails keeps the full-fit prediction and its samples are flagged;
-    the call raises only when more than 5% of folds fail.
+    full dataset's eigendecomposition.  Each fold is then refit by core.fit
+    on its own samples from its batched point (m, E, h), or from the full
+    fit's (m, E, h) where its batched problem gave up: fit runs no VAMP pass
+    for it, decomposes nothing but the eigenvalues of the fold's gram, and
+    its Newton loop certifies the point by the gradient test on the fold's
+    data, stepping when it fails.  Every fold of a layout with larger
+    blocks is refit warm-started from the full state, through its own VAMP
+    pass.  Residuals are reduced in index order.  A fold whose refit fails
+    keeps the full-fit prediction and its samples are flagged; the call
+    raises only when more than 5% of folds fail.
     """
     t0 = time.perf_counter()
     M = dataset.n_samples
     full = fit(dataset, prior, beta).state
     if all(len(test_idx) == 1 for test_idx in folds):
-        points = _vamp(dataset, prior, beta, full, [test_idx[0] for test_idx in folds])
+        points = [(full.m, full.E, full.h) if point is None else point
+                  for point in _vamp(dataset, prior, beta, full, [idx[0] for idx in folds])]
     else:
         points = [None] * len(folds)
 
@@ -173,8 +174,8 @@ def _cross_validate(dataset, prior, beta, folds, method):
 
 def literal_loocv(dataset, prior, beta):
     """LOO by M refits, each started at its point in one batched VAMP pass
-    from the full fit, with no VAMP pass or eigenvectors of its own, or,
-    where its batched problem gave up, warm-started from the full fit (see
+    from the full fit, or at the full fit's point where its batched problem
+    gave up, with no VAMP pass or eigenvectors of its own (see
     _cross_validate).
 
     Folds are refit serially in index order.  A fold whose refit fails keeps
@@ -199,8 +200,7 @@ def _check_kfold(k, seed, M=None):
 def kfold_cv(dataset, prior, beta, k, seed=0):
     """k-fold CV: seeded permutation, contiguous blocks, remainder spread
     one per leading fold.  Every fold is refit warm-started from the full
-    fit's state, except at k = M, whose folds start at literal_loocv's
-    batched VAMP points.
+    fit's state, except at k = M, whose folds start as literal_loocv's do.
     eps is (1/2M) times the total held-out squared residual, so k = M
     reproduces literal_loocv exactly.
     """

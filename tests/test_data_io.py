@@ -255,6 +255,31 @@ class TestLoadCsv:
         with pytest.raises(DimensionMismatch):
             save_dataset_csv(tmp_path / "x.csv", ds, feature_names=["a", "b"])
 
+    @pytest.mark.parametrize("names", [["y", "x2"], ["x1", " y"]], ids=["same", "padded"])
+    def test_feature_named_as_the_target_rejected_on_save(self, tmp_path, names):
+        # the header "y,x2,y" would make load_csv raise for the repeated y
+        ds = Dataset(np.ones((2, 3)), np.ones(3))
+        path = tmp_path / "x.csv"
+        with pytest.raises(ConfigError, match="'y'"):
+            save_dataset_csv(path, ds, feature_names=names)
+        assert not path.exists()
+
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with a byte-order mark
+        path = tmp_path / "bom.csv"
+        path.write_text("\ufeffy,x1,x2\n1,2,3\n4,5,6\n", encoding="utf-8")
+        ds, record = load_csv(path, "y")
+        assert record.feature_names == ("x1", "x2")
+        np.testing.assert_array_equal(ds.y, [1.0, 4.0])
+        np.testing.assert_array_equal(ds.X, [[2.0, 5.0], [3.0, 6.0]])
+
+    def test_byte_order_mark_before_a_comment_keeps_it_a_comment(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_text("\ufeff# c\ny,x1\n1,2\n", encoding="utf-8")
+        ds, record = load_csv(path, "y")
+        assert record.feature_names == ("x1",)
+        np.testing.assert_array_equal(ds.y, [1.0])
+
 
 class TestErrorSummary:
     def test_exact_recovery(self):
@@ -337,6 +362,18 @@ class TestFitJson:
         path.write_text(f'{{"m": [1], "h": [0], "variance": {vector}, '
                         '"inclusion_probs": [1]}', encoding="utf-8")
         with pytest.raises(ParseError, match="'variance' is not a flat list of numbers"):
+            load_fit_json(path)
+
+    @pytest.mark.parametrize("key", ["m", "h", "variance", "inclusion_probs"])
+    @pytest.mark.parametrize("value", ["NaN", "-Infinity"])
+    def test_non_finite_vector_entry_is_a_parse_error_naming_it(self, tmp_path, key, value):
+        # json.load accepts these tokens; no saved fit holds them
+        vectors = {"m": "[1]", "h": "[0]", "variance": "[1]", "inclusion_probs": "[1]"}
+        vectors[key] = f"[0.5, {value}]"
+        path = tmp_path / "fit.json"
+        text = ", ".join(f'"{k}": {v}' for k, v in vectors.items())
+        path.write_text("{" + text + "}", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"'{key}' has a non-finite entry"):
             load_fit_json(path)
 
 

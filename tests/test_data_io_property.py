@@ -60,7 +60,9 @@ def _old_cell(value):
 
 @st.composite
 def _named_dataset(draw):
-    names = _QUOTED_NAMES + draw(st.lists(_TEXT.filter(bool), max_size=3))
+    # save_dataset_csv rejects a feature named as the target, y
+    names = _QUOTED_NAMES + draw(st.lists(_TEXT.filter(lambda t: t and t.strip() != "y"),
+                                          max_size=3))
     m = draw(st.integers(1, 4))
     cells = draw(st.lists(_FINITE, min_size=m * (len(names) + 1),
                           max_size=m * (len(names) + 1)))

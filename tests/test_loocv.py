@@ -289,11 +289,13 @@ class TestLiteralLoocv:
             assert point is not None and vamp_point is point and warm is full
 
     def test_folds_fall_back_to_the_full_fits_tilt(self, monkeypatch):
-        # a fold whose batched problem gave up starts from the full state,
-        # through its own VAMP pass
+        # a fold whose batched problem gave up starts at the full fit's
+        # point, with no VAMP pass of its own
         full, folds = self._fold_starts(monkeypatch, batch_gives_up=True)
-        for point, (warm, vamp_point) in folds:
-            assert point is None and vamp_point is None and warm is full
+        for point, (_, vamp_point) in folds:
+            assert point is None
+            m, E, h = vamp_point
+            assert m is full.m and E == full.E and h is full.h
 
     def test_fold_vamp_confirms_its_batched_point(self, monkeypatch):
         # on criterion 8's instance every fold starts at its batched point,
@@ -341,8 +343,8 @@ class TestLiteralLoocv:
         assert np.max(np.abs(state.m - cold.m)) <= 1e-6
 
     def test_a_fold_whose_batch_gave_up_decomposes_its_gram(self, monkeypatch):
-        # the batched problem holding out sample 4 gives up: that fold runs
-        # its own VAMP pass and eigendecomposition, the others none
+        # the batched problem holding out sample 4 gives up: that fold, like
+        # the others, runs no VAMP pass and takes only its gram's eigenvalues
         ds = _instance(29, 9, 14)
         prior, beta = bernoulli_gauss(0.4, 3.0), 5.0
 
@@ -365,7 +367,27 @@ class TestLiteralLoocv:
         monkeypatch.setattr("ecreg.loocv._vamp", gives_up_at_4)
         report = literal_loocv(ds, prior, beta)
         assert report.flagged == []
-        assert calls == {"eigh": 2, "eigvalsh": ds.n_samples - 1, "_vamp_start": 2}
+        assert calls == {"eigh": 1, "eigvalsh": ds.n_samples, "_vamp_start": 1}
+
+    def test_folds_whose_batch_gave_up_match_their_own_vamp_refits(self):
+        # criterion 2's generator at N=30 and beta=50, where 14 of 15
+        # batched problems give up: each such fold, started at the full
+        # fit's point, gives the residual of a refit warm-started from the
+        # full fit through its own VAMP pass
+        ds, _, _ = gen_synthetic(SynthConfig(N=30, alpha=0.5, rho0=0.1, sigma_w0_sq=10.0,
+                                             sigma_n0_sq=0.1, seed=100))
+        prior, beta, M = bernoulli_gauss(0.1, 10.0), 50.0, ds.n_samples
+        full = fit(ds, prior, beta).state
+        points = _vamp(ds, prior, beta, full, list(range(M)))
+        gave_up = [mu for mu, point in enumerate(points) if point is None]
+        assert len(gave_up) == 14
+        report = literal_loocv(ds, prior, beta)
+        assert report.flagged == []
+        for mu in gave_up:
+            keep = np.arange(M) != mu
+            m = fit(Dataset(ds.X[:, keep], ds.y[keep]), prior, beta, warm=full).state.m
+            own = ds.y[mu] - ds.X[:, mu] @ m
+            assert abs(report.residual_loo[mu] - own) <= 1e-12 * abs(own)
 
     def test_mean_inversions_on_criterion_8(self, monkeypatch):
         # every fit, each fold's included, starts from a VAMP pass whose point
