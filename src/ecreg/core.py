@@ -190,6 +190,14 @@ def _secular_newton(lam, target, L):
     return r, L + (r / u_max) / (u_max * (float((v * v).sum()) / v.size))
 
 
+def _checked_beta(beta):
+    """beta as a Python float, so no float32 product such as beta*chi stalls
+    a solve; DomainError unless it is finite and positive."""
+    if not 0.0 < beta < np.inf:
+        raise DomainError(f"beta must be finite and positive, got {beta}")
+    return float(beta)
+
+
 def solve_lambda(lam, beta, chi):
     """Solve (1/N) sum_k 1/(lambda_k + Ltil) = beta*chi for Ltil.
 
@@ -210,8 +218,7 @@ def solve_lambda(lam, beta, chi):
     where delta - lambda_min rounds to -lambda_min or below, returns the
     float just above -lambda_min, so every lambda_k + Ltil stays positive.
     """
-    if not 0.0 < beta < np.inf:
-        raise DomainError(f"beta must be finite and positive, got {beta}")
+    beta = _checked_beta(beta)
     if not chi > 0.0:
         raise DomainError(f"chi must be positive, got {chi}")
     lam_min = float(lam.min())
@@ -298,8 +305,7 @@ def solve_tilt(m, prior, beta, lam, E0=None, h0=None):
     exhausted budget there raises InfeasibleTilt unless some evaluation saw
     r > 0.
     """
-    if not 0.0 < beta < np.inf:
-        raise DomainError(f"beta must be finite and positive, got {beta}")
+    beta = _checked_beta(beta)
     m = np.asarray(m, dtype=float)
     if not np.isfinite(m).all():
         raise DomainError("m contains non-finite entries")
@@ -738,8 +744,7 @@ def fit(dataset, prior, beta, *, warm=None, _vamp_point=None):
     reads no ``warm``, so the spectrum comes from eigvalsh and no
     eigenvectors are formed, and the Newton loop starts there, unchanged.
     """
-    if not 0.0 < beta < np.inf:
-        raise DomainError(f"beta must be finite and positive, got {beta}")
+    beta = _checked_beta(beta)
     n = dataset.n_features
     m, E0, h0 = np.zeros(n), None, None
     if warm is not None and (np.shape(warm.m) != (n,) or np.shape(warm.h) != (n,)):

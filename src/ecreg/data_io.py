@@ -5,10 +5,13 @@ SeedSequence in a fixed order — design matrix, true weights, train noise,
 held-out design, held-out noise — so each piece of a seed's output is
 independently reproducible.
 
-CSV convention: rows are samples, first row is a header, lines starting with
-'#' are comments (output files carry their settings there).  The design
-matrix is stored features-by-samples internally, so ingestion transposes;
-this is deliberate and documented to prevent a silent N/M swap.
+CSV convention: rows are samples, first row is a header, and a line whose
+text starts with '#' after leading blanks is a comment (output files carry
+their settings there), as is a row before the header whose first cell
+unquotes to '#...'.  A line is one row, so a quoted cell holds no line
+break.  The design matrix is stored features-by-samples internally, so
+ingestion transposes; this is deliberate and documented to prevent a
+silent N/M swap.
 """
 
 import csv
@@ -133,44 +136,31 @@ def gen_synthetic(config):
 
 
 def _numbered_rows(lines):
-    """(line number, row) of every row that is neither blank nor a '#'
-    comment.  Without quote characters a line is one row, kept as its text
-    (_cells splits it as csv.reader would); otherwise the rows are
-    csv.reader's lists of cells.  There a row before the header is a comment
-    when its first cell starts with '#', and a row after it only when its
-    raw line does, so a quoted data cell "#1" is data."""
-    if any('"' in line for line in lines):
-        reader, rows, first = csv.reader(lines), [], 0
-        for n, row in enumerate(reader, start=1):
-            text = lines[first] if rows else (row[0] if row else "")
-            first = reader.line_num
-            if row and not text.lstrip().startswith("#"):
-                rows.append((n, row))
-        return rows
+    """(line number, line) of every line that is neither blank nor a
+    comment: one whose text starts with '#' after leading blanks."""
     return [(n, line) for n, line in enumerate(lines, start=1)
             if line.rstrip("\r\n") and not line.lstrip().startswith("#")]
 
 
-def _cells(row):
-    """The cells of a row from _numbered_rows."""
-    return row.rstrip("\r\n").split(",") if isinstance(row, str) else row
+def _cells(line):
+    """A line's cells, split and unquoted as csv.reader does."""
+    return next(csv.reader([line]))
 
 
 def _parse_body(body, width):
-    """The data rows as floats.  np.loadtxt reads lines that are each one row
-    in one call; the per-cell float() loop parses csv.reader's rows and any
-    body np.loadtxt rejects, and names the first bad row or cell."""
-    if isinstance(body[0][1], str):
-        try:
-            data = np.loadtxt([line for _, line in body], delimiter=",", comments=None,
-                              ndmin=2)
-            if data.shape == (len(body), width):
-                return data
-        except ValueError:
-            pass
+    """The data rows as finite floats.  One np.loadtxt call reads the body,
+    quoted or not; where it rejects the body or reads a non-finite cell, the
+    per-cell float() loop parses it and names the first bad row or cell."""
+    try:
+        data = np.loadtxt([line for _, line in body], delimiter=",", quotechar='"',
+                          comments=None, ndmin=2)
+        if data.shape == (len(body), width) and np.isfinite(data).all():
+            return data
+    except ValueError:
+        pass
     data = np.empty((len(body), width))
-    for i, (lineno, row) in enumerate(body):
-        row = _cells(row)
+    for i, (lineno, line) in enumerate(body):
+        row = _cells(line)
         if len(row) != width:
             raise ParseError(f"expected {width} fields, found {len(row)}", row=lineno)
         for j, cell in enumerate(row):
@@ -182,6 +172,8 @@ def _parse_body(body, width):
             except ValueError:
                 raise NonNumericCell(
                     f"non-numeric cell {cell!r}", row=lineno, column=j + 1) from None
+            if not math.isfinite(data[i, j]):
+                raise NonNumericCell(f"non-finite cell {cell!r}", row=lineno, column=j + 1)
     return data
 
 
@@ -189,8 +181,9 @@ def load_csv(path, target_column, center=False):
     """Load a samples-by-columns CSV into a Dataset (features x samples).
 
     The target column, named once in the header, becomes y; the others
-    become feature rows.  Missing, non-numeric or non-finite cells are hard
-    errors with the file row/column location.  With center=True, per-feature
+    become feature rows.  A ragged row or a missing, non-numeric or
+    non-finite cell is a hard error; the first in file order is named by its
+    file row and column.  With center=True, per-feature
     means and the target mean are subtracted and recorded for back-transformation.
     """
     try:
@@ -199,6 +192,9 @@ def load_csv(path, target_column, center=False):
             rows = _numbered_rows(fh.readlines())
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
+    # before the header, a row whose first cell unquotes to '#...' is a comment
+    while rows and _cells(rows[0][1])[0].lstrip().startswith("#"):
+        del rows[0]
     if not rows:
         raise ParseError(f"{path} has no header row")
     header = [name.strip() for name in _cells(rows[0][1])]
@@ -213,24 +209,15 @@ def load_csv(path, target_column, center=False):
         raise ParseError(f"{path} has no data rows")
 
     data = _parse_body(body, len(header))
-    bad = np.argwhere(~np.isfinite(data))
-    if bad.size:
-        i, j = (int(v) for v in bad[0])
-        raise NonNumericCell(f"non-finite cell {_cells(body[i][1])[j]!r}",
-                             row=body[i][0], column=j + 1)
-
     y = data[:, target_idx].copy()
     X = np.delete(data, target_idx, axis=1).T.copy()
     feature_names = tuple(name for k, name in enumerate(header) if k != target_idx)
 
+    feature_means, y_mean = np.zeros(X.shape[0]), 0.0
     if center:
-        feature_means = X.mean(axis=1)
-        y_mean = float(y.mean())
+        feature_means, y_mean = X.mean(axis=1), float(y.mean())
         X -= feature_means[:, None]
         y -= y_mean
-    else:
-        feature_means = np.zeros(X.shape[0])
-        y_mean = 0.0
     record = CenteringRecord(feature_means=feature_means, y_mean=y_mean,
                              centered=bool(center), feature_names=feature_names,
                              target_name=target_column)
@@ -261,19 +248,14 @@ def save_dataset_csv(path, dataset, feature_names=None, target_name="y",
 def error_summary(m, train, test=None):
     """Training eps = (1/2M) sum residual**2; eps_g likewise on held-out data."""
     m = np.asarray(m, dtype=float)
-    if m.shape != (train.n_features,):
-        raise DimensionMismatch(
-            f"m has shape {m.shape}, expected ({train.n_features},)")
-    r = train.y - train.X.T @ m
-    eps = float(r @ r) / (2.0 * train.n_samples)
-    eps_g = None
-    if test is not None:
-        if m.shape != (test.n_features,):
-            raise DimensionMismatch(
-                f"m has shape {m.shape}, expected ({test.n_features},)")
-        rt = test.y - test.X.T @ m
-        eps_g = float(rt @ rt) / (2.0 * test.n_samples)
-    return ErrorSummary(eps=eps, eps_g=eps_g)
+
+    def eps(data):
+        if m.shape != (data.n_features,):
+            raise DimensionMismatch(f"m has shape {m.shape}, expected ({data.n_features},)")
+        r = data.y - data.X.T @ m
+        return float(r @ r) / (2.0 * data.n_samples)
+
+    return ErrorSummary(eps=eps(train), eps_g=None if test is None else eps(test))
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +330,15 @@ def _write_table(path, columns, rows, header_lines):
     need quoting.  Data cells are repr floats, true/false, integers or empty
     strings, none of which csv.writer would quote, so each data row is its
     cells joined by commas: the same bytes without csv's per-cell checks.
+    ConfigError, before anything is written, for text that load_csv would
+    misread: a line break in a comment or name, or a first name that starts
+    with '#' after blanks, or with the byte-order mark it drops.
     """
+    for text in (*header_lines, *columns):
+        if "\n" in text or "\r" in text:
+            raise ConfigError(f"{text!r} holds a line break")
+    if columns[0].lstrip().startswith("#") or columns[0].startswith("\ufeff"):
+        raise ConfigError(f"first column name {columns[0]!r} would not read back")
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             for line in header_lines:

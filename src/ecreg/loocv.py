@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .core import Dataset, _vamp, fit, hessian
-from .errors import (ConfigError, DimensionMismatch, DomainError, EcregError, NonConvergence,
+from .core import Dataset, _checked_beta, _vamp, fit, hessian
+from .errors import (ConfigError, DimensionMismatch, EcregError, NonConvergence,
                      NotConverged, SingularHessian)
 
 # residual_loo is singular at leverage 1; denominators below this floor are
@@ -69,8 +69,7 @@ def approx_looe(fit_result, dataset, beta):
     flagged, and samples with leverage above 1 are flagged unclipped.
     """
     t0 = time.perf_counter()
-    if not 0.0 < beta < np.inf:
-        raise DomainError(f"beta must be finite and positive, got {beta}")
+    beta = _checked_beta(beta)
     X, state = dataset.X, fit_result.state
     if np.shape(state.m) != (dataset.n_features,):
         raise DimensionMismatch(f"m has shape {np.shape(state.m)}, expected ({dataset.n_features},)")
@@ -125,22 +124,25 @@ def _cross_validate(dataset, prior, beta, folds, method):
     sample's held-out residual.
 
     When every fold holds out one sample, one batched VAMP pass (core._vamp)
-    runs every fold's problem at once, from the full fit's state, on the
-    full dataset's eigendecomposition.  Each fold is then refit by core.fit
-    on its own samples from its batched point (m, E, h), or from the full
-    fit's (m, E, h) where its batched problem gave up: fit runs no VAMP pass
-    for it, decomposes nothing but the eigenvalues of the fold's gram, and
-    its Newton loop certifies the point by the gradient test on the fold's
-    data, stepping when it fails.  Every fold of a layout with larger
-    blocks is refit warm-started from the full state, through its own VAMP
-    pass.  Residuals are reduced in index order.  A fold whose refit fails
-    keeps the full-fit prediction and its samples are flagged; the call
-    raises only when more than 5% of folds fail.
+    runs every fold's problem at once, in sample order, from the full fit's
+    state, on the full dataset's eigendecomposition.  Each fold is then
+    refit by core.fit on its own samples from its batched point (m, E, h),
+    or from the full fit's (m, E, h) where its batched problem gave up: fit
+    runs no VAMP pass for it, decomposes nothing but the eigenvalues of the
+    fold's gram, and its Newton loop certifies the point by the gradient
+    test on the fold's data, stepping when it fails.  Every fold of a
+    layout with larger blocks is refit warm-started from the full state,
+    through its own VAMP pass.  Residuals are reduced in index order.  A
+    fold whose refit fails keeps the full-fit prediction and its samples are
+    flagged; the call raises only when more than 5% of folds fail.
     """
     t0 = time.perf_counter()
+    beta = _checked_beta(beta)
     M = dataset.n_samples
     full = fit(dataset, prior, beta).state
     if all(len(test_idx) == 1 for test_idx in folds):
+        # in sample order, so k = M runs literal_loocv's batch bit for bit
+        folds = sorted(folds, key=lambda idx: idx[0])
         points = [(full.m, full.E, full.h) if point is None else point
                   for point in _vamp(dataset, prior, beta, full, [idx[0] for idx in folds])]
     else:
@@ -200,9 +202,10 @@ def _check_kfold(k, seed, M=None):
 def kfold_cv(dataset, prior, beta, k, seed=0):
     """k-fold CV: seeded permutation, contiguous blocks, remainder spread
     one per leading fold.  Every fold is refit warm-started from the full
-    fit's state, except at k = M, whose folds start as literal_loocv's do.
+    fit's state, except at k = M, whose folds start where literal_loocv's
+    do: the batched VAMP pass runs in sample order, not the permutation's.
     eps is (1/2M) times the total held-out squared residual, so k = M
-    reproduces literal_loocv exactly.
+    reproduces literal_loocv bit for bit.
     """
     M = dataset.n_samples
     _check_kfold(k, seed, M)

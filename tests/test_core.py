@@ -813,6 +813,18 @@ class TestFit:
             scale = float(np.max(np.abs(expected)))
             assert np.max(np.abs(result.state.m - expected)) <= 1e-8 * scale
 
+    def test_float32_beta_reaches_the_python_float_state(self):
+        # a float32 beta once made beta*Ltil and beta*chi float32, and the
+        # tilt solve stalled at residual 6.3e-7 after 60 evaluations
+        ds = gen_synthetic(SynthConfig(N=20, alpha=1.5, rho0=0.2, sigma_w0_sq=4.0,
+                                       sigma_n0_sq=0.25, seed=1))[0]
+        prior = bernoulli_gauss(0.2, 4.0)
+        single, double = fit(ds, prior, np.float32(4.0)).state, fit(ds, prior, 4.0).state
+        assert single.converged
+        np.testing.assert_array_equal(single.m, double.m)
+        np.testing.assert_array_equal(single.h, double.h)
+        assert (single.E, single.free_energy) == (double.E, double.free_energy)
+
     def test_fixed_point_residuals_at_convergence(self):
         ds = _random_instance(36, 60, 30, rho=0.1, sigma_w2=10.0)
         prior = bernoulli_gauss(0.1, 10.0)

@@ -238,6 +238,25 @@ class TestLoadCsv:
             np.testing.assert_array_equal(ds.X, [[1.0]])
             np.testing.assert_array_equal(ds.y, [2.0])
 
+    @pytest.mark.parametrize("text", ['a,y\n1,2\n# see ,"x\n3,4\n',
+                                      '# note,"unclosed\na,y\n1,2\n3,4\n'],
+                             ids=["after-header", "before-header"])
+    def test_comment_with_an_open_quote_ends_at_its_line(self, tmp_path, text):
+        # a '#' line is a comment whatever it holds; one whose quote never
+        # closed once swallowed the lines after it
+        ds, record = load_csv(self._write(tmp_path / "o.csv", text), "y")
+        assert record.feature_names == ("a",)
+        np.testing.assert_array_equal(ds.X, [[1.0, 3.0]])
+        np.testing.assert_array_equal(ds.y, [2.0, 4.0])
+
+    def test_saved_comment_with_an_open_quote_reads_back(self, tmp_path):
+        ds = Dataset(np.array([[1.0, 3.0, 5.0]]), np.array([2.0, 4.0, 6.0]))
+        path = tmp_path / "d.csv"
+        save_dataset_csv(path, ds, header_lines=['source: lab,"2016'])
+        loaded, _ = load_csv(path, "y")
+        np.testing.assert_array_equal(loaded.X, ds.X)
+        np.testing.assert_array_equal(loaded.y, ds.y)
+
     def test_empty_and_header_only_rejected(self, tmp_path):
         empty = self._write(tmp_path / "empty.csv", "")
         with pytest.raises(ParseError):
@@ -262,6 +281,24 @@ class TestLoadCsv:
         path = tmp_path / "x.csv"
         with pytest.raises(ConfigError, match="'y'"):
             save_dataset_csv(path, ds, feature_names=names)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("kwargs", [
+        {"header_lines": ["run 1\nbatch A"]},
+        {"header_lines": ["run 1\rbatch A"]},
+        {"feature_names": ["#a", "b"]},
+        {"feature_names": [" #a", "b"]},
+        {"feature_names": ["a\nb", "c"]},
+        {"feature_names": ["\ufeffa", "b"]},
+    ], ids=["lf-comment", "cr-comment", "hash-name", "padded-hash-name", "lf-name", "bom-name"])
+    def test_text_that_would_read_back_wrong_rejected_on_save(self, tmp_path, kwargs):
+        # each once wrote a file whose header load_csv misread: a comment's
+        # second line as the header, the header as a comment, or the first
+        # name without the byte-order mark that load_csv drops
+        ds = Dataset(np.ones((2, 3)), np.ones(3))
+        path = tmp_path / "x.csv"
+        with pytest.raises(ConfigError):
+            save_dataset_csv(path, ds, **kwargs)
         assert not path.exists()
 
     def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):

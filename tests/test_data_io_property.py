@@ -1,4 +1,5 @@
-"""Property test: each CSV table writer gives the bytes csv.writer would.
+"""Property tests: each CSV table writer gives the bytes csv.writer would,
+and load_csv reads back every dataset that save_dataset_csv writes.
 
 The writers once passed every row through csv.writer; today they join each
 data row's cells themselves.  These tests rebuild the old output, csv.writer
@@ -18,7 +19,9 @@ import numpy as np
 import pytest
 
 from ecreg.core import Dataset
-from ecreg.data_io import save_calibration_csv, save_dataset_csv, save_loo_csv, save_sweep_csv
+from ecreg.data_io import (load_csv, save_calibration_csv, save_dataset_csv, save_loo_csv,
+                           save_sweep_csv)
+from ecreg.errors import ConfigError
 from ecreg.hyper import SweepPoint
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -134,3 +137,43 @@ class TestTableBytes:
         expected = _csv_writer_bytes(columns, rows, header_lines)
         assert _written_bytes(save_loo_csv, report, literal_report=literal,
                               header_lines=header_lines) == expected
+
+
+# names and comments built from what a CSV reader could misread: comment
+# marks, quotes, commas, blanks and line breaks
+_TRICKY_TEXT = st.one_of(
+    st.text(st.sampled_from(["#", '"', ",", " ", "\t", "\n", "\r", "a", "y", "1"]), max_size=5),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=5))
+
+
+@st.composite
+def _tricky_dataset(draw):
+    names = draw(st.lists(_TRICKY_TEXT, min_size=1, max_size=3))
+    m = draw(st.integers(1, 3))
+    cells = draw(st.lists(_FINITE, min_size=m * (len(names) + 1),
+                          max_size=m * (len(names) + 1)))
+    table = np.array(cells).reshape(m, len(names) + 1)
+    return Dataset(table[:, :-1].T, table[:, -1]), names
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(np.signbit(a),
+                                                                          np.signbit(b))
+
+
+class TestDatasetRoundTrip:
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(_tricky_dataset(), st.lists(_TRICKY_TEXT, max_size=2))
+    def test_saved_dataset_reads_back_or_the_save_refuses(self, named, header_lines):
+        ds, names = named
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "data.csv"
+            try:
+                save_dataset_csv(path, ds, feature_names=names, header_lines=header_lines)
+            except ConfigError:
+                assert not path.exists()
+                return
+            loaded, record = load_csv(path, "y")
+        assert _same_bits(loaded.X, ds.X)
+        assert _same_bits(loaded.y, ds.y)
+        assert record.feature_names == tuple(name.strip() for name in names)

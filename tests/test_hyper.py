@@ -223,6 +223,13 @@ class TestCalibrateRho:
             np.testing.assert_allclose(
                 float(np.sum(result.fit.inclusion_probs)), result.achieved_K)
 
+    def test_float32_beta_calibrates_as_a_python_float_does(self):
+        # a float32 beta once stalled the first probe's tilt solve
+        ds = gen_synthetic(SynthConfig(N=20, alpha=1.5, rho0=0.2, sigma_w0_sq=4.0,
+                                       sigma_n0_sq=0.25, seed=1))[0]
+        single = calibrate_rho(ds, np.float32(4.0), 2.0, BERNOULLI_GAUSS, 4.0)
+        assert single.rho == calibrate_rho(ds, 4.0, 2.0, BERNOULLI_GAUSS, 4.0).rho
+
     def test_rho_increases_with_target(self):
         ds = _instance(43, 20, 40)
         r8 = calibrate_rho(ds, 10.0, 8.0, BERNOULLI_GAUSS, sigma_w2=4.0)

@@ -238,6 +238,17 @@ class TestLiteralLoocv:
         assert report.residual_loo[0] == y[0]
         np.testing.assert_allclose(report.eps_loo, y[0] ** 2 / 2.0)
 
+    def test_float32_beta_gives_the_python_float_report(self):
+        # the batched VAMP pass takes beta as given; a float32 one once
+        # stalled the full fit's tilt solve
+        ds = gen_synthetic(SynthConfig(N=20, alpha=1.5, rho0=0.2, sigma_w0_sq=4.0,
+                                       sigma_n0_sq=0.25, seed=1))[0]
+        prior = bernoulli_gauss(0.2, 4.0)
+        single, double = literal_loocv(ds, prior, np.float32(4.0)), literal_loocv(ds, prior, 4.0)
+        assert single.eps_loo == double.eps_loo
+        np.testing.assert_array_equal(single.residual_loo, double.residual_loo)
+        assert single.flagged == double.flagged
+
     def test_agrees_with_deleted_ridge_solves(self):
         ds = _instance(23, 10, 24)
         beta, s2 = 5.0, 3.0
@@ -465,13 +476,20 @@ class TestLiteralLoocv:
 
 class TestKfoldCv:
     def test_k_equal_m_reproduces_literal(self):
-        ds = _instance(31, 9, 14)
-        prior = bernoulli_gauss(0.4, 3.0)
-        literal = literal_loocv(ds, prior, 5.0)
-        folds = kfold_cv(ds, prior, 5.0, k=14, seed=3)
-        assert folds.eps_loo == literal.eps_loo
-        np.testing.assert_array_equal(folds.residual_loo, literal.residual_loo)
-        assert folds.flagged == literal.flagged
+        # the generated instances' batched VAMP pass once ran in the
+        # permutation's order, and eps_loo and the residuals then differed
+        # from literal_loocv's by up to 1.1e-15
+        cases = [(_instance(31, 9, 14), bernoulli_gauss(0.4, 3.0), 5.0, (3,))] + [
+            (gen_synthetic(SynthConfig(N=20, alpha=1.5, rho0=0.2, sigma_w0_sq=4.0,
+                                       sigma_n0_sq=0.25, seed=seed))[0],
+             bernoulli_gauss(0.2, 4.0), 4.0, (0, 5)) for seed in range(1, 9)]
+        for ds, prior, beta, kfold_seeds in cases:
+            literal = literal_loocv(ds, prior, beta)
+            for kfold_seed in kfold_seeds:
+                folds = kfold_cv(ds, prior, beta, k=ds.n_samples, seed=kfold_seed)
+                assert folds.eps_loo == literal.eps_loo
+                np.testing.assert_array_equal(folds.residual_loo, literal.residual_loo)
+                assert folds.flagged == literal.flagged
 
     def test_two_folds_match_direct_refits(self):
         ds = _instance(33, 7, 12)
