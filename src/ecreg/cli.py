@@ -109,7 +109,13 @@ def _prior_lines(prior, beta):
 
 
 def _data_lines(args):
-    return [f"data: path={args.data} target={args.target} center={args.center}"]
+    """The output header's data line.  ConfigError when --data or --target
+    holds a line break, which the CSV writers refuse: a command that echoes
+    them calls this before it loads anything."""
+    line = f"data: path={args.data} target={args.target} center={args.center}"
+    if "\n" in line or "\r" in line:
+        raise ConfigError(f"{line!r} holds a line break")
+    return [line]
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +183,7 @@ def _cmd_fit(args):
 
 def _cmd_loocv(args):
     prior = _prior_from_flags(args)
+    data_lines = _data_lines(args)
     # k and the seed fail before the fit and the refits; k's upper bound
     # is the sample count, known once the data is loaded
     if args.kfold is not None:
@@ -199,7 +206,7 @@ def _cmd_loocv(args):
         kreport = kfold_cv(dataset, prior, args.beta, args.kfold, seed=args.seed)
         print(f"kfold({args.kfold}): eps={kreport.eps_loo!r} "
               f"wall={kreport.wall_time:.3f}s")
-    header = ([f"ecreg {__version__} loocv"] + _data_lines(args)
+    header = ([f"ecreg {__version__} loocv"] + data_lines
               + _prior_lines(prior, args.beta)
               + [f"seed={args.seed}",
                  f"eps_loo_approx={report.eps_loo!r}"])
@@ -212,6 +219,7 @@ def _cmd_loocv(args):
 
 def _cmd_sweep(args):
     family = _family_from_flags(args, args.sigma_w2_grid, "--sigma-w2-grid")
+    data_lines = _data_lines(args)
     dataset, _ = _load_dataset(args)
     grid = SweepGrid(beta_values=args.beta_grid, rho_values=args.rho_grid,
                      sigma_w2_values=args.sigma_w2_grid)
@@ -223,7 +231,7 @@ def _cmd_sweep(args):
     best = result.best
     print(f"best: beta={best.beta!r} rho={best.rho!r} sigma_w2={best.sigma_w2!r} "
           f"eps_loo={best.eps_loo!r}")
-    header = ([f"ecreg {__version__} sweep"] + _data_lines(args)
+    header = ([f"ecreg {__version__} sweep"] + data_lines
               + [f"family={family} beta_grid={args.beta_grid} "
                  f"rho_grid={args.rho_grid} sigma_w2_grid={args.sigma_w2_grid}"]
               + [f"best: beta={best.beta!r} rho={best.rho!r} "
@@ -235,6 +243,7 @@ def _cmd_sweep(args):
 
 def _cmd_calibrate(args):
     family = _family_from_flags(args, args.sigma_w2, "--sigma-w2")
+    data_lines = _data_lines(args)
     dataset, _ = _load_dataset(args)
     rows = calibrate(dataset, family, args.k_target, args.beta_grid,
                      sigma_w2=args.sigma_w2)
@@ -254,7 +263,7 @@ def _cmd_calibrate(args):
                   f"rho={winner['rho']!r} eps_loo={winner['eps_loo']!r}")
         else:
             print(f"K={group[0]['K']!r}: no successful grid point", file=sys.stderr)
-    header = ([f"ecreg {__version__} calibrate"] + _data_lines(args)
+    header = ([f"ecreg {__version__} calibrate"] + data_lines
               + [f"family={family} sigma_w2={args.sigma_w2!r} "
                  f"k_targets={args.k_target} beta_grid={args.beta_grid}"])
     save_calibration_csv(args.out, rows, header_lines=header)

@@ -44,7 +44,8 @@ eigendecomposition.  Leave-one-out cross-validation runs every fold through
 it, then refits each fold from its batched point, or the full fit's where
 its problem gave up, with no VAMP pass of its own: the Newton loop starts
 there and steps until the gradient test holds on the fold's data, and the
-fold's spectrum comes from eigvalsh, with no eigenvectors.
+fold reads its spectrum as a rank-one downdate of the full dataset's
+(_Spectrum), with no gram or decomposition of its own.
 
 For a pure Gaussian prior (rho = 1 slab) this construction is exact: m is the
 ridge posterior mean and Phi equals the exact negative log evidence with zero
@@ -86,9 +87,22 @@ class Dataset:
     X X^T are computed lazily once and shared by every fit on the dataset.
     The eigenvalues are those of the smaller gram, X^T X (M x M) on a wide
     design (M < N) and X X^T otherwise, padded with N - M exact zeros on a
-    wide one.  fit's VAMP start caches that gram's eigendecomposition
-    W diag(s) W^T, and no N x M basis is stored; the eigenvalues are s when
-    (s, W) is cached before they are first read, and from eigvalsh otherwise.
+    wide one, and those below 1e-12 times the largest are clamped to zero.
+    fit's VAMP start caches that gram's eigendecomposition W diag(s) W^T,
+    and no N x M basis is stored; the eigenvalues are s when (s, W) is
+    cached before they are first read, and from eigvalsh otherwise.  Fits
+    read them through a _Spectrum.
+
+    _without(mu) gives the dataset without sample mu, whose _Spectrum is
+    the rank-one downdate of this one's on the cached (s, W): it forms no
+    gram and solves for no eigenvalues.  The clamp carries over by one rule.
+    This dataset's zero modes stay exact zeros, and the held-out sample's
+    components on them are dropped (the fold's gram lies below this one's,
+    so it has none there but rounding).  The one eigenvalue the downdate
+    moves below the rest, its pole, is clamped to zero when it lies below
+    1e-12 times this dataset's largest eigenvalue.  A fold with fewer
+    samples than features thus has a zero smallest eigenvalue exactly,
+    whichever shape this dataset has.
     """
 
     def __init__(self, X, y):
@@ -162,13 +176,140 @@ class Dataset:
             lam = np.where(lam < 1e-12 * lam_max, 0.0, lam)
         return lam
 
+    @cached_property
+    def _spec(self):
+        return _Spectrum(self._spectrum)
+
+    def _without(self, mu):
+        """The dataset without sample mu, its spectrum downdated from this
+        one's (see the class docstring)."""
+        n, m = self.X.shape
+        W, lam, x = self._thin_eigh[1], self._spectrum, self.X[:, mu]
+        if m < n:
+            # x's component on X X^T's eigenvector X W_k/sqrt(s_k) is
+            # sqrt(s_k)*W[mu, k]
+            z2 = np.concatenate([np.zeros(n - m), lam[n - m:] * W[mu] ** 2])
+        else:
+            z2 = np.where(lam > 0.0, np.square(W.T @ x), 0.0)
+        keep = np.arange(m) != mu
+        fold = Dataset(self.X[:, keep], self.y[keep])
+        fold._spec = _Spectrum(lam, z2, float(x @ x))
+        return fold
+
 
 def spectrum(dataset):
     """Cached ascending eigenvalues of the dataset's gram matrix X X^T, with
     those below 1e-12 times the largest clamped to zero: the dataset's cached
     eigendecomposition's when a fit has formed it, else eigvalsh's, which
-    can differ in the last bits.  DecompositionFailure when the solve fails."""
+    can differ in the last bits.  DecompositionFailure when the solve fails.
+    A fold from Dataset._without has its own array here, from eigvalsh; its
+    fits read the downdate instead."""
     return dataset._spectrum
+
+
+class _Spectrum:
+    """The sums of a gram's eigenvalues lam' that a fit reads: the mean
+    resolvent and its slope (solve_lambda), mean(1/(lam' + L)**2)
+    (_tilt_slope), sum(ln(lam' + L)) (Phi), the mean (the default tilt
+    origin) and the smallest eigenvalue ``min`` (the flat-slab test).
+
+    _Spectrum(lam) reads a dataset's clamped eigenvalue array lam, with no
+    rank-one term.  _Spectrum(lam, z2, xx) is the spectrum of lam's gram
+    less x x^T, the gram of the dataset without sample x, where z2 holds the
+    squares of x's components on lam's eigenvectors and xx = ||x||^2.  A
+    mode with z2 = 0 keeps its eigenvalue.  The rest move to the roots of
+    1 = sum z2/(lam - t) (Golub, SIAM Review 15, 1973; Bunch, Nielsen &
+    Sorensen, Numer. Math. 31, 1978), and of these the sums need only the
+    one below them all, the pole p (_pole_gap).  With u = 1/(lam + L) and
+    the determinant-lemma ratio det(lam' + L)/det(lam + L) in its
+    cancellation-free form c = (L + p)*sum(z2/((lam - p)*(lam + L))):
+
+        sum 1/(lam' + L)    = sum u + sum z2*u**2/c
+        sum 1/(lam' + L)**2 = sum u**2 + 2*sum z2*u**3/c + (sum z2*u**2/c)**2
+        max 1/(lam' + L)    = 1/(L + min)
+        sum ln(lam' + L)    = sum ln(lam + L) + ln c
+        sum lam'            = sum lam - xx
+
+    A pole below 1e-12*max(lam) is clamped to zero, as Dataset's clamp is.
+    The sums carry the rounding of lam's decomposition.  They match the
+    same sums on eigvalsh of the fold's own gram to within a few tens of
+    eps*(max(lam)/(min + L) + max(lam)/lam_+), lam_+ the smallest positive
+    lam; the second term matters only where lam's gram is far worse
+    conditioned than the fold's, as on a square design.
+    """
+
+    z2 = None  # no rank-one term
+
+    def __init__(self, lam, z2=None, xx=0.0):
+        self.lam = lam
+        self.min = float(lam.min())
+        if z2 is not None and z2.any():
+            moved = z2 > 0.0
+            la, za = lam[moved], z2[moved]
+            gap = _pole_gap(la, za)
+            p = float(la[0] - gap)
+            self.z2, self.zp = z2, np.zeros_like(lam)  # zp = z2/(lam - p)
+            if p < 1e-12 * float(lam[-1]):
+                self.p, self.zp[moved] = 0.0, za / la
+            else:
+                self.p, self.zp[moved] = p, za / (la - la[0] + gap)
+            self.min = min(self.p, float(np.min(lam[~moved], initial=np.inf)))
+        self.mu = lam - self.min
+        zeros = int(np.count_nonzero(self.mu == 0.0))
+        self.mean = (float(lam.sum()) - xx) / lam.size
+        if self.z2 is None:
+            self.mu_mean = float(self.mu.mean())
+        else:
+            zeros += self.p == self.min
+            self.mu_mean = self.mean - self.min
+        self.f0 = zeros / lam.size
+
+    def sums(self, delta):
+        """(mean(u), mean(v**2)) with u = 1/(lam' + L) at delta = L + min
+        and v = u/max(u) = u*delta."""
+        u = 1.0 / (self.mu + delta)
+        v = u / (1.0 / delta)
+        s, s2 = float(u.sum()), float((v * v).sum())
+        if self.z2 is not None:
+            # delta*c, and sum z2*v**2/(delta*c), which are O(1) at the pole
+            g = (delta + (self.p - self.min)) * float(self.zp @ v)
+            a = float(self.z2 @ (v * v)) / g
+            s += a / delta
+            s2 += 2.0 * float(self.z2 @ (v * v * v)) / g + a * a
+        return s / u.size, s2 / u.size
+
+    def mean_u2(self, L):
+        u = 1.0 / (self.lam + L)
+        out = (u * u).sum()
+        if self.z2 is not None:
+            c = (L + self.p) * float(self.zp @ u)
+            a = float(self.z2 @ (u * u)) / c
+            out = out + 2.0 * float(self.z2 @ (u * u * u)) / c + a * a
+        return out / u.size
+
+    def logdet(self, L):
+        out = np.sum(np.log(self.lam + L))
+        if self.z2 is not None:
+            out = out + math.log((L + self.p) * float(self.zp @ (1.0 / (self.lam + L))))
+        return out
+
+
+def _pole_gap(la, za):
+    """gap > 0 such that la[0] - gap is the root of 1 = sum(za/(la - t))
+    below ascending la, with za > 0: where the weighted mean resolvent
+    sum(w/(la - la[0] + gap)), w = za/sum(za), equals 1/sum(za)."""
+    w, mu = za / za.sum(), la - la[0]
+
+    def sums(delta):
+        u = 1.0 / (mu + delta)
+        v = u / (1.0 / delta)
+        return float(w @ u), float(w @ (v * v))
+
+    return _secular_root(sums, float(w[mu == 0.0].sum()), float(w @ mu), 1.0 / float(za.sum()))
+
+
+def _as_spectrum(lam):
+    return lam if isinstance(lam, _Spectrum) else _Spectrum(np.asarray(lam, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -176,18 +317,50 @@ def spectrum(dataset):
 # ---------------------------------------------------------------------------
 
 
-def _secular_newton(lam, target, L):
-    """Residual s(L) - target of the secular equation and the Newton iterate.
+def _secular_newton(sums, target, delta):
+    """Residual s(delta) - target of a secular equation and the Newton
+    iterate, where sums(delta) = (s(delta), mean(v**2)) with v = u/max(u)
+    for the resolvent u = 1/(mu + delta) of s = mean(u), so that mean(v**2)
+    = -delta**2 * s'(delta).
 
-    The step r/|ds| with ds = -mean(u**2) is factored through the largest
-    entry of u = 1/(lambda + L), so nothing overflows when the root sits
-    near 1e-150.
+    The step r/|s'| is factored through max(u) = 1/delta, so nothing
+    overflows when the root sits near 1e-150.
     """
-    u = 1.0 / (lam + L)
-    r = float(u.sum()) / u.size - target
-    u_max = float(u.max())
-    v = u / u_max
-    return r, L + (r / u_max) / (u_max * (float((v * v).sum()) / v.size))
+    s, s2 = sums(delta)
+    r = s - target
+    u_max = 1.0 / delta
+    return r, delta + (r / u_max) / (u_max * s2)
+
+
+def _secular_root(sums, f0, mu_mean, target):
+    """The delta > 0 at which s(delta) = mean(1/(mu + delta)) equals
+    target, over mu >= 0 with a share f0 at 0 and mean mu_mean (a share and
+    mean of weights, for a weighted mean); sums as for _secular_newton.
+
+    s is strictly decreasing and convex, and spans (0, inf) when f0 > 0.
+    At most 200 Newton steps from delta0 = max(f0, 1 - target*mu_mean)/target,
+    which lies at or below the root: s(delta) >= f0/delta and, by Jensen's
+    inequality, s(delta) >= 1/(mu_mean + delta).  From there Newton climbs
+    monotonically to the root; a step that rounding sends out of the domain
+    goes halfway to the pole instead.  NonConvergence when delta0 overflows,
+    or unless the relative residual reaches 1e-12.
+    """
+    delta = max(f0, 1.0 - target * mu_mean) / target if target > 0.0 else math.inf
+    if not 0.0 < delta < math.inf:
+        raise NonConvergence(f"secular root overflows at target {target:.3e}")
+    for _ in range(200):
+        r, dn = _secular_newton(sums, target, delta)
+        if abs(r) <= 1e-13 * target:
+            return delta
+        if dn <= 0.0:
+            dn = 0.5 * delta
+        if not math.isfinite(dn) or dn == delta:
+            break
+        delta = dn
+    r = sums(delta)[0] - target
+    if abs(r) <= 1e-12 * target:
+        return delta
+    raise NonConvergence(f"secular solve stalled, relative residual {abs(r) / target:.3e}")
 
 
 def _checked_beta(beta):
@@ -206,46 +379,20 @@ def solve_lambda(lam, beta, chi):
     whenever any eigenvalue is zero or beta*chi exceeds (1/N) sum 1/lambda_k,
     and may be negative (but > -lambda_min) otherwise.
 
-    At most 200 Newton steps on delta = Ltil + lambda_min, so a root near the
-    pole keeps its relative precision.  With mu = lambda - lambda_min, f0 the
-    fraction of mu that are 0 and mu_bar their mean, s(delta) >= f0/delta
-    and, by Jensen's inequality, s(delta) >= 1/(mu_bar + delta), so the
-    start delta0 = max(f0, 1 - beta*chi*mu_bar)/(beta*chi) lies at or below
-    the root.  s is convex, so from there Newton climbs monotonically to the
-    root; a step that rounding sends out of the domain goes halfway to the
-    pole instead.  NonConvergence when delta0 overflows, or unless the
-    relative residual reaches 1e-12.  A root within half an ulp of the pole,
-    where delta - lambda_min rounds to -lambda_min or below, returns the
-    float just above -lambda_min, so every lambda_k + Ltil stays positive.
+    _secular_root solves on delta = Ltil + lambda_min, so a root near the
+    pole keeps its relative precision, over mu = lambda - lambda_min.  A
+    root within half an ulp of the pole, where delta - lambda_min rounds to
+    -lambda_min or below, returns the float just above -lambda_min, so every
+    lambda_k + Ltil stays positive.  lam is an array or a _Spectrum.
     """
     beta = _checked_beta(beta)
     if not chi > 0.0:
         raise DomainError(f"chi must be positive, got {chi}")
-    lam_min = float(lam.min())
-    mu = lam - lam_min
+    spec = _as_spectrum(lam)
+    lam_min = spec.min
     target = float(beta * chi)  # a Python float overflows to inf without a warning
-
-    def ltil(delta):
-        out = float(delta - lam_min)
-        return out if out + lam_min > 0.0 else float(np.nextafter(-lam_min, np.inf))
-
-    f0 = int(np.count_nonzero(mu == 0.0)) / mu.size
-    delta = max(f0, 1.0 - target * float(mu.mean())) / target if target > 0.0 else math.inf
-    if not 0.0 < delta < math.inf:
-        raise NonConvergence(f"secular root overflows at beta*chi = {target:.3e}")
-    for _ in range(200):
-        r, dn = _secular_newton(mu, target, delta)
-        if abs(r) <= 1e-13 * target:
-            return ltil(delta)
-        if dn <= 0.0:
-            dn = 0.5 * delta
-        if not math.isfinite(dn) or dn == delta:
-            break
-        delta = dn
-    r = float((1.0 / (mu + delta)).sum()) / mu.size - target
-    if abs(r) <= 1e-12 * target:
-        return ltil(delta)
-    raise NonConvergence(f"secular solve stalled, relative residual {abs(r) / target:.3e}")
+    out = float(_secular_root(spec.sums, spec.f0, spec.mu_mean, target) - lam_min)
+    return out if out + lam_min > 0.0 else float(np.nextafter(-lam_min, np.inf))
 
 
 @dataclass(frozen=True)
@@ -264,10 +411,10 @@ class TiltResult:
     moments: ScalarMoments
 
 
-def _flat_slab_with_zero_modes(prior, lam):
+def _flat_slab_with_zero_modes(prior, spec):
     """A flat slab on a gram with a zero eigenvalue, whose null directions get
     curvature from neither data nor slab (see solve_tilt)."""
-    return prior.family == BERNOULLI_UNIFORM and lam[0] == 0.0
+    return prior.family == BERNOULLI_UNIFORM and spec.min == 0.0
 
 
 def _default_tilt_origin(prior, beta, lam_bar):
@@ -309,6 +456,7 @@ def solve_tilt(m, prior, beta, lam, E0=None, h0=None):
     m = np.asarray(m, dtype=float)
     if not np.isfinite(m).all():
         raise DomainError("m contains non-finite entries")
+    spec = _as_spectrum(lam)
     if prior.rho == 0.0:
         raise InfeasibleTilt(
             "pure spike prior has zero tilted variance; the tilt system is undefined")
@@ -316,18 +464,17 @@ def solve_tilt(m, prior, beta, lam, E0=None, h0=None):
     max_inner = FitSettings.max_inner
     q = float(m @ m) / m.size
 
-    E = (float(E0) if E0 is not None
-         else _default_tilt_origin(prior, beta, float(lam.sum()) / lam.size))
+    E = float(E0) if E0 is not None else _default_tilt_origin(prior, beta, spec.mean)
     if E <= E_min:
         E = E_min + max(1e-8, 1e-8 * abs(E_min))
-    secant_only = _flat_slab_with_zero_modes(prior, lam)
+    secant_only = _flat_slab_with_zero_modes(prior, spec)
     h, r, rose, E_last, r_last = h0, np.nan, False, None, None
     for _ in range(max_inner):
         h, mom = invert_mean(prior, m, E, h0=h)
         chi = float(mom.variance.sum()) / m.size
         if not chi > 0.0:
             raise InfeasibleTilt(f"tilted variances vanished at E = {E}")
-        ltil = solve_lambda(lam, beta, chi)
+        ltil = solve_lambda(spec, beta, chi)
         r = 1.0 / chi - beta * ltil - E
         # 1/chi - beta*Ltil cancels two O(1/chi) terms, so the residual
         # cannot be resolved below a few eps/chi; accept at that floor.
@@ -337,7 +484,7 @@ def solve_tilt(m, prior, beta, lam, E0=None, h0=None):
         rose = rose or r > 0.0
         E_next = h_E = None
         if not secant_only:
-            k, b, f_E = _tilt_slope(m, mom, chi, ltil, beta, lam)
+            k, b, f_E = _tilt_slope(m, mom, chi, ltil, beta, spec)
             h_E = -f_E / mom.variance
             slope = k * b - 1.0
             if -np.inf < slope < 0.0:
@@ -399,7 +546,7 @@ def _curvature(variances, E, dataset, beta):
     return H, d
 
 
-def _tilt_slope(m, mom, chi, ltil, beta, lam):
+def _tilt_slope(m, mom, chi, ltil, beta, spec):
     """(k, b, f_E) at a tilt evaluation with the tilted prior's moments mom,
     chi = mean(mom.variance) and Ltil = Ltil(chi), for a fixed estimator m.
 
@@ -414,13 +561,12 @@ def _tilt_slope(m, mom, chi, ltil, beta, lam):
     f_E = -0.5 * k3 - m * v
     v_E = -0.5 * (k4 + 2.0 * v * v + 2.0 * m * k3)
     b = float((v_E - k3 * f_E / v).sum()) / v.size
-    u = 1.0 / (lam + ltil)
     # numpy division: an underflowed mean(u**2) gives k = inf
-    k = -1.0 / (chi * chi) + beta * beta / ((u * u).sum() / u.size)
+    k = -1.0 / (chi * chi) + beta * beta / spec.mean_u2(ltil)
     return k, b, f_E
 
 
-def _coupling(m, tilt, beta, lam):
+def _coupling(m, tilt, beta, spec):
     """(a, c) at a solved tilt: the exact Hessian of Phi is H + c*a*a^T, H
     being hessian()'s partial curvature.
 
@@ -430,7 +576,7 @@ def _coupling(m, tilt, beta, lam):
     non-finite c, which fit answers with H's step.
     """
     mom = tilt.moments
-    k, b, _ = _tilt_slope(m, mom, tilt.chi, tilt.lambda_tilde, beta, lam)
+    k, b, _ = _tilt_slope(m, mom, tilt.chi, tilt.lambda_tilde, beta, spec)
     n = m.size
     return mom.kappa3 / (n * mom.variance), 0.5 * n * k / (1.0 - k * b)
 
@@ -439,11 +585,10 @@ def _free_energy_terms(m, tilt, dataset, beta):
     """The summands of Phi(m) at a solved tilt, in the module docstring's order."""
     residual = dataset.y - dataset.X.T @ m
     rss = 0.5 * float(residual @ residual)
-    lam = spectrum(dataset)
     n = m.size
     return [
         beta * rss,
-        0.5 * np.sum(np.log(lam + tilt.lambda_tilde)),
+        0.5 * dataset._spec.logdet(tilt.lambda_tilde),
         -0.5 * n * beta * tilt.chi * tilt.lambda_tilde,
         0.5 * n * np.log(beta * tilt.chi),
         0.5 * n,
@@ -473,7 +618,7 @@ def objective(dataset, prior, beta, m, E0=None, h0=None):
     if m.shape != (dataset.n_features,):
         raise DimensionMismatch(
             f"m has shape {m.shape}, expected ({dataset.n_features},)")
-    tilt = solve_tilt(m, prior, beta, spectrum(dataset), E0=E0, h0=h0)
+    tilt = solve_tilt(m, prior, beta, dataset._spec, E0=E0, h0=h0)
     return _free_energy_at(m, tilt, dataset, beta)
 
 
@@ -741,8 +886,10 @@ def fit(dataset, prior, beta, *, warm=None, _vamp_point=None):
     ``_vamp_point``, private to cross-validation, is the (m, E, h) at which
     a single-sample fold starts: its batched VAMP point, or the full fit's
     where its batched problem gave up.  fit then runs no _vamp_start and
-    reads no ``warm``, so the spectrum comes from eigvalsh and no
-    eigenvectors are formed, and the Newton loop starts there, unchanged.
+    reads no ``warm``, so it forms no eigenvectors, and the Newton loop
+    starts there, unchanged.  The spectrum is the dataset's _Spectrum: a
+    fold from Dataset._without reads the full dataset's downdated, and any
+    other dataset takes its eigenvalues from eigvalsh.
     """
     beta = _checked_beta(beta)
     n = dataset.n_features
@@ -754,10 +901,10 @@ def fit(dataset, prior, beta, *, warm=None, _vamp_point=None):
         m, E0, h0 = start
     elif warm is not None:
         m, E0, h0 = np.array(warm.m, dtype=float), warm.E, warm.h
-    lam = spectrum(dataset)
-    flat_zero_modes = _flat_slab_with_zero_modes(prior, lam)
+    spec = dataset._spec
+    flat_zero_modes = _flat_slab_with_zero_modes(prior, spec)
     grad_scale = max(1.0, float(np.max(np.abs(beta * dataset.xy))))
-    tilt = solve_tilt(m, prior, beta, lam, E0=E0, h0=h0)
+    tilt = solve_tilt(m, prior, beta, spec, E0=E0, h0=h0)
     phi = _free_energy_at(m, tilt, dataset, beta)
     step_sizes = []
     free_energies = [phi]
@@ -779,7 +926,7 @@ def fit(dataset, prior, beta, *, warm=None, _vamp_point=None):
         # the exact step steers a flat slab with zero modes away from the
         # spurious near-zero tilt roots that solve_tilt's absolute acceptance
         # lets through, and its fits then stall; they keep H's step
-        coupling = None if flat_zero_modes else _coupling(m, tilt, beta, lam)
+        coupling = None if flat_zero_modes else _coupling(m, tilt, beta, spec)
         direction = _newton_direction(H, d, grad, coupling)
 
         # Phi sums terms that cancel (|Phi| can be far below its largest
@@ -789,7 +936,7 @@ def fit(dataset, prior, beta, *, warm=None, _vamp_point=None):
         while s >= _STEP_FLOOR:
             m_trial = m + s * direction
             try:
-                tilt_trial = solve_tilt(m_trial, prior, beta, lam, E0=tilt.E, h0=tilt.h)
+                tilt_trial = solve_tilt(m_trial, prior, beta, spec, E0=tilt.E, h0=tilt.h)
                 phi_trial = _free_energy_at(m_trial, tilt_trial, dataset, beta)
             except (NonConvergence, InfeasibleTilt):
                 s *= 0.5

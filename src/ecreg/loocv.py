@@ -10,8 +10,9 @@ and k-fold harnesses actually refit and exist to validate that formula.  When
 every fold holds out one sample, one batched VAMP pass solves every fold's
 problem from the full fit's state on the full dataset's eigendecomposition,
 and core.fit refits each fold from its point, or the full fit's where its
-problem gave up, with no VAMP pass or eigendecomposition of its own.  Each
-returns a LooReport: one table of per-sample arrays in sample order.
+problem gave up, with no VAMP pass or decomposition of its own: its
+spectrum is a rank-one downdate of the full dataset's.  Each returns a
+LooReport: one table of per-sample arrays in sample order.
 """
 
 import numbers
@@ -105,14 +106,16 @@ def approx_looe(fit_result, dataset, beta):
 
 
 def _fit_fold(dataset, prior, beta, keep_mask, warm, point):
-    """Fit on a sample subset from the start point ``point`` (m, E, h), or
+    """Fit on a sample subset from the start point ``point`` (m, E, h), which
+    a single-sample fold has, on the full dataset's downdated spectrum, or
     from the state ``warm`` when point is None; returns (m, converged), with
     None as m when the refit raises."""
     if not np.any(keep_mask):
         # data-free fold: the estimator is the prior mean
         return np.zeros(dataset.n_features), True
-    sub = Dataset(dataset.X[:, keep_mask], dataset.y[keep_mask])
     try:
+        sub = (dataset._without(int(np.flatnonzero(~keep_mask)[0])) if point is not None
+               else Dataset(dataset.X[:, keep_mask], dataset.y[keep_mask]))
         res = fit(sub, prior, beta, warm=warm, _vamp_point=point)
     except EcregError:
         return None, False
@@ -128,11 +131,12 @@ def _cross_validate(dataset, prior, beta, folds, method):
     state, on the full dataset's eigendecomposition.  Each fold is then
     refit by core.fit on its own samples from its batched point (m, E, h),
     or from the full fit's (m, E, h) where its batched problem gave up: fit
-    runs no VAMP pass for it, decomposes nothing but the eigenvalues of the
-    fold's gram, and its Newton loop certifies the point by the gradient
-    test on the fold's data, stepping when it fails.  Every fold of a
-    layout with larger blocks is refit warm-started from the full state,
-    through its own VAMP pass.  Residuals are reduced in index order.  A
+    runs no VAMP pass for it, reads the fold's spectrum as a rank-one
+    downdate of the full dataset's eigendecomposition (Dataset._without),
+    and its Newton loop certifies the point by the gradient test on the
+    fold's data, stepping when it fails.  Every fold of a layout with
+    larger blocks is refit warm-started from the full state, through its
+    own VAMP pass.  Residuals are reduced in index order.  A
     fold whose refit fails keeps the full-fit prediction and its samples are
     flagged; the call raises only when more than 5% of folds fail.
     """
@@ -177,7 +181,7 @@ def _cross_validate(dataset, prior, beta, folds, method):
 def literal_loocv(dataset, prior, beta):
     """LOO by M refits, each started at its point in one batched VAMP pass
     from the full fit, or at the full fit's point where its batched problem
-    gave up, with no VAMP pass or eigenvectors of its own (see
+    gave up, with no VAMP pass or decomposition of its own (see
     _cross_validate).
 
     Folds are refit serially in index order.  A fold whose refit fails keeps

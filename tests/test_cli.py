@@ -422,6 +422,33 @@ class TestCalibrate:
         assert not out_path.exists()
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("loocv", ["--rho", "0.2", "--sigma-w2", "4", "--beta", "4", "--literal"]),
+    ("sweep", ["--beta-grid", "4", "--rho-grid", "0.2", "--sigma-w2-grid", "4"]),
+    ("calibrate", ["--k-target", "8", "--sigma-w2", "4", "--beta-grid", "4"]),
+])
+def test_data_path_with_a_line_break_fails_before_loading(tmp_path, capsys, monkeypatch,
+                                                           command, flags):
+    # the path is echoed into the output's '# data:' comment, which cannot
+    # hold a line break: the command refuses it before it reads the data
+    paths = _synth(tmp_path)
+    path = tmp_path / "tr\nain.csv"
+    path.write_bytes(pathlib.Path(paths["train"]).read_bytes())
+
+    def refused(*args, **kwargs):
+        raise AssertionError("data loaded before its path was checked")
+
+    monkeypatch.setattr("ecreg.cli.load_csv", refused)
+    capsys.readouterr()
+    out_path = tmp_path / "out.csv"
+    rc = main([command, "--data", str(path), *flags, "--out", str(out_path)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "holds a line break" in captured.err
+    assert not out_path.exists()
+
+
 class TestReadme:
     def test_sh_blocks_name_exactly_the_subcommands(self):
         readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"

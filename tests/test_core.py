@@ -221,20 +221,21 @@ class TestSpectrum:
     def test_tall_literal_loo_decomposes_each_gram_once(self, monkeypatch):
         # every fold keeps M - 1 >= N samples; the full fit decomposes its
         # gram, and each of the M refits starts at its batched VAMP point and
-        # solves for its gram's eigenvalues only
+        # reads its spectrum as that decomposition's rank-one downdate: no
+        # fold gram is formed or decomposed
         ds = _random_instance(6, 8, 20)
         calls = self._solver_calls(monkeypatch)
         report = literal_loocv(ds, bernoulli_gauss(0.3, 4.0), 4.0)
         assert report.flagged == []
-        assert calls == {"eigh": 1, "eigvalsh": ds.n_samples}
+        assert calls == {"eigh": 1, "eigvalsh": 0}
 
     def test_wide_literal_loo_decomposes_each_gram_once(self, monkeypatch):
-        # the same on a wide design, where each gram is the fold's X^T X
+        # the same on a wide design, whose decomposition is of X^T X
         ds = _random_instance(6, 20, 8)
         calls = self._solver_calls(monkeypatch)
         report = literal_loocv(ds, bernoulli_gauss(0.3, 4.0), 4.0)
         assert report.flagged == []
-        assert calls == {"eigh": 1, "eigvalsh": ds.n_samples}
+        assert calls == {"eigh": 1, "eigvalsh": 0}
 
     def test_a_fit_and_its_loo_formula_decompose_once(self, monkeypatch):
         # the benchmark's wide fit and the CLI's fits: VAMP runs first, so the
@@ -256,22 +257,22 @@ class TestSpectrum:
         with pytest.raises(DecompositionFailure, match="did not converge"):
             fit(_random_instance(5, n, m), bernoulli_gauss(0.3, 4.0), 4.0)
 
-    def test_literal_fold_whose_eigenvalues_fail_is_flagged(self, monkeypatch):
-        # the refit holding out sample 3 cannot solve for its eigenvalues: its
-        # DecompositionFailure flags the fold (one of 20 is within the 5%
+    def test_literal_fold_whose_spectrum_fails_is_flagged(self, monkeypatch):
+        # the refit holding out sample 3 cannot solve for its downdate's
+        # pole: its NonConvergence flags the fold (one of 20 is within the 5%
         # allowance) and the other folds keep their residuals
         ds = _random_instance(6, 8, 20)
         prior, beta = bernoulli_gauss(0.3, 4.0), 4.0
         clean = literal_loocv(ds, prior, beta)
-        real, calls = np.linalg.eigvalsh, [0]
+        real, calls = core._pole_gap, [0]
 
-        def failing_fold_3(a, *args, **kwargs):
+        def failing_fold_3(*args):
             calls[0] += 1
-            if calls[0] == 3 + 1:  # folds 0..3, the full fit taking eigh
-                raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return real(a, *args, **kwargs)
+            if calls[0] == 3 + 1:  # folds 0..3
+                raise NonConvergence("secular solve stalled")
+            return real(*args)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", failing_fold_3)
+        monkeypatch.setattr(core, "_pole_gap", failing_fold_3)
         report = literal_loocv(ds, prior, beta)
         assert report.flagged == [3]
         others = np.arange(20) != 3
@@ -588,7 +589,7 @@ class TestSolveTilt:
         root = solve_tilt(m, prior, beta, spec).E
         for E in (root, 0.5 * root, 2.0 * root):
             mom, chi, ltil, _ = evaluate(E)
-            k, b, _ = _tilt_slope(m, mom, chi, ltil, beta, spec)
+            k, b, _ = _tilt_slope(m, mom, chi, ltil, beta, ds._spec)
             step = 1e-5 * E
             fd = (evaluate(E + step)[-1] - evaluate(E - step)[-1]) / (2.0 * step)
             np.testing.assert_allclose(k * b - 1.0, fd, rtol=1e-8)
@@ -743,7 +744,7 @@ class TestHessian:
             up[i] += step
             down[i] -= step
             fd[:, i] = (grad_resolved(up) - grad_resolved(down)) / (2.0 * step)
-        a, c = _coupling(m0, tilt, beta, spec)
+        a, c = _coupling(m0, tilt, beta, ds._spec)
         scale = float(np.max(np.abs(fd)))
         H = hessian(result.state.variance, result.state.E, ds, beta)
         exact = H + c * np.outer(a, a)

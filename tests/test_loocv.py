@@ -353,9 +353,10 @@ class TestLiteralLoocv:
         cold = fit(Dataset(sub.X, sub.y), prior, beta).state
         assert np.max(np.abs(state.m - cold.m)) <= 1e-6
 
-    def test_a_fold_whose_batch_gave_up_decomposes_its_gram(self, monkeypatch):
+    def test_a_fold_whose_batch_gave_up_decomposes_nothing(self, monkeypatch):
         # the batched problem holding out sample 4 gives up: that fold, like
-        # the others, runs no VAMP pass and takes only its gram's eigenvalues
+        # the others, runs no VAMP pass and reads the full decomposition's
+        # rank-one downdate
         ds = _instance(29, 9, 14)
         prior, beta = bernoulli_gauss(0.4, 3.0), 5.0
 
@@ -378,7 +379,7 @@ class TestLiteralLoocv:
         monkeypatch.setattr("ecreg.loocv._vamp", gives_up_at_4)
         report = literal_loocv(ds, prior, beta)
         assert report.flagged == []
-        assert calls == {"eigh": 1, "eigvalsh": ds.n_samples, "_vamp_start": 1}
+        assert calls == {"eigh": 1, "eigvalsh": 0, "_vamp_start": 1}
 
     def test_folds_whose_batch_gave_up_match_their_own_vamp_refits(self):
         # criterion 2's generator at N=30 and beta=50, where 14 of 15
@@ -432,6 +433,40 @@ class TestLiteralLoocv:
         literal = literal_loocv(ds, prior, beta)
         assert literal.flagged == [] and approx.flagged == []
         assert abs(approx.eps_loo - literal.eps_loo) <= 0.05 * literal.eps_loo
+
+    @pytest.mark.parametrize("config, prior, beta", [
+        *[pytest.param(SynthConfig(N=80, alpha=2.5, rho0=0.2, sigma_w0_sq=4.0,
+                                   sigma_n0_sq=0.25, seed=seed),
+                       bernoulli_gauss(0.2, 4.0), 8.0, id=f"criterion-8-seed-{seed}")
+          for seed in (4, 9, 14)],
+        *[pytest.param(SynthConfig(N=200, alpha=0.5, rho0=0.1, sigma_w0_sq=10.0,
+                                   sigma_n0_sq=0.1, seed=seed),
+                       bernoulli_gauss(0.1, 10.0), 10.0, id=f"criterion-1-seed-{seed}")
+          for seed in (200, 201, 202)],
+    ])
+    def test_each_fold_matches_a_fit_on_its_own_eigenvalues(self, config, prior, beta):
+        # each literal fold reads its spectrum as the full decomposition's
+        # rank-one downdate; a fit from the same start on the fold's own
+        # Dataset takes eigvalsh of the fold's gram instead.  The residuals
+        # agree, and the downdated fold steps only where that fit does
+        # (criterion 1's seed 202 has folds whose batched problem gave up)
+        ds, _, _ = gen_synthetic(config)
+        M = ds.n_samples
+        full = fit(ds, prior, beta).state
+        points = [(full.m, full.E, full.h) if point is None else point
+                  for point in _vamp(ds, prior, beta, full, list(range(M)))]
+        report = literal_loocv(ds, prior, beta)
+        assert report.flagged == []
+        for mu, point in enumerate(points):
+            keep = np.arange(M) != mu
+            own = fit(Dataset(ds.X[:, keep], ds.y[keep]), prior, beta, _vamp_point=point).state
+            down = fit(ds._without(mu), prior, beta, _vamp_point=point).state
+            assert report.residual_loo[mu] == ds.y[mu] - ds.X[:, mu] @ down.m
+            residual = ds.y[mu] - ds.X[:, mu] @ own.m
+            assert abs(report.residual_loo[mu] - residual) <= 1e-12 * abs(residual)
+            assert down.converged
+            if own.iterations == 0:
+                assert down.iterations == 0
 
     # both harnesses share one fold engine; check its failure rule through each
     @pytest.mark.parametrize("cross_validate", [
