@@ -43,9 +43,11 @@ sample at once, each a rank-one Woodbury downdate on the full dataset's
 eigendecomposition.  Leave-one-out cross-validation runs every fold through
 it, then refits each fold from its batched point, or the full fit's where
 its problem gave up, with no VAMP pass of its own: the Newton loop starts
-there and steps until the gradient test holds on the fold's data, and the
-fold reads its spectrum as a rank-one downdate of the full dataset's
-(_Spectrum), with no gram or decomposition of its own.
+there and steps until the gradient test holds on the fold's data.  The fold
+is a view of the full dataset (Dataset._folds), with no copy of X or y: its
+data terms are the full dataset's less the held-out sample's rank-one term,
+and its spectrum is a rank-one downdate of the full dataset's (_Spectrum),
+whose pole one batched secular solve finds for every fold at once.
 
 For a pure Gaussian prior (rho = 1 slab) this construction is exact: m is the
 ridge posterior mean and Phi equals the exact negative log evidence with zero
@@ -53,6 +55,7 @@ additive constant.
 """
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -93,9 +96,14 @@ class Dataset:
     cached before they are first read, and from eigvalsh otherwise.  Fits
     read them through a _Spectrum.
 
-    _without(mu) gives the dataset without sample mu, whose _Spectrum is
-    the rank-one downdate of this one's on the cached (s, W): it forms no
-    gram and solves for no eigenvalues.  The clamp carries over by one rule.
+    _folds(held) gives the dataset without each sample in held as a view
+    (_Fold): it holds this dataset and the sample's index, copies neither X
+    nor y, and runs no validation.  Its data terms are this dataset's less
+    the sample's rank-one term, and its _Spectrum is the rank-one downdate
+    of this one's on the cached (s, W): it forms no gram and solves for no
+    eigenvalues.  One column-wise secular solve (_pole_gap) finds every
+    view's pole at once; _without(mu) is the batch of one, with the same
+    bits as its row of any batch.  The clamp carries over by one rule.
     This dataset's zero modes stay exact zeros, and the held-out sample's
     components on them are dropped (the fold's gram lies below this one's,
     so it has none there but rounding).  The one eigenvalue the downdate
@@ -180,21 +188,73 @@ class Dataset:
     def _spec(self):
         return _Spectrum(self._spectrum)
 
-    def _without(self, mu):
-        """The dataset without sample mu, its spectrum downdated from this
-        one's (see the class docstring)."""
+    def _residual(self, m):
+        """(X, y - X^T m): the design and the residual on each of its samples."""
+        return self.X, self.y - self.X.T @ m
+
+    def _z2(self, mu):
+        """The squares of sample mu's components on the eigenvectors of the
+        spectrum's modes, zero on its zero modes."""
         n, m = self.X.shape
-        W, lam, x = self._thin_eigh[1], self._spectrum, self.X[:, mu]
+        W, lam = self._thin_eigh[1], self._spectrum
         if m < n:
             # x's component on X X^T's eigenvector X W_k/sqrt(s_k) is
             # sqrt(s_k)*W[mu, k]
-            z2 = np.concatenate([np.zeros(n - m), lam[n - m:] * W[mu] ** 2])
-        else:
-            z2 = np.where(lam > 0.0, np.square(W.T @ x), 0.0)
-        keep = np.arange(m) != mu
-        fold = Dataset(self.X[:, keep], self.y[keep])
-        fold._spec = _Spectrum(lam, z2, float(x @ x))
-        return fold
+            return np.concatenate([np.zeros(n - m), lam[n - m:] * W[mu] ** 2])
+        # one matrix-vector product per sample: a matrix product's columns
+        # differ from it in the last bits, and a fold's spectrum would then
+        # depend on the batch it was solved in
+        return np.where(lam > 0.0, np.square(W.T @ self.X[:, mu]), 0.0)
+
+    def _folds(self, held):
+        """An iterator of the views without each sample in held, in order,
+        their poles from one batched secular solve (see the class
+        docstring); a view whose pole solve failed raises NonConvergence
+        when a fit reads its spectrum."""
+        z2 = np.array([self._z2(mu) for mu in held])
+        moves = z2.any(axis=1)
+        gaps = np.full(len(held), np.nan)
+        if moves.any():
+            gaps[moves] = _pole_gap(self._spectrum, z2[moves])
+        return (_Fold(self, int(mu), gap) for mu, gap in zip(held, gaps))
+
+    def _without(self, mu):
+        """The view without sample mu: the batch of one."""
+        return next(self._folds([mu]))
+
+
+class _Fold:
+    """The dataset without sample mu, as a view of it (see Dataset).  It
+    reads the parent's arrays: the residual is taken on every sample with
+    entry mu set to zero, X y and the gram drop x_mu*y_mu and x_mu x_mu^T,
+    and the spectrum is the parent's downdated with the pole's gap from
+    Dataset._folds.  The gram is formed only when a Newton step reads it."""
+
+    def __init__(self, dataset, mu, gap):
+        self._dataset, self._mu, self._gap = dataset, mu, gap
+        self.n_features = dataset.n_features
+        self.n_samples = dataset.n_samples - 1
+
+    @cached_property
+    def xy(self):
+        ds, mu = self._dataset, self._mu
+        return ds.xy - ds.X[:, mu] * ds.y[mu]
+
+    @cached_property
+    def gram(self):
+        x = self._dataset.X[:, self._mu]
+        return self._dataset.gram - np.outer(x, x)
+
+    @cached_property
+    def _spec(self):
+        ds, mu = self._dataset, self._mu
+        x = ds.X[:, mu]
+        return _Spectrum(ds._spectrum, ds._z2(mu), float(x @ x), self._gap)
+
+    def _residual(self, m):
+        X, residual = self._dataset._residual(m)
+        residual[self._mu] = 0.0
+        return X, residual
 
 
 def spectrum(dataset):
@@ -202,8 +262,8 @@ def spectrum(dataset):
     those below 1e-12 times the largest clamped to zero: the dataset's cached
     eigendecomposition's when a fit has formed it, else eigvalsh's, which
     can differ in the last bits.  DecompositionFailure when the solve fails.
-    A fold from Dataset._without has its own array here, from eigvalsh; its
-    fits read the downdate instead."""
+    A fold view from Dataset._folds has no array of its own; its fits read
+    the downdate."""
     return dataset._spectrum
 
 
@@ -214,13 +274,16 @@ class _Spectrum:
     origin) and the smallest eigenvalue ``min`` (the flat-slab test).
 
     _Spectrum(lam) reads a dataset's clamped eigenvalue array lam, with no
-    rank-one term.  _Spectrum(lam, z2, xx) is the spectrum of lam's gram
-    less x x^T, the gram of the dataset without sample x, where z2 holds the
-    squares of x's components on lam's eigenvectors and xx = ||x||^2.  A
-    mode with z2 = 0 keeps its eigenvalue.  The rest move to the roots of
-    1 = sum z2/(lam - t) (Golub, SIAM Review 15, 1973; Bunch, Nielsen &
-    Sorensen, Numer. Math. 31, 1978), and of these the sums need only the
-    one below them all, the pole p (_pole_gap).  With u = 1/(lam + L) and
+    rank-one term.  _Spectrum(lam, z2, xx, gap) is the spectrum of lam's
+    gram less x x^T, the gram of the dataset without sample x, where z2
+    holds the squares of x's components on lam's eigenvectors and xx =
+    ||x||^2.  A mode with z2 = 0 keeps its eigenvalue.  The rest move to the
+    roots of 1 = sum z2/(lam - t) (Golub, SIAM Review 15, 1973; Bunch,
+    Nielsen & Sorensen, Numer. Math. 31, 1978), and of these the sums need
+    only the one below them all, the pole p = l0 - gap, l0 the least moved
+    eigenvalue.  gap is _pole_gap's, of a batch of folds or, when None, of
+    this one alone; a NaN gap, a solve that failed, raises NonConvergence.
+    With u = 1/(lam + L) and
     the determinant-lemma ratio det(lam' + L)/det(lam + L) in its
     cancellation-free form c = (L + p)*sum(z2/((lam - p)*(lam + L))):
 
@@ -240,13 +303,16 @@ class _Spectrum:
 
     z2 = None  # no rank-one term
 
-    def __init__(self, lam, z2=None, xx=0.0):
+    def __init__(self, lam, z2=None, xx=0.0, gap=None):
         self.lam = lam
         self.min = float(lam.min())
         if z2 is not None and z2.any():
             moved = z2 > 0.0
             la, za = lam[moved], z2[moved]
-            gap = _pole_gap(la, za)
+            if gap is None:
+                gap = _pole_gap(lam, z2[None])[0]
+            if not gap > 0.0:
+                raise NonConvergence("secular solve for the fold's pole failed")
             p = float(la[0] - gap)
             self.z2, self.zp = z2, np.zeros_like(lam)  # zp = z2/(lam - p)
             if p < 1e-12 * float(lam[-1]):
@@ -295,17 +361,32 @@ class _Spectrum:
 
 
 def _pole_gap(la, za):
-    """gap > 0 such that la[0] - gap is the root of 1 = sum(za/(la - t))
-    below ascending la, with za > 0: where the weighted mean resolvent
-    sum(w/(la - la[0] + gap)), w = za/sum(za), equals 1/sum(za)."""
-    w, mu = za / za.sum(), la - la[0]
+    """For each row of za (K x n, >= 0 and zero wherever the ascending la
+    is), the gap > 0 such that l0 - gap is the root of 1 = sum(za/(la - t))
+    below the la at the row's positive entries, l0 the least of them: where
+    the weighted mean resolvent sum(w/(la - l0 + gap)), w = za/sum(za),
+    equals 1/sum(za).  NaN for a row whose solve fails.  One _secular_root
+    batch, whose sums reduce along rows, so a row has the same gap in any
+    batch."""
+    pos = la > 0.0
+    # C order, so that each row's sums reduce one contiguous row, as they do
+    # in a batch of one (za[:, pos] alone has the rows strided)
+    la, za = la[pos], np.ascontiguousarray(za[:, pos])
+    moved = za > 0.0
+    total = za.sum(axis=1)
+    w = za / total[:, None]
+    # entries a row does not move weigh nothing; mu = 0 keeps them finite
+    mu = np.where(moved, la - la[np.argmax(moved, axis=1)][:, None], 0.0)
 
     def sums(delta):
-        u = 1.0 / (mu + delta)
-        v = u / (1.0 / delta)
-        return float(w @ u), float(w @ (v * v))
+        d = delta[:, None]
+        u = 1.0 / (mu + d)
+        v = u / (1.0 / d)
+        return (w * u).sum(axis=1), (w * (v * v)).sum(axis=1)
 
-    return _secular_root(sums, float(w[mu == 0.0].sum()), float(w @ mu), 1.0 / float(za.sum()))
+    with np.errstate(all="ignore"):
+        return _secular_root(sums, np.where(mu == 0.0, w, 0.0).sum(axis=1),
+                             (w * mu).sum(axis=1), 1.0 / total)
 
 
 def _as_spectrum(lam):
@@ -344,21 +425,45 @@ def _secular_root(sums, f0, mu_mean, target):
     monotonically to the root; a step that rounding sends out of the domain
     goes halfway to the pole instead.  NonConvergence when delta0 overflows,
     or unless the relative residual reaches 1e-12.
+
+    A batch passes f0, mu_mean and target as arrays, one entry per problem,
+    and sums maps an array of deltas to arrays of sums.  Each problem keeps
+    its delta once its own test stops it, so it has the same root in any
+    batch, and the roots come back as an array with NaN, not
+    NonConvergence, for a problem that fails.
     """
-    delta = max(f0, 1.0 - target * mu_mean) / target if target > 0.0 else math.inf
-    if not 0.0 < delta < math.inf:
-        raise NonConvergence(f"secular root overflows at target {target:.3e}")
+    batch = isinstance(target, np.ndarray)
+    if batch:
+        delta = np.maximum(f0, 1.0 - target * mu_mean) / target
+        live = (0.0 < delta) & (delta < np.inf)
+    else:
+        delta = max(f0, 1.0 - target * mu_mean) / target if target > 0.0 else math.inf
+        if not 0.0 < delta < math.inf:
+            raise NonConvergence(f"secular root overflows at target {target:.3e}")
+        live = True
     for _ in range(200):
         r, dn = _secular_newton(sums, target, delta)
-        if abs(r) <= 1e-13 * target:
-            return delta
-        if dn <= 0.0:
+        if batch:
+            dn = np.where(dn <= 0.0, 0.5 * delta, dn)
+        elif dn <= 0.0:
             dn = 0.5 * delta
-        if not math.isfinite(dn) or dn == delta:
+        # a problem stops at its root, or at a step that is not finite or
+        # does not move
+        live = live & (abs(r) > 1e-13 * target) & (dn < math.inf) & (dn != delta)
+        if batch:
+            if not live.any():
+                break
+            delta = np.where(live, dn, delta)
+        elif live:
+            delta = dn
+        else:
             break
-        delta = dn
-    r = sums(delta)[0] - target
-    if abs(r) <= 1e-12 * target:
+    else:
+        r = sums(delta)[0] - target
+    done = abs(r) <= 1e-12 * target
+    if batch:
+        return np.where(done, delta, np.nan)
+    if done:
         return delta
     raise NonConvergence(f"secular solve stalled, relative residual {abs(r) / target:.3e}")
 
@@ -520,8 +625,8 @@ def solve_tilt(m, prior, beta, lam, E0=None, h0=None):
 
 def gradient(m, h, E, dataset, beta):
     """Free-energy gradient -beta*X(y - X^T m) - E*m + h at a solved tilt."""
-    residual = dataset.y - dataset.X.T @ m
-    return -beta * (dataset.X @ residual) - E * m + h
+    X, residual = dataset._residual(m)
+    return -beta * (X @ residual) - E * m + h
 
 
 def hessian(variances, E, dataset, beta):
@@ -583,7 +688,7 @@ def _coupling(m, tilt, beta, spec):
 
 def _free_energy_terms(m, tilt, dataset, beta):
     """The summands of Phi(m) at a solved tilt, in the module docstring's order."""
-    residual = dataset.y - dataset.X.T @ m
+    residual = dataset._residual(m)[1]
     rss = 0.5 * float(residual @ residual)
     n = m.size
     return [
@@ -811,7 +916,8 @@ def _vamp(dataset, prior, beta, warm, held=None):
             beta_s, beta_lam = beta_s[:, None], beta_lam[:, None]
             # W^T x_mu (tall) or W's row mu (wide)
             V = W[held].T if wide else W.T @ X[:, held]
-        m, steps = None, []
+        # the moves of the last _VAMP_WINDOW iterations, oldest first
+        m, steps = None, deque(maxlen=_VAMP_WINDOW)
         for _ in range(_VAMP_BUDGET):
             h = g1 * r1
             mom = moments(prior, h, g1)
@@ -832,8 +938,8 @@ def _vamp(dataset, prior, beta, warm, held=None):
             r1 = _VAMP_DAMPING * ((x2 / chi2 - g2 * r2) / g1_new) + (1.0 - _VAMP_DAMPING) * r1
             # a problem whose gamma1 left the domain gives up before the moments
             keep = ok & moving & (g1 > E_min)
-            if len(steps) >= _VAMP_WINDOW:
-                keep &= step < steps[-_VAMP_WINDOW]
+            if len(steps) == _VAMP_WINDOW:
+                keep &= step < steps[0]
             steps.append(step)
             if not keep.all():
                 done = ok & ~moving
@@ -842,7 +948,7 @@ def _vamp(dataset, prior, beta, warm, held=None):
                 for k in np.flatnonzero(done):
                     points[live[k]] = m[:, k].copy(), float(E[k]), h[:, k].copy()
                 live, g1, r1, bxy, m, V = (a[..., keep] for a in (live, g1, r1, bxy, m, V))
-                steps = [old[keep] for old in steps]
+                steps = deque((old[keep] for old in steps), maxlen=_VAMP_WINDOW)
                 if not live.size:
                     break
     return [None] if held is None else points
@@ -887,9 +993,10 @@ def fit(dataset, prior, beta, *, warm=None, _vamp_point=None):
     a single-sample fold starts: its batched VAMP point, or the full fit's
     where its batched problem gave up.  fit then runs no _vamp_start and
     reads no ``warm``, so it forms no eigenvectors, and the Newton loop
-    starts there, unchanged.  The spectrum is the dataset's _Spectrum: a
-    fold from Dataset._without reads the full dataset's downdated, and any
-    other dataset takes its eigenvalues from eigvalsh.
+    starts there, unchanged.  The dataset may then be a fold view from
+    Dataset._folds, whose spectrum is the full dataset's downdated; any
+    other dataset without a cached decomposition takes its eigenvalues from
+    eigvalsh.
     """
     beta = _checked_beta(beta)
     n = dataset.n_features

@@ -301,7 +301,9 @@ def save_fit_json(path, fit_result, extra=None):
 
 
 def load_fit_json(path):
-    """A fit JSON's payload with its vectors as arrays; ParseError if malformed."""
+    """A fit JSON's payload with its vectors as arrays; ParseError if malformed,
+    a vector not a flat list of finite numbers, or E or free_energy not a
+    finite number."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -319,6 +321,11 @@ def load_fit_json(path):
         # json.load reads NaN and Infinity, which no fit writes
         if not np.isfinite(payload[key]).all():
             raise ParseError(f"{path}: {key!r} has a non-finite entry")
+    for key in ("E", "free_energy"):
+        if key not in payload:
+            raise ParseError(f"{path} has no {key!r} key")
+        if not (type(payload[key]) in (int, float) and math.isfinite(payload[key])):
+            raise ParseError(f"{path}: {key!r} is not a finite number")
     return payload
 
 
@@ -384,9 +391,14 @@ def save_calibration_csv(path, rows, header_lines=()):
 def save_loo_csv(path, report, literal_report=None, header_lines=()):
     """LOO table: mu,residual_full,leverage,residual_loo,flagged, plus a
     residual_loo_literal comparison column when a literal report is given.
-    Row mu is sample mu; the leverage cells are empty for a refit report."""
+    Row mu is sample mu; the leverage cells are empty for a refit report.
+    DimensionMismatch, before anything is written, when the two reports
+    have different sample counts."""
     columns = ["mu", "residual_full", "leverage", "residual_loo", "flagged"]
     M = len(report.residual_loo)
+    if literal_report is not None and len(literal_report.residual_loo) != M:
+        raise DimensionMismatch(f"literal report has {len(literal_report.residual_loo)} "
+                                f"samples, the report {M}")
     leverage = [None] * M if report.leverage is None else report.leverage.tolist()
     table = [report.residual_full.tolist(), leverage, report.residual_loo.tolist()]
     flagged = set(report.flagged)

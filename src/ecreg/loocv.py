@@ -10,9 +10,11 @@ and k-fold harnesses actually refit and exist to validate that formula.  When
 every fold holds out one sample, one batched VAMP pass solves every fold's
 problem from the full fit's state on the full dataset's eigendecomposition,
 and core.fit refits each fold from its point, or the full fit's where its
-problem gave up, with no VAMP pass or decomposition of its own: its
-spectrum is a rank-one downdate of the full dataset's.  Each returns a
-LooReport: one table of per-sample arrays in sample order.
+problem gave up, with no VAMP pass or decomposition of its own.  Such a fold
+is a view of the full dataset, with no copy of X or y, and its spectrum is
+a rank-one downdate of the full dataset's, its pole from one batched solve
+for every fold.  Each returns a LooReport: one table of per-sample arrays
+in sample order.
 """
 
 import numbers
@@ -105,17 +107,15 @@ def approx_looe(fit_result, dataset, beta):
                      wall_time=time.perf_counter() - t0)
 
 
-def _fit_fold(dataset, prior, beta, keep_mask, warm, point):
-    """Fit on a sample subset from the start point ``point`` (m, E, h), which
-    a single-sample fold has, on the full dataset's downdated spectrum, or
-    from the state ``warm`` when point is None; returns (m, converged), with
-    None as m when the refit raises."""
-    if not np.any(keep_mask):
+def _fit_fold(sub, prior, beta, warm, point):
+    """Fit on a fold's data ``sub`` from the start point ``point`` (m, E, h),
+    which a single-sample fold's view has, or from the state ``warm`` when
+    point is None; returns (m, converged), with None as m when the refit
+    raises."""
+    if sub.n_samples == 0:
         # data-free fold: the estimator is the prior mean
-        return np.zeros(dataset.n_features), True
+        return np.zeros(sub.n_features), True
     try:
-        sub = (dataset._without(int(np.flatnonzero(~keep_mask)[0])) if point is not None
-               else Dataset(dataset.X[:, keep_mask], dataset.y[keep_mask]))
         res = fit(sub, prior, beta, warm=warm, _vamp_point=point)
     except EcregError:
         return None, False
@@ -128,16 +128,18 @@ def _cross_validate(dataset, prior, beta, folds, method):
 
     When every fold holds out one sample, one batched VAMP pass (core._vamp)
     runs every fold's problem at once, in sample order, from the full fit's
-    state, on the full dataset's eigendecomposition.  Each fold is then
-    refit by core.fit on its own samples from its batched point (m, E, h),
-    or from the full fit's (m, E, h) where its batched problem gave up: fit
-    runs no VAMP pass for it, reads the fold's spectrum as a rank-one
-    downdate of the full dataset's eigendecomposition (Dataset._without),
-    and its Newton loop certifies the point by the gradient test on the
-    fold's data, stepping when it fails.  Every fold of a layout with
-    larger blocks is refit warm-started from the full state, through its
-    own VAMP pass.  Residuals are reduced in index order.  A
-    fold whose refit fails keeps the full-fit prediction and its samples are
+    state, on the full dataset's eigendecomposition, and one batched secular
+    solve finds every fold's pole (Dataset._folds).  Each fold is then one
+    core.fit call on its view of the full dataset, which copies no data,
+    from its batched point (m, E, h), or from the full fit's (m, E, h) where
+    its batched problem gave up: fit runs no VAMP pass for it, reads the
+    fold's spectrum as a rank-one downdate of the full dataset's
+    eigendecomposition, and its Newton loop certifies the point by the
+    gradient test on the fold's data, stepping when it fails.  Every fold of
+    a layout with larger blocks is refit on a copy of its samples,
+    warm-started from the full state, through its own VAMP pass.  Residuals
+    are reduced in index order.  A fold whose refit fails (a failed pole
+    solve included) keeps the full-fit prediction and its samples are
     flagged; the call raises only when more than 5% of folds fail.
     """
     t0 = time.perf_counter()
@@ -147,18 +149,20 @@ def _cross_validate(dataset, prior, beta, folds, method):
     if all(len(test_idx) == 1 for test_idx in folds):
         # in sample order, so k = M runs literal_loocv's batch bit for bit
         folds = sorted(folds, key=lambda idx: idx[0])
+        held = [idx[0] for idx in folds]
         points = [(full.m, full.E, full.h) if point is None else point
-                  for point in _vamp(dataset, prior, beta, full, [idx[0] for idx in folds])]
+                  for point in _vamp(dataset, prior, beta, full, held)]
+        subs = dataset._folds(held)
     else:
         points = [None] * len(folds)
+        subs = (Dataset(np.delete(dataset.X, idx, axis=1), np.delete(dataset.y, idx))
+                for idx in folds)
 
     residuals = np.empty(M)
     flagged = []
     failures = 0
-    for test_idx, point in zip(folds, points):
-        keep = np.ones(M, dtype=bool)
-        keep[test_idx] = False
-        m_fold, ok = _fit_fold(dataset, prior, beta, keep, full, point)
+    for test_idx, point, sub in zip(folds, points, subs):
+        m_fold, ok = _fit_fold(sub, prior, beta, full, point)
         if m_fold is None:
             m_fold = full.m
         for mu in test_idx:
@@ -179,10 +183,10 @@ def _cross_validate(dataset, prior, beta, folds, method):
 
 
 def literal_loocv(dataset, prior, beta):
-    """LOO by M refits, each started at its point in one batched VAMP pass
-    from the full fit, or at the full fit's point where its batched problem
-    gave up, with no VAMP pass or decomposition of its own (see
-    _cross_validate).
+    """LOO by M refits, each on a view of the dataset without its sample
+    and started at its point in one batched VAMP pass from the full fit, or
+    at the full fit's point where its batched problem gave up, with no VAMP
+    pass, data copy or decomposition of its own (see _cross_validate).
 
     Folds are refit serially in index order.  A fold whose refit fails keeps
     the full-fit prediction and is flagged; the call raises only when more

@@ -258,22 +258,26 @@ class TestSpectrum:
             fit(_random_instance(5, n, m), bernoulli_gauss(0.3, 4.0), 4.0)
 
     def test_literal_fold_whose_spectrum_fails_is_flagged(self, monkeypatch):
-        # the refit holding out sample 3 cannot solve for its downdate's
-        # pole: its NonConvergence flags the fold (one of 20 is within the 5%
-        # allowance) and the other folds keep their residuals
+        # the batched secular solve cannot find fold 3's pole: a non-finite
+        # Newton step in its column stops that column short of the root, so
+        # its view's spectrum raises NonConvergence and flags the fold (one
+        # of 20 is within the 5% allowance); the other columns, and so the
+        # other folds' residuals, are as without the failure
         ds = _random_instance(6, 8, 20)
         prior, beta = bernoulli_gauss(0.3, 4.0), 4.0
         clean = literal_loocv(ds, prior, beta)
-        real, calls = core._pole_gap, [0]
+        real, batches = core._secular_newton, []
 
-        def failing_fold_3(*args):
-            calls[0] += 1
-            if calls[0] == 3 + 1:  # folds 0..3
-                raise NonConvergence("secular solve stalled")
-            return real(*args)
+        def failing_column_3(sums, target, delta):
+            r, dn = real(sums, target, delta)
+            if np.ndim(dn):  # the batched pole solve, one column per fold
+                batches.append(dn.size)
+                dn = np.where(np.arange(dn.size) == 3, np.nan, dn)
+            return r, dn
 
-        monkeypatch.setattr(core, "_pole_gap", failing_fold_3)
+        monkeypatch.setattr(core, "_secular_newton", failing_column_3)
         report = literal_loocv(ds, prior, beta)
+        assert set(batches) == {20}
         assert report.flagged == [3]
         others = np.arange(20) != 3
         assert np.array_equal(report.residual_loo[others], clean.residual_loo[others])

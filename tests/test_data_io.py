@@ -413,6 +413,31 @@ class TestFitJson:
         with pytest.raises(ParseError, match=f"'{key}' has a non-finite entry"):
             load_fit_json(path)
 
+    @pytest.mark.parametrize("key", ["E", "free_energy"])
+    @pytest.mark.parametrize("value", ['"oops"', "NaN", "Infinity", "true", "null", "[1.0]"],
+                             ids=["string", "nan", "infinity", "boolean", "null", "list"])
+    def test_scalar_not_a_finite_number_is_a_parse_error_naming_it(self, tmp_path, key,
+                                                                   value):
+        scalars = {"E": "1.5", "free_energy": "-3.0"}
+        scalars[key] = value
+        path = tmp_path / "fit.json"
+        text = ", ".join(f'"{k}": {v}' for k, v in scalars.items())
+        path.write_text('{"m": [1], "h": [0], "variance": [1], "inclusion_probs": [1], '
+                        + text + "}", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"'{key}' is not a finite number"):
+            load_fit_json(path)
+
+    def test_missing_scalar_is_a_parse_error_naming_it(self, tmp_path):
+        path = tmp_path / "fit.json"
+        path.write_text('{"m": [1], "h": [0], "variance": [1], "inclusion_probs": [1], '
+                        '"E": 2}', encoding="utf-8")
+        with pytest.raises(ParseError, match="has no 'free_energy' key"):
+            load_fit_json(path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["free_energy"] = -1
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert load_fit_json(path)["E"] == 2
+
 
 class TestTableCsv:
     def test_sweep_schema(self, tmp_path):
@@ -483,15 +508,29 @@ class TestTableCsv:
                            "flagged"]
         assert len(rows) == 8
 
+    def test_loo_reports_of_different_sample_counts_are_refused(self, tmp_path):
+        # a 30-sample table with a 20-sample literal column once wrote 20 rows
+        rng = np.random.default_rng(12)
+        prior, beta = bernoulli_gauss(0.5, 2.0), 4.0
+        big = Dataset(rng.normal(0.0, 0.4, (5, 30)), rng.normal(size=30))
+        small = Dataset(big.X[:, :20], big.y[:20])
+        approx = approx_looe(fit(big, prior, beta), big, beta)
+        literal = literal_loocv(small, prior, beta)
+        path = tmp_path / "loo.csv"
+        with pytest.raises(DimensionMismatch, match="literal report has 20 samples"):
+            save_loo_csv(path, approx, literal_report=literal)
+        assert not path.exists()
+
     def test_loo_schema_of_a_refit_report(self, tmp_path, monkeypatch):
         # a literal report as the only table: no leverages, its refit
         # residuals, and its failed fold's sample flagged
-        fit_fold = ecreg.loocv._fit_fold
+        fit_fold, calls = ecreg.loocv._fit_fold, [0]
 
-        def failing_at_sample_2(dataset, prior, beta, keep_mask, warm, point):
-            if not keep_mask[2]:
+        def failing_at_sample_2(sub, prior, beta, warm, point):
+            calls[0] += 1
+            if calls[0] == 2 + 1:  # the folds run in sample order
                 return warm.m, False
-            return fit_fold(dataset, prior, beta, keep_mask, warm, point)
+            return fit_fold(sub, prior, beta, warm, point)
 
         monkeypatch.setattr("ecreg.loocv._fit_fold", failing_at_sample_2)
         rng = np.random.default_rng(13)

@@ -238,6 +238,46 @@ class TestLiteralLoocv:
         assert report.residual_loo[0] == y[0]
         np.testing.assert_allclose(report.eps_loo, y[0] ** 2 / 2.0)
 
+    @pytest.mark.parametrize("n, m", [(8, 20), (20, 8)], ids=["tall", "wide"])
+    def test_single_sample_folds_construct_no_dataset(self, n, m, monkeypatch):
+        # each single-sample fold is a view of the full dataset: neither
+        # literal_loocv nor kfold_cv at k = M copies or validates a Dataset,
+        # while k-fold blocks of several samples still copy theirs
+        ds = _instance(34, n, m)
+        prior, beta = bernoulli_gauss(0.4, 3.0), 5.0
+        made, real = [0], Dataset.__init__
+
+        def counted(self, *args, **kwargs):
+            made[0] += 1
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Dataset, "__init__", counted)
+        assert literal_loocv(ds, prior, beta).flagged == []
+        assert kfold_cv(ds, prior, beta, k=m).flagged == []
+        assert made[0] == 0
+        kfold_cv(ds, prior, beta, k=4)
+        assert made[0] == 4
+
+    @pytest.mark.parametrize("n, m", [(8, 20), (20, 8)], ids=["tall", "wide"])
+    def test_fold_view_reads_the_data_of_a_copy(self, n, m):
+        # the view's data terms are the full dataset's less the held-out
+        # sample's: they match a copy without it to rounding
+        ds = _instance(35, n, m)
+        prior, beta = bernoulli_gauss(0.4, 3.0), 5.0
+        full = fit(ds, prior, beta).state
+        rng = np.random.default_rng(0)
+        for mu in (0, m // 2, m - 1):
+            view = ds._without(mu)
+            copy = Dataset(np.delete(ds.X, mu, axis=1), np.delete(ds.y, mu))
+            assert (view.n_samples, view.n_features) == (copy.n_samples, copy.n_features)
+            np.testing.assert_allclose(view.xy, copy.xy, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(view.gram, copy.gram, rtol=1e-12, atol=1e-14)
+            m_test = full.m + rng.normal(0.0, 0.1, n)
+            np.testing.assert_allclose(gradient(m_test, full.h, full.E, view, beta),
+                                       gradient(m_test, full.h, full.E, copy, beta),
+                                       rtol=1e-12, atol=1e-12)
+            assert view._residual(m_test)[1][mu] == 0.0
+
     def test_float32_beta_gives_the_python_float_report(self):
         # the batched VAMP pass takes beta as given; a float32 one once
         # stalled the full fit's tilt solve

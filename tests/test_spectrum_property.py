@@ -1,5 +1,7 @@
-"""Property test: a fold's spectrum read as the rank-one downdate of the full
-dataset's decomposition against the eigenvalues of the fold's own gram.
+"""Property tests: a fold's spectrum read as the rank-one downdate of the full
+dataset's decomposition, its pole from one batched secular solve over every
+fold, against the eigenvalues of the fold's own gram and against the same
+downdate solved for that fold alone.
 
 Every sum a fit reads of a fold's spectrum (core._Spectrum) must match the
 one built on eigvalsh of that fold's gram, which is the route a Dataset
@@ -9,7 +11,9 @@ TOL*eps*kappa, with kappa = lambda_max/(lambda'_min + L) +
 lambda_max/lambda_+, lambda_+ the full gram's smallest positive eigenvalue:
 the second term is the downdate's, whose fold inherits the conditioning of
 the full gram it starts from (a square design's fold is better conditioned
-than its full gram).  The zero count must match exactly.
+than its full gram).  The zero count must match exactly.  The batch must not change any fold's
+spectrum: each equals _Spectrum(lam, z2, xx), which solves its pole alone,
+to the bit.
 """
 
 import numpy as np
@@ -62,9 +66,9 @@ def test_downdated_fold_spectrum_matches_its_eigenvalues(X):
     lam_max = float(lam[-1])
     lam_pos = float(lam[lam > 0.0][0]) if lam_max > 0.0 else 1.0
     flat = bernoulli_uniform(0.3)
-    for mu in range(m):
-        fold = ds._without(mu)
-        down, own = fold._spec, _Spectrum(fold._spectrum)
+    for mu, fold in enumerate(ds._folds(range(m))):
+        own_gram = Dataset(np.delete(X, mu, axis=1), np.zeros(m - 1))
+        down, own = fold._spec, _Spectrum(own_gram._spectrum)
         assert _zeros(down, n) == _zeros(own, n)
         assert (down.min == 0.0) == (own.min == 0.0)
         assert _flat_slab_with_zero_modes(flat, down) == _flat_slab_with_zero_modes(flat, own)
@@ -80,3 +84,43 @@ def test_downdated_fold_spectrum_matches_its_eigenvalues(X):
             assert abs((own.min + L) / (down.min + L) - 1.0) <= tol
             ln, ln_own = down.logdet(L), own.logdet(L)
             assert abs(ln - ln_own) <= tol * (n + float(np.sum(np.abs(np.log(own.lam + L)))))
+
+
+def _fields(spec):
+    return (spec.min, spec.mean, spec.mu_mean, spec.f0, spec.mu,
+            getattr(spec, "p", None), getattr(spec, "zp", None), spec.z2)
+
+
+def _same(a, b):
+    return all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+               for x, y in zip(_fields(a), _fields(b)))
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(designs())
+def test_batched_fold_spectrum_is_the_fold_solved_alone(X):
+    n, m = X.shape
+    ds = Dataset(X, np.zeros(m))
+    lam = ds._spectrum
+    for mu, fold in enumerate(ds._folds(range(m))):
+        x = X[:, mu]
+        alone = _Spectrum(lam, ds._z2(mu), float(x @ x))
+        assert _same(fold._spec, alone)
+        assert _same(fold._spec, ds._without(mu)._spec)
+
+
+@pytest.mark.parametrize("n, m, rank", [(6, 15, 6), (6, 15, 3), (15, 6, 6), (7, 7, 7)],
+                         ids=["tall", "tall-rank-deficient", "wide", "square"])
+def test_batch_covers_zero_modes_and_a_clamped_pole(n, m, rank):
+    # the property above on fixed designs that hold what it must cover: zero
+    # modes (a rank-deficient or wide gram), and on a wide or square design a
+    # pole clamped to zero, since each fold has fewer samples than features
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, m)) / np.sqrt(n * rank)
+    ds = Dataset(X, np.zeros(m))
+    lam = ds._spectrum
+    specs = [fold._spec for fold in ds._folds(range(m))]
+    for mu, spec in enumerate(specs):
+        assert _same(spec, _Spectrum(lam, ds._z2(mu), float(X[:, mu] @ X[:, mu])))
+    assert (lam.min() == 0.0) == (rank < n)
+    assert all((spec.p == 0.0) == (m <= n) for spec in specs)
